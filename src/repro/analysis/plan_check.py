@@ -572,18 +572,26 @@ def check_admission(footprint: FrozenSet[str], predicate: Predicate,
             source=source,
             hint="expect a one-time re-registration cost and a wider "
                  "shared lineage bitmap afterwards"))
-    resident = sum(context.class_query_counts[i] for i in touched
-                   if i < len(context.class_query_counts))
-    if resident + 1 > context.lineage_capacity:
+    counts = [context.class_query_counts[i] for i in touched
+              if i < len(context.class_query_counts)]
+    resident = sum(counts)
+    # Warn on the admission that first crosses the capacity -- one more
+    # query in a class already past it (and already warned about) is not
+    # news, and warning on every later submit drowns the one that is.
+    if resident + 1 > context.lineage_capacity \
+            and max(counts, default=0) <= context.lineage_capacity:
         diags.append(Diagnostic(
             "TCQ205",
             f"admitting this query puts {resident + 1} standing queries "
             f"in one shared class, past the advisory lineage capacity of "
-            f"{context.lineage_capacity}; every tuple's lineage bitmap "
-            f"check walks that width",
+            f"{context.lineage_capacity}; routing stays sublinear in the "
+            f"query count, but every lineage bitmap is that many bits "
+            f"wide and each admission or cancel makes the next probe "
+            f"rebuild the grouped filters' cumulative masks",
             source=source,
             hint="partition the workload across servers, or raise "
-                 "lineage_capacity if the cost is acceptable"))
+                 "lineage_capacity if the cost is acceptable; further "
+                 "admissions to this class are not warned about again"))
     n_factors = len(predicate.conjuncts())
     if n_factors > context.lineage_capacity:
         diags.append(Diagnostic(

@@ -276,6 +276,9 @@ class NetworkConnection(Connection):
         self._max_frame = max_frame
         self._ids = itertools.count(1)
         self._streamed: Dict[int, List[Dict[str, Any]]] = {}
+        #: frames decoded behind a reply in the same read; the next
+        #: request handles them before it reads the socket again.
+        self._pending: List[Dict[str, Any]] = []
         self._schemas: Dict[Any, Schema] = {}
         self.hello = self._request("HELLO", client=client)
         self.session = self.hello.get("session")
@@ -294,7 +297,9 @@ class NetworkConnection(Connection):
         rid = next(self._ids)
         self._send_frame({"op": op, "id": rid, **fields})
         while True:
-            for frame in self._read_frames():
+            frames = self._pending or self._read_frames()
+            self._pending = []
+            for i, frame in enumerate(frames):
                 kind = frame.get("type")
                 if kind == STREAM_ROW:
                     self._streamed.setdefault(frame["cursor"], []).append(
@@ -307,6 +312,10 @@ class NetworkConnection(Connection):
                                                        "evicted")))
                 if frame.get("id") != rid:
                     continue        # a late response we stopped awaiting
+                # One read can hold frames behind the reply (rows streamed
+                # after the service answered): they were produced later,
+                # so they wait, in order, for the next request.
+                self._pending = frames[i + 1:]
                 if kind == ERROR:
                     raise error_from_wire(frame.get("error", {}))
                 return frame

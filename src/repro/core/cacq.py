@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 from collections import defaultdict
-from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple as TypingTuple
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple as TypingTuple
 
 from repro.core.grouped_filter import GroupedFilter
 from repro.core.routing import LotteryPolicy, RoutingPolicy
@@ -64,6 +64,10 @@ class ContinuousQuery:
         self.name = name or f"q{qid}"
         self.results: List[Tuple] = []
         self.delivered = 0
+        #: where the engine registered this query at admission — the
+        #: only shared state its removal has to visit.
+        self.filter_keys: List[TypingTuple[str, str]] = []
+        self.pairs: List[FrozenSet[str]] = []
 
     def deliver(self, t: Tuple) -> None:
         self.delivered += 1
@@ -97,11 +101,18 @@ class CACQEngine:
         # Shared state: grouped filters keyed by (stream, attribute);
         # one SteM per stream, created when a join query first needs it.
         self.filters: Dict[TypingTuple[str, str], GroupedFilter] = {}
+        # The same filters per stream, in creation order: what one tuple
+        # of that stream is routed through.
+        self._stream_filters: Dict[str, List[TypingTuple[str,
+                                                         GroupedFilter]]] = \
+            defaultdict(list)
         self.stems: Dict[str, SteM] = {}
-        # Join registry: unordered stream pair -> [(query bit, predicate)].
+        # Join registry: unordered stream pair -> [(query bit, predicate)],
+        # and the OR of those bits, kept current at admission/removal.
         self._pair_factors: Dict[FrozenSet[str],
                                  List[TypingTuple[int, ColumnComparison]]] = \
             defaultdict(list)
+        self._pair_mask: Dict[FrozenSet[str], int] = defaultdict(int)
         # Masks: which query bits read each stream / each footprint.
         self._source_mask: Dict[str, int] = defaultdict(int)
         self._footprint_mask: Dict[FrozenSet[str], int] = defaultdict(int)
@@ -170,7 +181,10 @@ class CACQEngine:
             if gf is None:
                 gf = GroupedFilter(attr)
                 self.filters[(stream, attr)] = gf
+                self._stream_filters[stream].append((attr, gf))
             gf.add(Comparison(attr, factor.op, factor.value), query.qid)
+            if (stream, attr) not in query.filter_keys:
+                query.filter_keys.append((stream, attr))
 
         for factor in query.join_factors:
             pair = frozenset(factor.sources())
@@ -178,6 +192,9 @@ class CACQEngine:
                 raise QueryError(
                     f"join factor {factor!r} must span exactly two streams")
             self._pair_factors[pair].append((query.bit, factor))
+            self._pair_mask[pair] |= query.bit
+            if pair not in query.pairs:
+                query.pairs.append(pair)
             for s in pair:
                 if s not in self.stems:
                     self.stems[s] = SteM(s)
@@ -194,14 +211,17 @@ class CACQEngine:
         self._footprint_mask[query.footprint] &= ~query.bit
         for s in query.footprint:
             self._source_mask[s] &= ~query.bit
-        for gf in self.filters.values():
-            gf.remove_query(query.qid)
-        for pair, factors in list(self._pair_factors.items()):
-            kept = [(bit, f) for (bit, f) in factors if bit != query.bit]
+        for key in query.filter_keys:
+            self.filters[key].remove_query(query.qid)
+        for pair in query.pairs:
+            kept = [(bit, f) for (bit, f) in self._pair_factors[pair]
+                    if bit != query.bit]
             if kept:
                 self._pair_factors[pair] = kept
+                self._pair_mask[pair] &= ~query.bit
             else:
                 del self._pair_factors[pair]
+                del self._pair_mask[pair]
 
     def _stream_of_column(self, column: str,
                           footprint: FrozenSet[str]) -> str:
@@ -256,20 +276,16 @@ class CACQEngine:
             (stream,) = t.sources
             # 1. grouped filters for this stream: one probe per shared
             # index evaluates every registered query's factors at once.
-            for (s, attr), gf in list(self.filters.items()):
-                if s != stream:
+            for attr, gf in self._stream_filters.get(stream, ()):
+                if not (t.queries & gf.registered_mask):
                     continue
-                registered = gf.registered_mask
-                if not (t.queries & registered):
-                    continue
-                satisfied = self._mask(gf.matching(t[attr]))
+                t.queries &= ~gf.failing(t[attr])
                 self.filter_probes += 1
-                t.queries &= ~(registered & ~satisfied)
                 alive = bool(t.queries)
                 gf.observe(alive)
                 tr = t.trace
                 if tr is not None:
-                    tr.hop("filter", f"gf[{s}.{attr}]",
+                    tr.hop("filter", f"gf[{stream}.{attr}]",
                            "pass" if alive else "drop")
                 if not alive:
                     return produced
@@ -293,9 +309,7 @@ class CACQEngine:
             stem = self.stems.get(partner)
             if stem is None:
                 continue
-            pair_mask = 0
-            for bit, _factor in factors:
-                pair_mask |= bit
+            pair_mask = self._pair_mask[pair]
             if not (t.queries & pair_mask):
                 continue
             matches = self._shared_probe(stem, t, factors, pair_mask)
@@ -340,18 +354,17 @@ class CACQEngine:
         eligible = t.queries & self._footprint_mask.get(t.sources, 0)
         if not eligible:
             return
-        for query in list(self.queries.values()):
-            if not (eligible & query.bit):
+        queries = self.queries
+        while eligible:
+            low = eligible & -eligible
+            eligible ^= low
+            # A callback may have cancelled a later query mid-delivery.
+            query = queries.get(low.bit_length() - 1)
+            if query is None:
                 continue
             if query.residual is ALWAYS_TRUE or query.residual.matches(t):
                 query.deliver(t)
                 delivered.append(t)
-
-    def _mask(self, qids: Iterable[int]) -> int:
-        mask = 0
-        for qid in qids:
-            mask |= 1 << qid
-        return mask
 
     # -- introspection ---------------------------------------------------------
     def stats(self) -> Dict[str, Any]:

@@ -78,8 +78,10 @@ class Cursor:
         self._windows: List[TypingTuple[int, List[Tuple]]] = []
         self.closed = False
         self.delivered = 0
-        #: set for continuous cursors: the underlying CACQ query.
+        #: set for continuous cursors: the underlying CACQ query and
+        #: the shared engine it is registered in.
         self.continuous_query: Optional[ContinuousQuery] = None
+        self._engine: Optional[CACQEngine] = None
         self.compiled: Optional[CompiledQuery] = None
         #: plan-verifier findings recorded at admission (warnings, or
         #: everything when admitted with allow_unsafe=True).
@@ -314,10 +316,11 @@ class TelegraphCQServer:
         self._stream_closed: Dict[str, bool] = {}
         #: one shared CQ engine per footprint-class root.
         self._cacq: Dict[str, CACQEngine] = {}
-        #: remembers (streams, predicate, cursor) so class merges can
-        #: rebuild a combined engine.
-        self._cq_registry: List[TypingTuple[TypingTuple[str, ...], Predicate,
-                                            Cursor]] = []
+        #: cursor id -> (streams, predicate, cursor) of every standing
+        #: continuous query, so class merges can rebuild a combined
+        #: engine.
+        self._cq_registry: Dict[int, TypingTuple[TypingTuple[str, ...],
+                                                 Predicate, Cursor]] = {}
         self._proxies: Dict[str, List[ClientProxy]] = {}
         self.max_cursors_per_proxy = max_cursors_per_proxy
         self._next_cursor = itertools.count(1)
@@ -475,7 +478,9 @@ class TelegraphCQServer:
                               callback=cursor._deliver,
                               name=f"cursor{cursor.cursor_id}")
         cursor.continuous_query = cq
-        self._cq_registry.append((streams, compiled.predicate, cursor))
+        cursor._engine = engine
+        self._cq_registry[cursor.cursor_id] = (streams, compiled.predicate,
+                                               cursor)
         # Ensure the class has an executor presence so stats show it.
         self.executor.eo_for(streams)
 
@@ -511,9 +516,7 @@ class TelegraphCQServer:
                 if name not in seen_streams:
                     merged.register_stream(schema)
                     seen_streams.add(name)
-        for streams, predicate, cursor in self._cq_registry:
-            if cursor.continuous_query is None:
-                continue
+        for streams, predicate, cursor in self._cq_registry.values():
             if any(s in seen_streams for s in streams):
                 for s in streams:
                     if s not in merged.schemas:
@@ -523,6 +526,7 @@ class TelegraphCQServer:
                 cursor.continuous_query = merged.add_query(
                     list(streams), predicate, callback=cursor._deliver,
                     name=f"cursor{cursor.cursor_id}")
+                cursor._engine = merged
         self._cacq[root] = merged
         return merged
 
@@ -531,13 +535,10 @@ class TelegraphCQServer:
         if cursor.continuous_query is None:
             cursor.closed = True
             return
-        for engine in self._cacq.values():
-            if cursor.continuous_query.qid in engine.queries:
-                engine.remove_query(cursor.continuous_query)
-                break
-        self._cq_registry = [(s, p, c) for (s, p, c) in self._cq_registry
-                             if c is not cursor]
+        cursor._engine.remove_query(cursor.continuous_query)
+        del self._cq_registry[cursor.cursor_id]
         cursor.continuous_query = None
+        cursor._engine = None
         cursor.closed = True
 
     # -- windowed path ------------------------------------------------------------------
@@ -677,10 +678,7 @@ class TelegraphCQServer:
                             analyze: bool) -> Dict[str, Any]:
         query = f"cursor{cursor.cursor_id}"
         cq = cursor.continuous_query
-        engine = None
-        if cq is not None:
-            engine = next((e for e in self._cacq.values()
-                           if cq.qid in e.queries), None)
+        engine = cursor._engine
         if cq is None or engine is None:
             return {"kind": "continuous", "target": query,
                     "operators": [], "orderings": [],

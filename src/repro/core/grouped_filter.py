@@ -5,28 +5,189 @@ the same attribute."  When a CACQ query arrives it is decomposed into
 boolean factors; each single-variable factor ``attr op constant`` is
 inserted into the grouped filter for ``attr``.  When a data tuple is
 routed through the filter, one probe determines *which queries'* factors
-it satisfies — O(log n + answers) instead of evaluating every query's
-predicate separately (experiment E4 measures exactly this).
+it fails — and the answer is a query bitmap, the same currency the
+tuple's lineage is kept in (experiment E4 measures the probe).
+
+The one primitive is :meth:`GroupedFilter.failing`: the bitmap of
+registered queries with at least one factor on this attribute that the
+value fails.  A query survives the filter iff its bit is absent, however
+many factors it registered, so nothing is counted per query.
 
 Index layout per attribute:
 
-* equality      — hash map value -> query ids;
-* inequality    — hash map value -> query ids (matches are "everyone
-  except the ids registered at this exact value");
-* ``>`` / ``>=`` — a sorted array of thresholds: the factors satisfied by
-  tuple value v are a *prefix* (all thresholds below v), found by
+* equality   — hash map constant -> query ids, plus the mask of every
+  query holding an ``==`` factor: all of them fail except the ids
+  registered at the probed value;
+* inequality — hash map constant -> query ids: exactly those fail;
+* ``>`` / ``>=`` — a sorted array of *distinct* thresholds, each entry
+  holding the ids of every query that registered it: the factors failed
+  by value v are a *suffix* (all thresholds at or above v), found by
   bisection;
-* ``<`` / ``<=`` — symmetric, a suffix.
+* ``<`` / ``<=`` — symmetric, a prefix.
+
+A suffix (prefix) of a range bank is answered from cumulative masks kept
+at a stride of at most sqrt(factors), so a probe ORs at most one stride
+of entries onto one stored mask, and the stored masks take O(F * sqrt(F))
+bits.  They are rebuilt lazily, on the first probe after a registration
+change, so admission itself stays O(log F).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
-from typing import Any, Dict, List, Optional, Set, Tuple as TypingTuple
+from bisect import bisect_left, bisect_right
+from math import isqrt
+from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple as TypingTuple
 
-from repro.core import columnar
 from repro.errors import QueryError
 from repro.query.predicates import Comparison
+
+#: bit offsets set in each byte value, for :func:`decode_mask`.
+_BYTE_BITS = [tuple(i for i in range(8) if b >> i & 1) for b in range(256)]
+
+
+def mask_of(qids: Iterable[int]) -> int:
+    """The query bitmap with exactly the bits ``qids`` set."""
+    mask = 0
+    for qid in qids:
+        mask |= 1 << qid
+    return mask
+
+
+def decode_mask(mask: int) -> Set[int]:
+    """The query ids whose bits are set in ``mask`` (the API-edge
+    decoder: engines keep lineage as bitmaps and call this only where a
+    ``Set[int]`` is promised)."""
+    out: Set[int] = set()
+    add = out.add
+    base = 0
+    for byte in mask.to_bytes((mask.bit_length() + 7) >> 3, "little"):
+        if byte:
+            for offset in _BYTE_BITS[byte]:
+                add(base + offset)
+        base += 8
+    return out
+
+
+class _RangeBank:
+    """The factors of one range operator: sorted distinct thresholds,
+    the query ids registered at each, and strided cumulative masks.
+
+    ``suffix`` says which side of the probe position fails: for ``>`` and
+    ``>=`` the thresholds from the position on, for ``<`` and ``<=`` the
+    thresholds before it.  ``locate`` is the bisect flavour that puts a
+    threshold equal to the value on the right side of that position.
+    """
+
+    __slots__ = ("suffix", "locate", "keys", "qids", "factors", "width",
+                 "_starts", "_cum", "mask_ops")
+
+    def __init__(self, suffix: bool,
+                 locate: Callable[[List[Any], Any], int]):
+        self.suffix = suffix
+        self.locate = locate
+        self.keys: List[Any] = []
+        self.qids: List[Set[int]] = []
+        self.factors = 0
+        #: bits in the widest query bitmap this bank has seen.
+        self.width = 0
+        #: block b covers entries ``_starts[b]:_starts[b + 1]``.
+        self._starts: List[int] = []
+        #: ``_cum[b]`` = every query in blocks b.. (suffix) or ..b-1
+        #: (prefix); ``None`` = stale.
+        self._cum: Optional[List[int]] = None
+        #: debug counter: big-int ORs spent in probes.
+        self.mask_ops = 0
+
+    def add(self, value: Any, qid: int) -> bool:
+        """Register ``qid`` at threshold ``value``; False if it already
+        was.  Queries sharing a constant share the entry."""
+        keys = self.keys
+        i = bisect_left(keys, value)
+        if i < len(keys) and keys[i] == value:
+            if qid in self.qids[i]:
+                return False
+            self.qids[i].add(qid)
+        else:
+            keys.insert(i, value)
+            self.qids.insert(i, {qid})
+        self.factors += 1
+        self.width = max(self.width, qid + 1)
+        self._cum = None
+        return True
+
+    def discard(self, value: Any, qid: int) -> None:
+        i = bisect_left(self.keys, value)
+        self.qids[i].discard(qid)
+        if not self.qids[i]:
+            del self.keys[i]
+            del self.qids[i]
+        self.factors -= 1
+        self._cum = None
+
+    def _rebuild(self) -> List[int]:
+        """Cut the entries into blocks of at most ``stride`` factors (an
+        entry shared by more queries than that is a block of its own) and
+        accumulate the block masks from the failing end.
+
+        The stride is sqrt(factors), which bounds both the entries a
+        probe folds and the stored masks (O(F * sqrt(F)) bits) -- or
+        less while the masks are narrow: one stored mask per ``stride``
+        factors costs ``width / stride`` bits per factor, and letting
+        that reach 256 (a fraction of what the entry's own id set
+        takes) buys a shorter fold for memory nobody will miss.
+        """
+        stride = max(1, min(isqrt(self.factors), self.width // 256))
+        starts = [0]
+        masks: List[int] = []
+        block = load = 0
+        for i, qids in enumerate(self.qids):
+            if load and load + len(qids) > stride:
+                starts.append(i)
+                masks.append(block)
+                block = load = 0
+            block |= mask_of(qids)
+            load += len(qids)
+        masks.append(block)
+        starts.append(len(self.qids))
+        cum = [0] * len(starts)
+        if self.suffix:
+            for b in range(len(masks) - 1, -1, -1):
+                cum[b] = cum[b + 1] | masks[b]
+        else:
+            for b, mask in enumerate(masks):
+                cum[b + 1] = cum[b] | mask
+        self._starts = starts
+        self._cum = cum
+        return cum
+
+    def failing(self, value: Any) -> int:
+        """Every query with a threshold in this bank that ``value``
+        fails: one stored cumulative mask plus the entries between the
+        probe position and the block boundary."""
+        idx = self.locate(self.keys, value)
+        cum = self._cum
+        if cum is None:
+            cum = self._rebuild()
+        starts = self._starts
+        b = bisect_right(starts, idx) - 1
+        if self.suffix:
+            if starts[b] == idx:
+                return cum[b]
+            failed = cum[b + 1]
+            partial = self.qids[idx:starts[b + 1]]
+        else:
+            failed = cum[b]
+            partial = self.qids[starts[b]:idx]
+        ops = 1
+        for qids in partial:
+            ops += len(qids)
+            for qid in qids:
+                failed |= 1 << qid
+        self.mask_ops += ops
+        return failed
+
+    def cumulative_bits(self) -> int:
+        return sum(m.bit_length() for m in self._cum or ())
 
 
 class GroupedFilter:
@@ -34,33 +195,35 @@ class GroupedFilter:
     over a single attribute.
 
     A query may register several factors on the same attribute (e.g.
-    ``50 < price AND price < 60``); the query satisfies the filter only
-    if *all* its factors match, which the probe handles by counting
-    satisfied factors per query.
+    ``50 < price AND price < 60``); it satisfies the filter only if
+    *all* of them match, i.e. iff :meth:`failing` leaves its bit clear.
     """
 
     def __init__(self, attribute: str):
         self.attribute = attribute
-        # op -> structure; see module docstring.
         self._eq: Dict[Any, Set[int]] = {}
         self._ne: Dict[Any, Set[int]] = {}
-        #: distinct ``!=`` values registered per query; a probe credits
-        #: all of them except (at most) the one equal to the value.
-        self._ne_count: Dict[int, int] = {}
-        self._gt: List[TypingTuple[Any, int]] = []   # sorted (threshold, qid)
-        self._ge: List[TypingTuple[Any, int]] = []
-        self._lt: List[TypingTuple[Any, int]] = []
-        self._le: List[TypingTuple[Any, int]] = []
-        #: factors registered per query on this attribute.
-        self._factor_count: Dict[int, int] = {}
+        #: queries holding at least one ``==`` factor.
+        self._eq_all = 0
+        #: queries holding ``==`` factors on two distinct constants: no
+        #: value satisfies both, they fail every probe.
+        self._eq_contradictory = 0
+        self._banks: Dict[str, _RangeBank] = {
+            ">": _RangeBank(True, bisect_left),
+            ">=": _RangeBank(True, bisect_right),
+            "<": _RangeBank(False, bisect_right),
+            "<=": _RangeBank(False, bisect_left),
+        }
+        #: the distinct ``(op, constant)`` factors each query registered
+        #: here — what :meth:`remove_query` walks.
+        self._factors: Dict[int, List[TypingTuple[str, Any]]] = {}
+        self._n_factors = 0
         #: bitmap of registered query ids, maintained incrementally so
         #: the CACQ hot path never rebuilds it.
         self.registered_mask = 0
-        #: cached threshold-value arrays per range bank, rebuilt lazily
-        #: after any registration change.  ``None`` = stale; ``False`` =
-        #: some bank is unpromotable, stay on python bisect.
-        self._bank_arrays: Any = None
         self.probes = 0
+        #: debug counter: big-int ORs spent folding ``==``/``!=`` entries.
+        self._point_ops = 0
         #: pass/drop observation (EXPLAIN selectivity): a "pass" is a
         #: probed tuple that stayed alive for at least one query.
         self.seen = 0
@@ -68,218 +231,96 @@ class GroupedFilter:
 
     # -- registration --------------------------------------------------------
     def add(self, factor: Comparison, query_id: int) -> None:
-        """Insert one boolean factor belonging to ``query_id``."""
+        """Insert one boolean factor belonging to ``query_id``.  A
+        factor the query already registered is logically idempotent."""
         if factor.column != self.attribute:
             raise QueryError(
                 f"factor on {factor.column!r} inserted into grouped filter "
                 f"for {self.attribute!r}")
         op, value = factor.op, factor.value
-        if op == "==":
-            ids = self._eq.setdefault(value, set())
-            if query_id in ids:   # duplicate factor: logically idempotent
-                return
-            ids.add(query_id)
-        elif op == "!=":
-            ids = self._ne.setdefault(value, set())
+        if op == "==" or op == "!=":
+            ids = (self._eq if op == "==" else self._ne).setdefault(
+                value, set())
             if query_id in ids:
                 return
             ids.add(query_id)
-            self._ne_count[query_id] = self._ne_count.get(query_id, 0) + 1
-        elif op == ">":
-            insort(self._gt, (value, query_id))
-        elif op == ">=":
-            insort(self._ge, (value, query_id))
-        elif op == "<":
-            insort(self._lt, (value, query_id))
-        elif op == "<=":
-            insort(self._le, (value, query_id))
+            if op == "==":
+                bit = 1 << query_id
+                if self._eq_all & bit:
+                    self._eq_contradictory |= bit
+                self._eq_all |= bit
+        elif op in self._banks:
+            if not self._banks[op].add(value, query_id):
+                return
         else:  # pragma: no cover - Comparison already validates ops
             raise QueryError(f"unsupported operator {op!r}")
-        self._factor_count[query_id] = self._factor_count.get(query_id, 0) + 1
+        self._factors.setdefault(query_id, []).append((op, value))
+        self._n_factors += 1
         self.registered_mask |= 1 << query_id
-        self._bank_arrays = None
 
     def remove_query(self, query_id: int) -> None:
         """Drop every factor registered by ``query_id`` (query removal
-        "on the fly", Section 1.1's shared-processing robustness)."""
-        if query_id not in self._factor_count:
+        "on the fly", Section 1.1's shared-processing robustness).  Only
+        the query's own entries are visited."""
+        factors = self._factors.pop(query_id, None)
+        if factors is None:
             return
-        for mapping in (self._eq, self._ne):
-            empty = []
-            for value, ids in mapping.items():
+        for op, value in factors:
+            if op == "==" or op == "!=":
+                mapping = self._eq if op == "==" else self._ne
+                ids = mapping[value]
                 ids.discard(query_id)
                 if not ids:
-                    empty.append(value)
-            for value in empty:
-                del mapping[value]
-        self._ne_count.pop(query_id, None)
-        for attr in ("_gt", "_ge", "_lt", "_le"):
-            entries = getattr(self, attr)
-            setattr(self, attr,
-                    [(v, q) for (v, q) in entries if q != query_id])
-        del self._factor_count[query_id]
-        self.registered_mask &= ~(1 << query_id)
-        self._bank_arrays = None
+                    del mapping[value]
+            else:
+                self._banks[op].discard(value, query_id)
+        keep = ~(1 << query_id)
+        self._eq_all &= keep
+        self._eq_contradictory &= keep
+        self._n_factors -= len(factors)
+        self.registered_mask &= keep
 
     @property
     def registered_queries(self) -> Set[int]:
-        return set(self._factor_count)
+        return set(self._factors)
 
     def __len__(self) -> int:
-        """Total number of registered factors."""
-        return sum(self._factor_count.values())
+        """Total number of registered (distinct) factors."""
+        return self._n_factors
 
     # -- probing -------------------------------------------------------------
+    def failing(self, value: Any) -> int:
+        """The bitmap of registered queries with at least one factor on
+        this attribute that ``value`` fails.  Lineage survives as
+        ``queries & ~failing(value)``."""
+        self.probes += 1
+        failed = self._eq_contradictory
+        if self._eq_all:
+            hit = self._eq.get(value)
+            if hit:
+                self._point_ops += len(hit)
+                failed |= self._eq_all & ~mask_of(hit)
+            else:
+                failed |= self._eq_all
+        if self._ne:
+            hit = self._ne.get(value)
+            if hit:
+                self._point_ops += len(hit)
+                failed |= mask_of(hit)
+        for bank in self._banks.values():
+            if bank.keys:
+                failed |= bank.failing(value)
+        return failed
+
     def matching(self, value: Any) -> Set[int]:
         """The ids of queries *all* of whose factors on this attribute
-        are satisfied by ``value``."""
-        self.probes += 1
-        satisfied: Dict[int, int] = {}
-
-        def credit(qid: int) -> None:
-            satisfied[qid] = satisfied.get(qid, 0) + 1
-
-        for qid in self._eq.get(value, ()):
-            credit(qid)
-        if self._ne_count:
-            excluded = self._ne.get(value, set())
-            for qid, n_ne in self._ne_count.items():
-                held = n_ne - (1 if qid in excluded else 0)
-                if held:
-                    satisfied[qid] = satisfied.get(qid, 0) + held
-        # value > threshold  <=>  threshold < value: prefix strictly below.
-        idx = bisect_left(self._gt, (value, -1))
-        for i in range(idx):
-            credit(self._gt[i][1])
-        # value >= threshold: prefix up to and including value.
-        idx = bisect_right(self._ge, (value, float("inf")))
-        for i in range(idx):
-            credit(self._ge[i][1])
-        # value < threshold: suffix strictly above.
-        idx = bisect_right(self._lt, (value, float("inf")))
-        for i in range(idx, len(self._lt)):
-            credit(self._lt[i][1])
-        # value <= threshold: suffix from value.
-        idx = bisect_left(self._le, (value, -1))
-        for i in range(idx, len(self._le)):
-            credit(self._le[i][1])
-
-        return {qid for qid, n in satisfied.items()
-                if n == self._factor_count[qid]}
-
-    def _threshold_arrays(self) -> Any:
-        """Promoted threshold-value arrays per range bank, cached until
-        registration changes.  ``False`` when some non-empty bank holds
-        unpromotable values (stay on python bisect)."""
-        if self._bank_arrays is None:
-            arrs: Dict[str, Any] = {}
-            for attr in ("_gt", "_ge", "_lt", "_le"):
-                entries = getattr(self, attr)
-                if not entries:
-                    arrs[attr] = None
-                    continue
-                arr = columnar.as_array([v for v, _ in entries])
-                if arr is None:
-                    self._bank_arrays = False
-                    return False
-                arrs[attr] = arr
-            self._bank_arrays = arrs
-        return self._bank_arrays
-
-    def _batch_positions(self, values: List[Any]) -> \
-            Optional[Dict[str, Optional[List[int]]]]:
-        """One searchsorted call per range bank for the whole probe
-        column, or ``None`` to fall back to per-value bisect.
-
-        Positions agree with the bisect sentinels used below:
-        ``bisect_left(bank, (v, -1))`` == searchsorted 'left' on the
-        threshold values (qids are >= 0 > -1), and
-        ``bisect_right(bank, (v, inf))`` == searchsorted 'right'.
-        """
-        if not columnar.have_numpy():
-            return None
-        arrs = self._threshold_arrays()
-        if arrs is False:
-            return None
-        out: Dict[str, Optional[List[int]]] = {}
-        try:
-            for attr, side in (("_gt", "left"), ("_ge", "right"),
-                               ("_lt", "right"), ("_le", "left")):
-                arr = arrs[attr]
-                if arr is None:
-                    out[attr] = None
-                    continue
-                pos = columnar.bisect_batch(arr, values, side)
-                if pos is None:
-                    return None
-                out[attr] = pos
-        except TypeError:
-            # Cross-type probe: the bisect loop raises at the offending
-            # row, preserving per-value semantics.
-            return None
-        return out
+        are satisfied by ``value`` — :meth:`failing`, decoded."""
+        return decode_mask(self.registered_mask & ~self.failing(value))
 
     def matching_batch(self, values: List[Any]) -> List[Set[int]]:
-        """Vectorized probe: one call for a whole column of values.
-
-        Index structures, dict accessors, and the per-op emptiness
-        checks are hoisted out of the loop, and with numpy the four
-        range banks are bisected for ALL probe values in one
-        searchsorted call each.  Semantically equal to
-        ``[self.matching(v) for v in values]`` (including the
-        ``probes`` counter).
-        """
-        self.probes += len(values)
-        eq_get = self._eq.get
-        ne_get = self._ne.get
-        ne_count = self._ne_count
-        gt, ge, lt, le = self._gt, self._ge, self._lt, self._le
-        factor_count = self._factor_count
-        inf = float("inf")
-        positions = self._batch_positions(values) \
-            if (gt or ge or lt or le) else None
-        gt_pos = positions["_gt"] if positions else None
-        ge_pos = positions["_ge"] if positions else None
-        lt_pos = positions["_lt"] if positions else None
-        le_pos = positions["_le"] if positions else None
-        out: List[Set[int]] = []
-        for j, value in enumerate(values):
-            satisfied: Dict[int, int] = {}
-            for qid in eq_get(value, ()):
-                satisfied[qid] = satisfied.get(qid, 0) + 1
-            if ne_count:
-                excluded = ne_get(value, set())
-                for qid, n_ne in ne_count.items():
-                    held = n_ne - (1 if qid in excluded else 0)
-                    if held:
-                        satisfied[qid] = satisfied.get(qid, 0) + held
-            if gt:
-                end = gt_pos[j] if gt_pos is not None \
-                    else bisect_left(gt, (value, -1))
-                for i in range(end):
-                    qid = gt[i][1]
-                    satisfied[qid] = satisfied.get(qid, 0) + 1
-            if ge:
-                end = ge_pos[j] if ge_pos is not None \
-                    else bisect_right(ge, (value, inf))
-                for i in range(end):
-                    qid = ge[i][1]
-                    satisfied[qid] = satisfied.get(qid, 0) + 1
-            if lt:
-                start = lt_pos[j] if lt_pos is not None \
-                    else bisect_right(lt, (value, inf))
-                for i in range(start, len(lt)):
-                    qid = lt[i][1]
-                    satisfied[qid] = satisfied.get(qid, 0) + 1
-            if le:
-                start = le_pos[j] if le_pos is not None \
-                    else bisect_left(le, (value, -1))
-                for i in range(start, len(le)):
-                    qid = le[i][1]
-                    satisfied[qid] = satisfied.get(qid, 0) + 1
-            out.append({qid for qid, n in satisfied.items()
-                        if n == factor_count[qid]})
-        return out
+        """``[self.matching(v) for v in values]`` (including the
+        ``probes`` counter), for callers holding a column of values."""
+        return [self.matching(v) for v in values]
 
     # -- introspection -------------------------------------------------------
     def observe(self, passed: bool, n: int = 1) -> None:
@@ -298,11 +339,20 @@ class GroupedFilter:
         return self.passed_count / self.seen
 
     def probe_cost_estimate(self) -> int:
-        """Rough comparisons per probe — logarithmic in factors plus
-        matches; the naive alternative is len(self)."""
-        import math
-        n = len(self)
-        return max(1, int(math.log2(n + 1)))
+        """Rough comparisons per probe — logarithmic in factors; the
+        naive alternative is len(self)."""
+        return max(1, (len(self) + 1).bit_length() - 1)
+
+    @property
+    def mask_ops(self) -> int:
+        """Debug counter: big-int ORs spent inside probes so far (the
+        scale test bounds it by c * sqrt(factors) per probe)."""
+        return self._point_ops + sum(
+            bank.mask_ops for bank in self._banks.values())
+
+    def cumulative_bits(self) -> int:
+        """Bits held by the cumulative masks as last rebuilt."""
+        return sum(bank.cumulative_bits() for bank in self._banks.values())
 
 
 class NaiveFilterBank:

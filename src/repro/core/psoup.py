@@ -25,7 +25,7 @@ import itertools
 from collections import deque
 from typing import Any, Deque, Dict, Iterable, List, Optional, Set
 
-from repro.core.grouped_filter import GroupedFilter
+from repro.core.grouped_filter import GroupedFilter, decode_mask
 from repro.core.tuples import Schema, Tuple
 from repro.errors import QueryError
 from repro.query.predicates import ALWAYS_TRUE, Predicate, decompose
@@ -74,12 +74,15 @@ class QuerySteM:
     def __init__(self) -> None:
         self._queries: Dict[int, PSoupQuery] = {}
         self._filters: Dict[str, GroupedFilter] = {}
-        #: queries with residual (non-indexable) predicate parts.
-        self._residual_qids: Set[int] = set()
+        #: bitmaps over query ids: every standing query, and those with
+        #: residual (non-indexable) predicate parts.
+        self._all_mask = 0
+        self._residual_mask = 0
         self.probes = 0
 
     def insert(self, query: PSoupQuery) -> None:
         self._queries[query.qid] = query
+        self._all_mask |= 1 << query.qid
         for factor in query.single_factors:
             gf = self._filters.get(factor.column)
             if gf is None:
@@ -87,33 +90,40 @@ class QuerySteM:
                 self._filters[factor.column] = gf
             gf.add(factor, query.qid)
         if query.residual is not ALWAYS_TRUE:
-            self._residual_qids.add(query.qid)
+            self._residual_mask |= 1 << query.qid
 
     def remove(self, qid: int) -> None:
-        self._queries.pop(qid, None)
-        for gf in self._filters.values():
-            gf.remove_query(qid)
-        self._residual_qids.discard(qid)
+        query = self._queries.pop(qid, None)
+        if query is None:
+            return
+        for factor in query.single_factors:
+            self._filters[factor.column].remove_query(qid)
+        self._all_mask &= ~(1 << qid)
+        self._residual_mask &= ~(1 << qid)
 
     def probe(self, t: Tuple) -> Set[int]:
-        """Which standing queries does this data tuple satisfy?"""
+        """Which standing queries does this data tuple satisfy?  Lineage
+        is a bitmap all the way through (the grouped filters' native
+        currency) and becomes a set of ids only on return."""
         self.probes += 1
-        alive = set(self._queries)
+        alive = self._all_mask
         for attr, gf in self._filters.items():
-            registered = gf.registered_queries & alive
+            registered = gf.registered_mask & alive
             if not registered:
                 continue
             if not t.schema.has_column(attr):
-                alive -= registered
-                continue
-            satisfied = gf.matching(t[attr])
-            alive -= (registered - satisfied)
+                alive &= ~registered
+            else:
+                alive &= ~gf.failing(t[attr])
             if not alive:
-                return alive
-        for qid in list(alive & self._residual_qids):
-            if not self._queries[qid].residual.matches(t):
-                alive.discard(qid)
-        return alive
+                return set()
+        residual = alive & self._residual_mask
+        while residual:
+            low = residual & -residual
+            residual ^= low
+            if not self._queries[low.bit_length() - 1].residual.matches(t):
+                alive ^= low
+        return decode_mask(alive)
 
     def get(self, qid: int) -> PSoupQuery:
         try:

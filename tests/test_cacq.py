@@ -273,3 +273,104 @@ def test_cacq_join_equals_per_query_baseline(arrivals, threshold):
             cacq.push("quotes", sym=key, bid=value, timestamp=i)
             per.push("quotes", sym=key, bid=value, timestamp=i)
     assert values_of(cq.results) == values_of(pq.results)
+
+
+# -- shared engine == per-query baseline under admit/cancel churn -------------
+
+_NUMERIC = {"trades": "price", "quotes": "bid"}
+_FACTORS = st.lists(
+    st.tuples(st.booleans(),            # numeric column (else ``sym``)
+              st.sampled_from(["==", "!=", "<", "<=", ">", ">="]),
+              st.integers(0, 4)),
+    max_size=3)
+_QUERIES = st.one_of(
+    st.tuples(st.just("select"), st.sampled_from(["trades", "quotes"]),
+              _FACTORS.filter(len)),
+    # A two-stream class: equijoin on ``sym`` or on price = bid, with
+    # selections on the trades side.
+    st.tuples(st.just("join"), st.booleans(), _FACTORS))
+_CHURN = st.lists(st.one_of(
+    st.tuples(st.just("admit"), _QUERIES),
+    st.tuples(st.just("cancel"), st.integers(0, 50)),
+    st.tuples(st.just("push"), st.sampled_from(["trades", "quotes"]),
+              st.integers(0, 2), st.integers(0, 4))),
+    min_size=1, max_size=60)
+
+
+def _churn_query(spec):
+    """``(streams, predicate, {(stream, attr): [factors]})``."""
+    kind, which, factors = spec
+    stream = which if kind == "select" else "trades"
+    parts, by_filter = [], {}
+    for numeric, op, constant in factors:
+        attr = _NUMERIC[stream] if numeric else "sym"
+        column = attr if kind == "select" else f"{stream}.{attr}"
+        parts.append(Comparison(column, op, constant))
+        by_filter.setdefault((stream, attr), []).append(
+            Comparison(attr, op, constant))
+    if kind == "select":
+        return [stream], And(*parts) if len(parts) > 1 else parts[0], \
+            by_filter
+    join = ColumnComparison("trades.sym", "==", "quotes.sym") if which \
+        else ColumnComparison("trades.price", "==", "quotes.bid")
+    return ["trades", "quotes"], And(join, *parts), by_filter
+
+
+@settings(max_examples=150, deadline=None)
+@given(_CHURN)
+def test_cacq_equals_per_query_baseline_under_churn(operations):
+    """Property: with queries admitted and cancelled between pushes the
+    shared engine delivers, query by query, the multiset the unshared
+    engine delivers, and probes each grouped filter exactly when a live
+    query registered in it is still interested in the tuple."""
+    cacq, per = fresh_engine(), PerQueryEngine()
+    per.register_stream(TRADES)
+    per.register_stream(QUOTES)
+    admitted = []                       # (cacq query, baseline query)
+    live = {}                           # position in admitted -> by_filter
+    filter_order = {"trades": [], "quotes": []}
+    expected_probes = 0
+    for i, operation in enumerate(operations):
+        if operation[0] == "admit":
+            streams, predicate, by_filter = _churn_query(operation[1])
+            live[len(admitted)] = (set(streams), by_filter)
+            admitted.append((cacq.add_query(streams, predicate),
+                             per.add_query(streams, predicate)))
+            for stream, attr in by_filter:
+                if attr not in filter_order[stream]:
+                    filter_order[stream].append(attr)
+        elif operation[0] == "cancel":
+            if live:
+                k = sorted(live)[operation[1] % len(live)]
+                del live[k]
+                cacq.remove_query(admitted[k][0])
+                per.remove_query(admitted[k][1])
+        else:
+            _, stream, sym, number = operation
+            row = {"sym": sym, _NUMERIC[stream]: number}
+            cacq.push(stream, timestamp=i, **row)
+            per.push(stream, timestamp=i, **row)
+            alive = {k for k, (streams, _f) in live.items()
+                     if stream in streams}
+            for attr in filter_order[stream]:
+                registered = {k for k in alive
+                              if (stream, attr) in live[k][1]}
+                if not alive:
+                    break
+                if not registered:
+                    continue
+                expected_probes += 1
+                alive -= {k for k in registered
+                          if not all(f.evaluate(row[attr])
+                                     for f in live[k][1][(stream, attr)])}
+        assert cacq.filter_probes == expected_probes
+    for cq, pq in admitted:
+        assert values_of(cq.results) == values_of(pq.results)
+    assert set(cacq.queries) == {admitted[k][0].qid for k in live}
+    for pair, mask in cacq._pair_mask.items():
+        assert mask == sum(bit for bit, _f in cacq._pair_factors[pair])
+    for k in sorted(live):
+        cacq.remove_query(admitted[k][0])
+    assert not cacq._pair_factors and not cacq._pair_mask
+    assert all(gf.registered_mask == 0 and len(gf) == 0
+               for gf in cacq.filters.values())

@@ -207,3 +207,62 @@ def test_on_result_is_in_process_only():
         conn.close()
     finally:
         service.close()
+
+
+# ---------------------------------------------------------------------------
+# streaming rows decoded in the same read as a reply
+# ---------------------------------------------------------------------------
+
+class _ScriptedSocket:
+    """Stands in for the TCP socket: ``recv`` hands out pre-encoded
+    chunks exactly as scripted, ``sendall`` swallows requests."""
+
+    def __init__(self, chunks):
+        self.chunks = list(chunks)
+
+    def sendall(self, data):
+        pass
+
+    def recv(self, n):
+        return self.chunks.pop(0) if self.chunks else b""
+
+    def close(self):
+        pass
+
+
+def test_stream_rows_behind_a_reply_in_one_read_are_kept(monkeypatch):
+    """One ``recv`` chunk shaped [STREAM-ROW, RESULT, STREAM-ROW,
+    STREAM-ROW]: the two rows behind the reply used to be thrown away.
+    Every row must reach the cursor, in production order (streamed
+    before the reply, fetched by it, streamed after it)."""
+    import socket
+
+    from repro.client.connection import NetworkCursor
+    from repro.core.tuples import Schema
+    from repro.net.frames import (RESULT, STREAM_ROW, encode_frame,
+                                  tuple_to_wire)
+
+    schema = Schema.of("s", "a")
+
+    def row(a):
+        return tuple_to_wire(schema.make(a, timestamp=a))
+
+    def streamed(a):
+        return encode_frame({"type": STREAM_ROW, "cursor": 7, "row": row(a)})
+
+    def result(rid, **fields):
+        return encode_frame({"type": RESULT, "id": rid, **fields})
+
+    sock = _ScriptedSocket([
+        result(1, session=1),                                   # HELLO
+        streamed(1) + result(2, rows=[row(2)]) + streamed(3) + streamed(4),
+        result(3, rows=[row(5)]),
+    ])
+    monkeypatch.setattr(socket, "create_connection", lambda *a, **k: sock)
+    conn = NetworkConnection("test.invalid", 0)
+    cursor = NetworkCursor(conn, 7, "continuous", [], streaming=True)
+    assert [t.values[0] for t in cursor.fetch()] == [1, 2]
+    # The rows behind the reply were produced after it: the next request
+    # hands them over ahead of what that request fetches.
+    assert [t.values[0] for t in cursor.fetch()] == [3, 4, 5]
+    assert not sock.chunks and not conn._pending

@@ -173,3 +173,96 @@ def test_matching_batch_equals_per_value(entries, probes):
     counted = gf.probes
     assert gf.matching_batch(probes) == reference
     assert gf.probes == counted + len(probes)
+
+
+# -- mask-native index == naive bank under interleaved registration ----------
+
+#: few constants and few queries, so that shared constants, duplicate
+#: factors, several factors per query in one bank and contradictory
+#: ``==`` pairs all come up; 2 and 2.0 are one constant.
+_CONSTANTS = st.one_of(st.integers(-3, 3),
+                       st.sampled_from([-1.5, 0.0, 2.0, 2.5]))
+_OPERATIONS = st.one_of(
+    st.tuples(st.just("add"), st.integers(0, 5),
+              st.sampled_from(["==", "!=", "<", "<=", ">", ">="]),
+              _CONSTANTS),
+    st.tuples(st.just("remove"), st.integers(0, 5)),
+    st.tuples(st.just("probe"), st.one_of(_CONSTANTS, st.just("x"))),
+    st.tuples(st.just("batch"), st.lists(_CONSTANTS, max_size=5)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_OPERATIONS, min_size=1, max_size=60))
+def test_grouped_filter_equals_naive_bank_under_interleaving(operations):
+    """Property: over any interleaving of add / remove_query / matching /
+    matching_batch the index and the naive bank hold the same queries,
+    give the same answers and count the same probes; ``failing`` is the
+    complement of the answer among the registered queries."""
+    gf = GroupedFilter("p")
+    bank = NaiveFilterBank("p")
+    range_factors = {}                  # qid -> live range factors
+    for operation in operations:
+        kind = operation[0]
+        if kind == "add":
+            _, qid, op, constant = operation
+            factor = Comparison("p", op, constant)
+            gf.add(factor, qid)
+            bank.add(factor, qid)
+            if op not in ("==", "!="):
+                range_factors[qid] = range_factors.get(qid, 0) + 1
+        elif kind == "remove":
+            gf.remove_query(operation[1])
+            bank.remove_query(operation[1])
+            range_factors.pop(operation[1], None)
+        elif kind == "probe" and operation[1] == "x" and range_factors:
+            # A value the thresholds cannot be ordered against raises
+            # from the bisect, as it always has; the probe still counts.
+            with pytest.raises(TypeError):
+                gf.matching("x")
+            bank.probes += 1
+        elif kind == "probe":
+            expected = bank.matching(operation[1])
+            assert gf.matching(operation[1]) == expected
+            assert gf.failing(operation[1]) == sum(
+                1 << q for q in bank.registered_queries - expected)
+            bank.probes += 1
+        else:
+            assert gf.matching_batch(operation[1]) == \
+                [bank.matching(v) for v in operation[1]]
+        assert gf.registered_queries == bank.registered_queries
+        assert gf.registered_mask == sum(1 << q for q in gf.registered_queries)
+        assert gf.probes == bank.probes
+    for qid in list(gf.registered_queries):
+        gf.remove_query(qid)
+    assert len(gf) == 0 and gf.registered_mask == 0
+    assert gf.failing(0) == 0
+
+
+def test_shared_constant_is_one_entry():
+    """Queries registering the same ``(op, constant)`` fold into one
+    bank entry; removing one of them leaves the entry to the others."""
+    gf = GroupedFilter("p")
+    for qid in range(50):
+        gf.add(Comparison("p", ">", 10), qid)
+    bank = gf._banks[">"]
+    assert bank.keys == [10] and bank.factors == 50
+    gf.remove_query(7)
+    assert bank.keys == [10] and gf.matching(11) == set(range(50)) - {7}
+    for qid in gf.registered_queries:
+        gf.remove_query(qid)
+    assert bank.keys == [] and bank.factors == 0
+
+
+def test_registration_does_not_rebuild_cumulative_masks():
+    """The cumulative masks are rebuilt by the first probe after a
+    registration change, never by ``add`` or ``remove_query``."""
+    gf = GroupedFilter("p")
+    for qid in range(100):
+        gf.add(Comparison("p", "<", qid), qid)
+    bank = gf._banks["<"]
+    assert bank._cum is None
+    assert gf.matching(98) == {99}
+    assert bank._cum is not None
+    gf.remove_query(99)
+    assert bank._cum is None

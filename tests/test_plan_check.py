@@ -253,15 +253,43 @@ def test_footprint_bridge_warns_tcq204(server):
     assert any("TCQ204" in str(w.message) for w in caught)
 
 
-def test_lineage_capacity_warns_tcq205():
-    context = AdmissionContext(
-        footprint_classes=[frozenset({"s"})],
-        class_query_counts=[64])
+def _tcq205(counts, classes=None):
     server = TelegraphCQServer()
     server.create_stream(Schema.of("s", "x"))
-    report = check_query("SELECT * FROM s WHERE x > 1", server.catalog,
-                         context)
-    assert "TCQ205" in report.codes()
+    server.create_stream(Schema.of("r", "x"))
+    context = AdmissionContext(
+        footprint_classes=classes or [frozenset({"s"})],
+        class_query_counts=counts)
+    report = check_query("SELECT * FROM s, r WHERE s.x = r.x",
+                         server.catalog, context)
+    return [d for d in report.diagnostics if d.code == "TCQ205"]
+
+
+def test_lineage_capacity_warns_tcq205_when_first_crossed():
+    assert not _tcq205([63])
+    (diag,) = _tcq205([64])
+    # What still scales with the query count, not a per-tuple walk.
+    assert "bits wide" in diag.message and "rebuild" in diag.message
+    assert "walks" not in diag.message
+    # A class already past the capacity was warned about when it crossed.
+    assert not _tcq205([65])
+    assert not _tcq205([1000])
+    # A bridge that merges two classes below it into one above it crosses.
+    both = [frozenset({"s"}), frozenset({"r"})]
+    assert _tcq205([40, 40], both)
+    assert not _tcq205([40, 70], both)
+
+
+def test_lineage_capacity_warning_is_not_a_storm(server):
+    """Past 64 standing queries every submit used to warn."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cursors = [server.submit(f"SELECT * FROM trades WHERE price > {i}")
+                   for i in range(80)]
+    storm = [w for w in caught if "TCQ205" in str(w.message)]
+    assert len(storm) == 1
+    assert [i for i, c in enumerate(cursors)
+            if "TCQ205" in [d.code for d in c.diagnostics]] == [64]
 
 
 def test_parse_failure_becomes_tcq100(server):
