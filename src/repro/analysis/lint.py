@@ -25,7 +25,9 @@ cross-module class map first, then per-file rules) and emits ``TCQ3xx``
   must not grow a list attribute by append alone;
 * ``TCQ401`` one front door — ``TelegraphCQServer`` may only be
   constructed inside :mod:`repro.client` (and the engine module that
-  defines it); everyone else goes through ``repro.client.connect()``;
+  defines it); everyone else goes through ``repro.client.connect()``,
+  and only :mod:`repro.client` and ``repro/core`` may touch
+  ``<expr>.server._private`` attributes;
 * ``TCQ501`` columnar discipline — hot-path modules (``repro/core``,
   ``repro/query``) must not drop a ``TupleBatch`` to row granularity:
   no ``.materialize()`` calls and no foreign ``._rows`` pokes outside
@@ -401,26 +403,40 @@ def _rule_bounded_rings(tree: ast.Module, file: str,
 def _rule_server_door(tree: ast.Module, file: str,
                       lines: Sequence[str]) -> List[Diagnostic]:
     """TCQ401: ``TelegraphCQServer(...)`` construction is confined to
-    repro.client (the unified connect() API) and the defining module."""
+    repro.client (the unified connect() API) and the defining module,
+    and ``<expr>.server._private`` reach-ins to repro.client and
+    repro.core — a transport calls the server's public methods."""
     norm = file.replace(os.sep, "/")
-    if "/client/" in norm or norm.endswith("core/engine.py") or \
-            "/tests/" in norm or norm.rsplit("/", 1)[-1].startswith("test_"):
+    if "/client/" in norm or "/tests/" in norm or \
+            norm.rsplit("/", 1)[-1].startswith("test_"):
         return []
+    may_construct = norm.endswith("core/engine.py")
+    may_reach_in = "/core/" in norm
     diags: List[Diagnostic] = []
     for node in ast.walk(tree):
-        if not (isinstance(node, ast.Call)
-                and _base_name(node.func) == "TelegraphCQServer"):
+        if isinstance(node, ast.Call) and not may_construct \
+                and _base_name(node.func) == "TelegraphCQServer":
+            message = ("direct TelegraphCQServer construction bypasses the "
+                       "unified client API; engines reached this way are "
+                       "invisible to the service and its admin plane")
+            hint = "use repro.client.connect() / LocalConnection"
+        elif isinstance(node, ast.Attribute) and not may_reach_in \
+                and node.attr.startswith("_") \
+                and not node.attr.startswith("__") \
+                and isinstance(node.value, ast.Attribute) \
+                and node.value.attr == "server":
+            message = (f"'.server.{node.attr}' reaches into the engine's "
+                       f"private state from outside repro.core and "
+                       f"repro.client; a second front end grows this way")
+            hint = "call a public TelegraphCQServer / LocalConnection method"
+        else:
             continue
         if _is_exempt(lines, node.lineno, "TCQ401"):
             continue
         diags.append(Diagnostic(
-            "TCQ401",
-            "direct TelegraphCQServer construction bypasses the unified "
-            "client API; engines reached this way are invisible to the "
-            "service and its admin plane",
-            file=file, line=node.lineno,
-            hint="use repro.client.connect() / LocalConnection, or mark "
-                 "the call '# tcqcheck: allow-direct-server'"))
+            "TCQ401", message, file=file, line=node.lineno,
+            hint=hint + ", or mark the line "
+                        "'# tcqcheck: allow-direct-server'"))
     return diags
 
 

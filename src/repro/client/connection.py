@@ -23,7 +23,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from repro.analysis.report import Diagnostic, DiagnosticReport
 from repro.core.tuples import Schema, Tuple
-from repro.errors import (ConnectionClosedError, ProtocolError, QueryError,
+from repro.errors import (ConnectionClosedError, ProtocolError,
                           error_from_wire)
 from repro.net.frames import (ERROR, MAX_FRAME, RESULT, STREAM_ROW,
                               FrameDecoder, encode_frame, rows_from_wire,
@@ -79,11 +79,7 @@ class LocalConnection(Connection):
                                  rows=rows)
 
     def insert(self, table: str, *values: Any) -> None:
-        entry = self.server.catalog.lookup(table)
-        if entry.is_stream:
-            raise QueryError(f"{table!r} is a stream; use PUSH instead")
-        rows = self.server.tables[table]
-        rows.append(entry.schema.make(*values, timestamp=len(rows)))
+        self.server.insert(table, *values)
 
     def push(self, stream: str, *values: Any,
              timestamp: Optional[int] = None) -> None:
@@ -94,12 +90,9 @@ class LocalConnection(Connection):
 
     def push_rows(self, stream: str, rows: Sequence[Sequence[Any]],
                   timestamp: Optional[int] = None) -> Dict[str, Any]:
-        """Batch ingress; mirrors the network PUSH reply shape (nothing
-        is shed in-process — there is no wire to fall behind on)."""
-        for i, row in enumerate(rows):
-            ts = None if timestamp is None else timestamp + i
-            self.server.push(stream, *row, timestamp=ts)
-        return {"pushed": len(rows), "shed": 0}
+        """The batch door (:meth:`TelegraphCQServer.push_rows`): all
+        rows enter or none do; returns ``{"pushed": n, "shed": m}``."""
+        return self.server.push_rows(stream, rows, timestamp)
 
     def close_stream(self, stream: str) -> None:
         self.server.close_stream(stream)
@@ -370,16 +363,15 @@ class NetworkConnection(Connection):
 
     def push(self, stream: str, *values: Any,
              timestamp: Optional[int] = None) -> None:
-        self._request("PUSH", stream=stream, rows=[list(values)],
-                      timestamp=timestamp)
+        self.push_rows(stream, [values], timestamp)
 
     def push_tuple(self, stream: str, t: Tuple) -> None:
-        self._request("PUSH", stream=stream, rows=[list(t.values)],
-                      timestamp=t.timestamp)
+        self.push_rows(stream, [t.values], t.timestamp)
 
     def push_rows(self, stream: str, rows: Sequence[Sequence[Any]],
                   timestamp: Optional[int] = None) -> Dict[str, Any]:
-        """Batch ingress; returns ``{"pushed": n, "shed": m}`` (the
+        """The batch door over the wire: one PUSH frame, admitted whole
+        or not at all; returns ``{"pushed": n, "shed": m}`` (the
         service's load shedder may drop under overload)."""
         return self._request("PUSH", stream=stream,
                              rows=[list(r) for r in rows],

@@ -29,7 +29,6 @@ from collections import defaultdict
 from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple as TypingTuple
 
 from repro.core.grouped_filter import GroupedFilter
-from repro.core.routing import LotteryPolicy, RoutingPolicy
 from repro.core.stem import SteM
 from repro.core.tuples import Schema, Tuple
 from repro.errors import QueryError
@@ -93,8 +92,7 @@ class CACQEngine:
         assert q.results
     """
 
-    def __init__(self, policy: Optional[RoutingPolicy] = None):
-        self.policy = policy if policy is not None else LotteryPolicy()
+    def __init__(self):
         self.schemas: Dict[str, Schema] = {}
         self.queries: Dict[int, ContinuousQuery] = {}
         self._next_qid = itertools.count()

@@ -87,6 +87,7 @@ class Cursor:
         #: everything when admitted with allow_unsafe=True).
         self.diagnostics: List["Diagnostic"] = []
         self._server = server
+        self._proxy: Optional["ClientProxy"] = None
         #: set for windowed cursors: the incremental execution state.
         self._windowed_state: Optional["_WindowedQueryState"] = None
 
@@ -174,9 +175,7 @@ class Cursor:
         """
         if self.closed:
             return
-        if self._windowed_state is not None:
-            self._windowed_state.done = True
-        if self.continuous_query is not None and self._server is not None:
+        if self._server is not None:
             self._server.cancel(self)
         self.closed = True
 
@@ -308,24 +307,31 @@ class TelegraphCQServer:
         self.catalog = Catalog()
         self.executor = Executor()
         self.stores: Dict[str, HistoricalStore] = {}
-        #: per-stream :class:`~repro.ingress.ingress.IngressPoint` doors
-        #: (store + engine fan-out); composable with upstream points.
+        #: per-stream :class:`~repro.ingress.ingress.IngressPoint`: the
+        #: one door rows enter a stream through (shed, store, count,
+        #: then :meth:`_route_batch`).
         self.ingress: Dict[str, IngressPoint] = {}
+        self._shedder: Optional[Any] = None
         self.tables: Dict[str, List[Tuple]] = {}
         self._stream_clock: Dict[str, int] = {}
         self._stream_closed: Dict[str, bool] = {}
         #: one shared CQ engine per footprint-class root.
         self._cacq: Dict[str, CACQEngine] = {}
+        #: stream -> engines with a standing query over it; emptied
+        #: whenever a continuous query is admitted or cancelled.
+        self._readers: Dict[str, List[CACQEngine]] = {}
         #: cursor id -> (streams, predicate, cursor) of every standing
         #: continuous query, so class merges can rebuild a combined
         #: engine.
         self._cq_registry: Dict[int, TypingTuple[TypingTuple[str, ...],
                                                  Predicate, Cursor]] = {}
         self._proxies: Dict[str, List[ClientProxy]] = {}
+        #: open cursors by id; a closed cursor leaves it and its proxy.
+        self._cursors: Dict[int, Cursor] = {}
+        #: results delivered through cursors that have since closed.
+        self._egress_retired = 0
         self.max_cursors_per_proxy = max_cursors_per_proxy
         self._next_cursor = itertools.count(1)
-        self.tuples_ingested = 0
-        self._ingress_by_stream: Dict[str, int] = {}
         self.closed = False
         self._telemetry = get_registry()
         self._telemetry.register_collector(self._publish_telemetry)
@@ -333,54 +339,100 @@ class TelegraphCQServer:
     # -- DDL ----------------------------------------------------------------
     def create_stream(self, schema: Schema) -> None:
         self.catalog.create_stream(schema)
-        self.stores[schema.name] = HistoricalStore(schema.name)
-        self._stream_closed[schema.name] = False
         stream = schema.name
+        self.stores[stream] = HistoricalStore(stream)
+        self._stream_closed[stream] = False
         self.ingress[stream] = IngressPoint(
             f"server:{stream}", store=self.stores[stream],
-            deliver=lambda t, s=stream: self._fanout(s, t))
+            shedder=self._shedder,
+            deliver=lambda batch: self._route_batch(stream, batch))
 
     def create_table(self, schema: Schema,
                      rows: Sequence[Sequence[Any]] = ()) -> None:
         self.catalog.create_table(schema)
-        self.tables[schema.name] = [
-            schema.make(*row, timestamp=i) for i, row in enumerate(rows)]
+        self.tables[schema.name] = []
+        for row in rows:
+            self.insert(schema.name, *row)
+
+    def insert(self, table: str, *values: Any) -> None:
+        """Append one row to a static table."""
+        entry = self.catalog.lookup(table)
+        if entry.is_stream:
+            raise QueryError(f"{table!r} is a stream; use PUSH instead")
+        rows = self.tables[table]
+        rows.append(entry.schema.make(*values, timestamp=len(rows)))
 
     # -- ingress (the Wrapper role) ------------------------------------------------
+    def push_rows(self, stream: str, rows: Sequence[Sequence[Any]],
+                  timestamp: Optional[int] = None) -> Dict[str, int]:
+        """The batch door: rows become timestamped tuples here and
+        nowhere else.  Row ``i`` is stamped ``timestamp + i``, or
+        continues the stream's clock when no base is given.
+
+        All or nothing: an unknown or closed stream, a table name, a
+        malformed row or a timestamp behind the store rejects the whole
+        batch before the store, the clock or any counter moves.
+        Returns ``{"pushed": n, "shed": m}``.
+        """
+        schema = self._open_stream(stream)
+        first = timestamp if timestamp is not None else \
+            self._stream_clock.get(stream, 0) + 1
+        return self._admit(stream, [
+            schema.make(*row, timestamp=first + i)
+            for i, row in enumerate(rows)])
+
     def push(self, stream: str, *values: Any,
              timestamp: Optional[int] = None) -> None:
-        entry = self.catalog.lookup(stream)
-        if not entry.is_stream:
-            raise QueryError(f"{stream!r} is a table; use create_table rows")
-        ts = timestamp if timestamp is not None else \
-            self._stream_clock.get(stream, 0) + 1
-        t = entry.schema.make(*values, timestamp=ts)
-        self.push_tuple(stream, t)
+        self.push_rows(stream, (values,), timestamp)
 
     def push_tuple(self, stream: str, t: Tuple) -> None:
-        """One tuple through the stream's :class:`IngressPoint`: trace
-        attachment + store materialisation there, clock advance and
-        engine fan-out in :meth:`_fanout`."""
-        if self._stream_closed.get(stream):
+        """Admit one already-built tuple through the stream's door."""
+        self._open_stream(stream)
+        self._admit(stream, [t])
+
+    def _open_stream(self, stream: str) -> Schema:
+        entry = self.catalog.lookup(stream)
+        if not entry.is_stream:
+            raise QueryError(f"{stream!r} is a table; use insert")
+        if self._stream_closed[stream]:
             raise ExecutionError(f"stream {stream!r} is closed")
-        self.tuples_ingested += 1
-        self._ingress_by_stream[stream] = \
-            self._ingress_by_stream.get(stream, 0) + 1
+        return entry.schema
+
+    def _admit(self, stream: str, batch: List[Tuple]) -> Dict[str, int]:
         with self._telemetry.trace("ingress", stream=stream):
-            self.ingress[stream].admit_one(t)
+            pushed = self.ingress[stream].admit(batch)
+        return {"pushed": pushed, "shed": len(batch) - pushed}
 
-    def _fanout(self, stream: str, t: Tuple) -> None:
-        self._stream_clock[stream] = t.timestamp
-        for engine in self._engines_reading(stream):
-            clone = Tuple(t.schema, t.values, timestamp=t.timestamp)
-            if t.trace is not None:
-                clone.trace = t.trace
-            engine.push_tuple(stream, clone)
+    def _route_batch(self, stream: str, batch: List[Tuple]) -> None:
+        """The ingress point's consumer: advance the stream clock and
+        route each admitted tuple, in arrival order, through the engines
+        reading the stream.  A result callback may admit or cancel a
+        query mid-batch; that empties ``_readers``, so the change takes
+        effect from the next tuple."""
+        clock, readers = self._stream_clock, self._readers
+        for t in batch:
+            clock[stream] = t.timestamp
+            engines = readers.get(stream)
+            if engines is None:
+                engines = readers[stream] = [
+                    engine for engine in self._cacq.values()
+                    if engine._source_mask.get(stream)]
+            for engine in engines:
+                clone = Tuple(t.schema, t.values, timestamp=t.timestamp)
+                if t.trace is not None:
+                    clone.trace = t.trace
+                engine.push_tuple(stream, clone)
 
-    def _engines_reading(self, stream: str) -> List[CACQEngine]:
-        return [engine for engine in self._cacq.values()
-                if stream in engine.schemas
-                and engine._source_mask.get(stream, 0)]
+    def shed_with(self, shedder: Any) -> None:
+        """Gate every stream's ingress point, present and future, with
+        one :class:`~repro.monitor.qos.LoadShedder`-shaped shedder."""
+        self._shedder = shedder
+        for point in self.ingress.values():
+            point.shedder = shedder
+
+    @property
+    def tuples_ingested(self) -> int:
+        return sum(point.accepted for point in self.ingress.values())
 
     def close_stream(self, stream: str) -> None:
         """Declare end-of-stream: remaining windows become evaluable."""
@@ -447,6 +499,8 @@ class TelegraphCQServer:
             proxy = ClientProxy(client, self.max_cursors_per_proxy)
             proxies.append(proxy)
         proxy.cursors.append(cursor)
+        cursor._proxy = proxy
+        self._cursors[cursor.cursor_id] = cursor
         return cursor
 
     # -- snapshot path (Figure 4) ---------------------------------------------------
@@ -458,7 +512,7 @@ class TelegraphCQServer:
         real_plan = _make_snapshot_plan(compiled, self.catalog)
         for row in real_plan.evaluate(window_data):
             cursor._deliver(row)
-        cursor.closed = True
+        self.cancel(cursor)
 
     # -- continuous path (CACQ) -------------------------------------------------------
     def _register_continuous(self, compiled: CompiledQuery,
@@ -481,6 +535,7 @@ class TelegraphCQServer:
         cursor._engine = engine
         self._cq_registry[cursor.cursor_id] = (streams, compiled.predicate,
                                                cursor)
+        self._readers.clear()
         # Ensure the class has an executor presence so stats show it.
         self.executor.eo_for(streams)
 
@@ -531,15 +586,28 @@ class TelegraphCQServer:
         return merged
 
     def cancel(self, cursor: Cursor) -> None:
-        """Remove a continuous query from the running system."""
-        if cursor.continuous_query is None:
-            cursor.closed = True
+        """Stop the query behind a cursor and retire the cursor from its
+        proxy.  Idempotent; already buffered results stay fetchable."""
+        if cursor.closed:
             return
-        cursor._engine.remove_query(cursor.continuous_query)
-        del self._cq_registry[cursor.cursor_id]
-        cursor.continuous_query = None
-        cursor._engine = None
         cursor.closed = True
+        if cursor._windowed_state is not None:
+            cursor._windowed_state.done = True
+        if cursor.continuous_query is not None:
+            cursor._engine.remove_query(cursor.continuous_query)
+            del self._cq_registry[cursor.cursor_id]
+            cursor.continuous_query = None
+            cursor._engine = None
+            self._readers.clear()
+        del self._cursors[cursor.cursor_id]
+        self._egress_retired += cursor.delivered
+        proxy = cursor._proxy
+        proxy.cursors.remove(cursor)
+        if not proxy.cursors:
+            proxies = self._proxies[cursor.client]
+            proxies.remove(proxy)
+            if not proxies:
+                del self._proxies[cursor.client]
 
     # -- windowed path ------------------------------------------------------------------
     def _register_windowed(self, compiled: CompiledQuery, cursor: Cursor,
@@ -591,8 +659,7 @@ class TelegraphCQServer:
 
     # -- lifecycle ---------------------------------------------------------------
     def open_cursors(self) -> List[Cursor]:
-        return [c for proxies in self._proxies.values()
-                for proxy in proxies for c in proxy.cursors if not c.closed]
+        return list(self._cursors.values())
 
     def close(self) -> None:
         """Shut the server down: close every open cursor and declare
@@ -623,22 +690,21 @@ class TelegraphCQServer:
         ingress = reg.counter("tcq_server_ingress_tuples_total",
                               "Tuples ingested per stream", ("stream",),
                               collected=True)
-        for stream, count in self._ingress_by_stream.items():
-            ingress.labels(stream).set_total(count)
+        for stream, point in self.ingress.items():
+            ingress.labels(stream).set_total(point.accepted)
         store_size = reg.gauge("tcq_server_store_size",
                                "Tuples retained per historical store",
                                ("stream",), collected=True)
         for stream, store in self.stores.items():
             store_size.labels(stream).set(len(store))
-        cursors = self.open_cursors()
         reg.gauge("tcq_server_open_cursors",
                   "Cursors open across all clients",
-                  collected=True).set(len(cursors))
+                  collected=True).set(len(self._cursors))
         reg.counter("tcq_server_egress_tuples_total",
                     "Results delivered through cursors",
                     collected=True).set_total(
-            sum(c.delivered for proxies in self._proxies.values()
-                for proxy in proxies for c in proxy.cursors))
+            self._egress_retired
+            + sum(c.delivered for c in self._cursors.values()))
         reg.gauge("tcq_server_continuous_queries",
                   "Standing continuous queries", collected=True).set(
             sum(len(e.queries) for e in self._cacq.values()))
@@ -648,12 +714,10 @@ class TelegraphCQServer:
 
     # -- introspection -----------------------------------------------------------
     def find_cursor(self, cursor_id: int) -> Cursor:
-        for proxies in self._proxies.values():
-            for proxy in proxies:
-                for c in proxy.cursors:
-                    if c.cursor_id == cursor_id:
-                        return c
-        raise QueryError(f"no cursor #{cursor_id}")
+        cursor = self._cursors.get(cursor_id)
+        if cursor is None:
+            raise QueryError(f"no open cursor #{cursor_id}")
+        return cursor
 
     def explain(self, cursor: Union[int, Cursor],
                 analyze: bool = False) -> Dict[str, Any]:
@@ -721,7 +785,7 @@ class TelegraphCQServer:
                 "cost": float(max(1, len(stem).bit_length())),
             })
 
-        ingress = {s: self._ingress_by_stream.get(s, 0) for s in footprint}
+        ingress = {s: self.ingress[s].accepted for s in footprint}
         total = sum(ingress.values())
         orderings: List[Dict[str, Any]] = []
         for s in sorted(footprint, key=lambda s: (-ingress[s], s)):

@@ -244,21 +244,33 @@ class HistoricalStore:
         self._tuples: List[Tuple] = []
         self._timestamps: List[int] = []
 
+    def _check_order(self, stamps: Iterable[Optional[int]]) -> None:
+        last = self._timestamps[-1] if self._timestamps else None
+        for ts in stamps:
+            if ts is None:
+                raise QueryError(
+                    f"stream {self.stream!r}: windowed tuples need timestamps")
+            if last is not None and ts < last:
+                raise QueryError(
+                    f"stream {self.stream!r}: out-of-order timestamp "
+                    f"{ts} after {last}")
+            last = ts
+
     def append(self, t: Tuple) -> None:
-        if t.timestamp is None:
-            raise QueryError(
-                f"stream {self.stream!r}: windowed tuples need timestamps")
-        if self._timestamps and t.timestamp < self._timestamps[-1]:
-            raise QueryError(
-                f"stream {self.stream!r}: out-of-order timestamp "
-                f"{t.timestamp} after {self._timestamps[-1]}")
+        self._check_order((t.timestamp,))
         self._tuples.append(t)
         self._timestamps.append(t.timestamp)
         HISTORY_TOTALS.appends += 1
 
     def extend(self, tuples: Iterable[Tuple]) -> None:
-        for t in tuples:
-            self.append(t)
+        """Append a batch, all or nothing: every timestamp is checked
+        before the first tuple is stored."""
+        batch = list(tuples)
+        stamps = [t.timestamp for t in batch]
+        self._check_order(stamps)
+        self._tuples.extend(batch)
+        self._timestamps.extend(stamps)
+        HISTORY_TOTALS.appends += len(batch)
 
     def scan(self, left: int, right: int) -> List[Tuple]:
         """All tuples with ``left <= timestamp <= right``."""

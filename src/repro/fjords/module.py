@@ -223,7 +223,11 @@ class SourceModule(Module):
         # get end-to-end traces too.  Deferred import: fjords is a
         # lower layer than ingress.
         from repro.ingress.ingress import IngressPoint
-        self.point = IngressPoint(self.name, deliver=self.emit)
+        self.point = IngressPoint(self.name, deliver=self._emit_each)
+
+    def _emit_each(self, batch: List[Any]) -> None:
+        for item in batch:
+            self.emit(item)
 
     def ready(self) -> bool:
         # A source must be polled while live: only it knows whether the

@@ -1,31 +1,36 @@
-"""The one Ingress protocol: every door tuples enter the system through.
+"""The one Ingress door: where a batch of tuples enters the system.
 
-Five PRs accreted three ingress flavours — ``TelegraphCQServer.
-push_tuple`` (client pushes), :class:`~repro.fjords.module.SourceModule`
-(fjord dataflows polling the outside world), and
-:class:`~repro.ingress.wrappers.Streamer` (the Wrapper role fanning out
-to executor queues) — each re-implementing the same obligations with
-slightly different code.  The network PUSH frame (:mod:`repro.net`)
-would have been a fourth copy.
+Three flavours configure an :class:`IngressPoint` instead of
+re-implementing it: the server's per-stream point (client pushes from
+either transport — :meth:`TelegraphCQServer.push_rows` is the only code
+that builds the tuples it admits),
+:class:`~repro.fjords.module.SourceModule` (fjord dataflows polling the
+outside world) and :class:`~repro.ingress.wrappers.Streamer` (the
+Wrapper role fanning out to executor queues).
 
-Every ingress owes the rest of the system exactly four things:
+Every ingress owes the rest of the system exactly four things, and
+:meth:`IngressPoint.admit` is the only body that pays them, once per
+batch and in this order:
 
-1. **timestamping** — a tuple without an event time gets the point's
-   monotone ingestion sequence;
-2. **trace attachment** — when sampled tracing is on, the Nth arrival
-   gets a :class:`~repro.monitor.tracing.TraceContext` (idempotently:
-   a tuple that already carries one keeps it, so composed ingress
-   points — the network edge in front of the server's — attach once);
-3. **admission** — an optional QoS shedder
+1. **admission** — an optional QoS shedder
    (:class:`~repro.monitor.qos.LoadShedder`-shaped, duck-typed) filters
    the batch before any state is touched;
-4. **delivery** — append to the stream's historical store (when the
-   point materialises) and hand the tuple to the flavour's consumer.
+2. **timestamping** — a tuple without an event time gets the point's
+   monotone ingestion sequence;
+3. **materialisation** — the kept tuples are appended to the stream's
+   historical store (when the point has one).  The append is
+   all-or-nothing, so a batch the store refuses (a missing or
+   out-of-order timestamp) leaves the store, the counters and the
+   consumer untouched;
+4. **trace attachment and delivery** — when sampled tracing is on, the
+   Nth arrival gets a :class:`~repro.monitor.tracing.TraceContext`
+   (idempotently: a tuple that already carries one keeps it, so a
+   tuple re-admitted at a second point is traced once); then the
+   *admitted batch*, in arrival order, goes to the flavour's consumer.
 
-:class:`IngressPoint` implements all four once; the flavours configure
-it instead of re-implementing it.  Points compose: the service's
-network point (sheds, no store) delivers into the server's per-stream
-point (stores, fans out to engines) and the trace attaches exactly once.
+``accepted`` and ``shed`` are the only ingress counters in the system:
+the server's ``tuples_ingested``, ``tcq_server_ingress_tuples_total`` and
+``tcq_net_push_shed_total`` all read them.
 """
 
 from __future__ import annotations
@@ -36,34 +41,11 @@ from typing import Any, Callable, Iterable, List, Optional
 import repro.monitor.tracing as tracing
 
 
-def attach_trace(t: Any, source: str) -> None:
-    """Sampled trace attachment, idempotent across composed ingress
-    points: a tuple that already carries a trace keeps it."""
-    tracer = tracing.TRACER
-    if tracer.active and getattr(t, "trace", None) is None:
-        tracer.maybe_start(t, source)
-
-
-class Ingress:
-    """The structural protocol: ``admit(tuples) -> int`` delivered,
-    ``admit_one(t) -> bool``.  Satisfaction is structural (like
-    :class:`~repro.sched.protocol.Schedulable`); :class:`IngressPoint`
-    is the canonical implementation every flavour configures."""
-
-    name: str = ""
-
-    def admit(self, tuples: Iterable[Any]) -> int:
-        raise NotImplementedError
-
-    def admit_one(self, t: Any) -> bool:
-        raise NotImplementedError
-
-
-class IngressPoint(Ingress):
+class IngressPoint:
     """One configured ingress door.
 
-    ``deliver`` is the flavour's consumer (engine fan-out, fjord queue
-    push, module emit, ``server.push_tuple`` for the network edge);
+    ``deliver`` is the flavour's consumer and receives each admitted
+    batch as a list (engine routing, fjord queue pushes, module emits);
     ``store`` materialises history; ``shedder`` gates admission;
     ``assign_timestamps`` stamps tuples that arrive without one.
     """
@@ -72,7 +54,7 @@ class IngressPoint(Ingress):
                  "assign_timestamps", "_seq", "accepted", "shed")
 
     def __init__(self, name: str,
-                 deliver: Callable[[Any], Any],
+                 deliver: Callable[[List[Any]], Any],
                  store: Optional[Any] = None,
                  shedder: Optional[Any] = None,
                  assign_timestamps: bool = False):
@@ -85,37 +67,32 @@ class IngressPoint(Ingress):
         self.accepted = 0
         self.shed = 0
 
-    # -- the four obligations, once ---------------------------------------
-    def _prepare(self, t: Any) -> None:
-        if self.assign_timestamps and t.timestamp is None:
-            t.timestamp = next(self._seq)
-        attach_trace(t, self.name)
-        if self.store is not None:
-            self.store.append(t)
-
-    def admit_one(self, t: Any) -> bool:
-        """Admit a single tuple; returns False when shed."""
-        if self.shedder is not None and not self.shedder.admit([t]):
-            self.shed += 1
-            return False
-        self._prepare(t)
-        self.deliver(t)
-        self.accepted += 1
-        return True
-
     def admit(self, tuples: Iterable[Any]) -> int:
         """Admit a batch (shedding decides on the whole batch at once);
         returns how many tuples were delivered."""
-        batch: List[Any] = list(tuples)
-        if self.shedder is not None:
-            kept = self.shedder.admit(batch)
-            self.shed += len(batch) - len(kept)
-            batch = kept
-        for t in batch:
-            self._prepare(t)
-            self.deliver(t)
+        offered: List[Any] = list(tuples)
+        batch = offered if self.shedder is None \
+            else self.shedder.admit(offered)
+        if self.assign_timestamps:
+            for t in batch:
+                if t.timestamp is None:
+                    t.timestamp = next(self._seq)
+        if self.store is not None:
+            self.store.extend(batch)
+        tracer = tracing.TRACER
+        if tracer.active:
+            for t in batch:
+                if t.trace is None:     # re-admitted: keep the first trace
+                    tracer.maybe_start(t, self.name)
+        self.shed += len(offered) - len(batch)
         self.accepted += len(batch)
+        if batch:
+            self.deliver(batch)
         return len(batch)
+
+    def admit_one(self, t: Any) -> bool:
+        """Admit a single tuple; returns False when shed."""
+        return self.admit((t,)) == 1
 
     def __repr__(self) -> str:
         return (f"IngressPoint({self.name}, accepted={self.accepted}, "

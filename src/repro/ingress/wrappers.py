@@ -52,9 +52,10 @@ class Streamer:
             stream, deliver=self._push_all, store=store,
             assign_timestamps=True)
 
-    def _push_all(self, t: Tuple) -> None:
-        for q in self._queues:
-            q.push(t)
+    def _push_all(self, batch: List[Tuple]) -> None:
+        for t in batch:
+            for q in self._queues:
+                q.push(t)
 
     @property
     def delivered(self) -> int:

@@ -163,18 +163,10 @@ class AdminPlane:
                      "delivered": c.delivered}
                     for c in server.open_cursors()]})
             if method == "POST":
-                if not body.get("query"):
-                    raise ProtocolError('POST /queries needs {"query": ...}')
-                cursor = server.submit(
-                    body["query"],
-                    client=str(body.get("client", "admin")),
-                    env=body.get("env"),
-                    allow_unsafe=bool(body.get("allow_unsafe", False)))
-                return self._json(
-                    {"cursor": cursor.cursor_id, "kind": cursor.kind,
-                     "diagnostics": [d.to_dict()
-                                     for d in cursor.diagnostics]},
-                    status=201)
+                _cursor, reply = self.service.submit(
+                    body.get("query"), str(body.get("client", "admin")),
+                    body.get("env"), body.get("allow_unsafe", False))
+                return self._json(reply, status=201)
             return self._error(405, ProtocolError(
                 f"{method} not allowed on /queries"))
 

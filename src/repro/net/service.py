@@ -45,11 +45,8 @@ from collections import deque
 from typing import Any, Dict, List, Optional
 
 from repro.analysis import sanitize
-from repro.analysis.plan_check import check_query
 from repro.errors import (ExecutionError, ProtocolError, QueryError,
                           TelegraphError, error_to_wire)
-from repro.core.tuples import Schema
-from repro.ingress.ingress import IngressPoint
 from repro.monitor.clock import now as _now
 from repro.monitor.qos import LoadShedder
 from repro.monitor.telemetry import get_registry
@@ -168,13 +165,15 @@ class TelegraphCQService:
         # of perfectly serviced traffic.
         self.shedder = shedder or LoadShedder(policy="random",
                                               target_utilisation=1.0)
+        # The shedder gates the server's own per-stream ingress points:
+        # a wire row is shed, stored and counted at one door.
+        self.server.shed_with(self.shedder)
         self.pump = NetworkPump(self)
         self.scheduler = Scheduler(policy=policy, name="net")
         self.scheduler.add(FunctionUnit(
             "engine", step=lambda q: self.server.step(16 if q is None else q)))
         self.scheduler.add(self.pump)
         self._sessions: Dict[int, _Session] = {}
-        self._net_ingress: Dict[str, IngressPoint] = {}
         self._tcp_server: Optional[asyncio.AbstractServer] = None
         self._admin: Optional[Any] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -476,23 +475,30 @@ class TelegraphCQService:
 
     def _h_submit(self, session: _Session,
                   frame: Dict[str, Any]) -> Dict[str, Any]:
-        query = frame.get("query")
-        if not query:
-            raise ProtocolError("SUBMIT needs a query")
-        env = frame.get("env")
-        with warnings.catch_warnings():
-            # Plan-check warnings belong to the submitting client, not
-            # the service's stderr; they travel as diagnostics instead.
-            warnings.simplefilter("ignore")
-            cursor = self.server.submit(
-                query, client=session.client, env=env,
-                allow_unsafe=bool(frame.get("allow_unsafe", False)))
+        cursor, reply = self.submit(frame.get("query"), session.client,
+                                    frame.get("env"),
+                                    frame.get("allow_unsafe", False))
         session.cursors[cursor.cursor_id] = cursor
         if frame.get("stream"):
             session.streaming[cursor.cursor_id] = True
             session.credit[cursor.cursor_id] = int(frame.get("credit", 0))
-        return {"cursor": cursor.cursor_id, "kind": cursor.kind,
-                "diagnostics": [d.to_dict() for d in cursor.diagnostics]}
+        return reply
+
+    def submit(self, query: Any, client: str, env: Optional[Dict[str, int]],
+               allow_unsafe: Any) -> "tuple[Any, Dict[str, Any]]":
+        """Submit on a remote caller's behalf (SUBMIT frame or admin
+        ``POST /queries``); returns the cursor and its reply payload."""
+        if not query:
+            raise ProtocolError("a submission needs a query")
+        with warnings.catch_warnings():
+            # Plan-check warnings belong to the submitting client, not
+            # the service's stderr; they travel as diagnostics instead.
+            warnings.simplefilter("ignore")
+            cursor = self.server.submit(query, client=client, env=env,
+                                        allow_unsafe=bool(allow_unsafe))
+        return cursor, {
+            "cursor": cursor.cursor_id, "kind": cursor.kind,
+            "diagnostics": [d.to_dict() for d in cursor.diagnostics]}
 
     def _cursor_of(self, session: _Session, frame: Dict[str, Any]) -> Any:
         cid = frame.get("cursor")
@@ -514,36 +520,13 @@ class TelegraphCQService:
 
     def _h_push(self, session: _Session,
                 frame: Dict[str, Any]) -> Dict[str, Any]:
-        stream = frame.get("stream")
         rows = frame.get("rows")
         if rows is None:
-            rows = [frame.get("values", ())]
-        entry = self.server.catalog.lookup(stream)
-        if not entry.is_stream:
-            raise QueryError(f"{stream!r} is a table; use DDL insert")
-        timestamps = frame.get("timestamps")
-        base_ts = frame.get("timestamp")
-        clock = self.server._stream_clock.get(stream, 0)
-        tuples = []
-        for i, values in enumerate(rows):
-            if timestamps is not None:
-                ts = timestamps[i]
-            elif base_ts is not None:
-                ts = base_ts + i
-            else:
-                ts = clock + 1 + i
-            tuples.append(entry.schema.make(*values, timestamp=ts))
-        self._epoch_in += len(tuples)
-        point = self._net_ingress.get(stream)
-        if point is None:
-            # The network edge is the fourth Ingress implementation:
-            # shed at the door, then enter the server's own point.
-            point = IngressPoint(
-                f"net:{stream}", shedder=self.shedder,
-                deliver=lambda t, s=stream: self.server.push_tuple(s, t))
-            self._net_ingress[stream] = point
-        pushed = point.admit(tuples)
-        return {"pushed": pushed, "shed": len(tuples) - pushed}
+            raise ProtocolError("PUSH needs rows")
+        reply = self.connection.push_rows(frame.get("stream"), rows,
+                                          frame.get("timestamp"))
+        self._epoch_in += reply["pushed"] + reply["shed"]
+        return reply
 
     def _h_cancel(self, session: _Session,
                   frame: Dict[str, Any]) -> Dict[str, Any]:
@@ -568,31 +551,26 @@ class TelegraphCQService:
         query = frame.get("query")
         if not query:
             raise ProtocolError("CHECK needs a query")
-        report = check_query(query, self.server.catalog,
-                             self.server._admission_context())
+        report = self.connection.check(query)
         return {"diagnostics": [d.to_dict() for d in report.diagnostics]}
 
     def _h_ddl(self, session: _Session,
                frame: Dict[str, Any]) -> Dict[str, Any]:
         action = frame.get("action")
         name = frame.get("name")
+        conn = self.connection
         if action == "create_stream":
-            self.server.create_stream(Schema.of(name, *frame["columns"]))
+            conn.create_stream(name, *frame["columns"])
             return {"created": name}
         if action == "create_table":
-            self.server.create_table(Schema.of(name, *frame["columns"]),
-                                     rows=frame.get("rows", ()))
+            conn.create_table(name, *frame["columns"],
+                              rows=frame.get("rows", ()))
             return {"created": name}
         if action == "close_stream":
-            self.server.close_stream(name)
+            conn.close_stream(name)
             return {"closed": name}
         if action == "insert":
-            entry = self.server.catalog.lookup(name)
-            if entry.is_stream:
-                raise QueryError(f"{name!r} is a stream; use PUSH instead")
-            rows = self.server.tables[name]
-            rows.append(entry.schema.make(*frame["values"],
-                                          timestamp=len(rows)))
+            conn.insert(name, *frame["values"])
             return {"inserted": 1}
         raise ProtocolError(f"unknown DDL action {action!r}")
 
@@ -601,13 +579,9 @@ class TelegraphCQService:
         action = frame.get("action")
         if action == "step":
             k = int(frame.get("k", 1))
-            worked = 0
-            for _ in range(max(1, k)):
-                if self.server.step():
-                    worked += 1
-            return {"stepped": k, "worked": worked}
+            return {"stepped": k, "worked": self.connection.step(k)}
         if action == "run":
-            return {"steps": self.server.run_until_quiescent()}
+            return {"steps": self.connection.run()}
         raise ProtocolError(f"unknown CONTROL action {action!r}")
 
     def _h_credit(self, session: _Session,
@@ -669,7 +643,7 @@ class TelegraphCQService:
                             collected=True)
         for reason, n in self.evictions.items():
             evict.labels(reason).set_total(n)
-        shed = sum(p.shed for p in self._net_ingress.values())
+        shed = sum(p.shed for p in self.server.ingress.values())
         reg.counter("tcq_net_push_shed_total",
                     "PUSH rows dropped by the load shedder",
                     collected=True).set_total(shed)

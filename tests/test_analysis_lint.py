@@ -293,6 +293,36 @@ def test_server_door_mentions_the_front_door():
     assert "client" in diag.hint or "connect" in diag.hint
 
 
+def test_server_door_flags_private_reach_in_from_a_transport():
+    src = """\
+        class Service:
+            def _h_push(self, frame):
+                clock = self.server._stream_clock.get(frame["stream"], 0)
+                return self.server._admission_context()
+    """
+    assert codes(src, file="src/repro/net/service.py") == \
+        ["TCQ401", "TCQ401"]
+
+
+def test_server_door_allows_public_calls_and_core_or_client_reach_in():
+    public = """\
+        class Service:
+            def _h_push(self, frame):
+                return self.connection.push_rows(frame["stream"],
+                                                 frame["rows"])
+
+            def stats(self):
+                return self.server.stats(), self.server.__class__
+    """
+    assert codes(public, file="src/repro/net/service.py") == []
+    private = """\
+        def check(self, query):
+            return self.server._admission_context()
+    """
+    assert codes(private, file="src/repro/client/connection.py") == []
+    assert codes(private, file="src/repro/core/engine.py") == []
+
+
 # -- TCQ501 columnar discipline ------------------------------------------------
 
 def test_columnar_discipline_flags_materialize_in_hot_path():

@@ -9,13 +9,14 @@ diagnostics.
 
 import pytest
 
-from repro.errors import (ParseError, PlanCheckError, ProtocolError,
-                          QueryError)
+from repro.errors import (ExecutionError, ParseError, PlanCheckError,
+                          ProtocolError, QueryError, SchemaError)
 from repro.client import LocalConnection, NetworkConnection, connect
 from repro.net.service import TelegraphCQService
 
 
-@pytest.fixture(params=["local", "network"])
+@pytest.fixture(params=["local",
+                        pytest.param("network", marks=pytest.mark.net)])
 def conn(request):
     if request.param == "local":
         with LocalConnection(client="t") as c:
@@ -85,6 +86,41 @@ def test_iteration_matches_fetch(conn):
     conn.push_rows("s", [[v] for v in range(1, 6)])
     assert [r["a"] for r in cur] == [1, 2, 3, 4, 5]
     assert cur.fetch() == []              # iteration drained everything
+
+
+@pytest.mark.parametrize("fault, error", [
+    ("malformed row", SchemaError),
+    ("table name", QueryError),
+    ("closed stream", ExecutionError),
+    ("late timestamp", QueryError),
+])
+def test_rejected_batch_moves_nothing(conn, fault, error):
+    """The batch door is all-or-nothing on both transports: a refused
+    batch leaves the cursor, the store, the counter and the clock where
+    they were."""
+    conn.create_stream("s", "a", "b")
+    conn.create_table("t", "a", "b")
+    cur = conn.submit("SELECT * FROM s")
+    reply = conn.push_rows("s", [(0, 0)], timestamp=5)
+    assert (reply["pushed"], reply["shed"]) == (1, 0)
+    target, rows, ts = "s", [(1, 2), (3, 4), (5, 6)], None
+    if fault == "malformed row":
+        rows = [(1, 2), (3,), (5, 6)]
+    elif fault == "table name":
+        target = "t"
+    elif fault == "closed stream":
+        conn.close_stream("s")
+    else:
+        ts = 3
+    with pytest.raises(error):
+        conn.push_rows(target, rows, timestamp=ts)
+    assert [r.timestamp for r in cur.fetch()] == [5]
+    snap = conn.telemetry()
+    assert snap.value("tcq_server_ingress_tuples_total", stream="s") == 1
+    assert snap.value("tcq_server_store_size", stream="s") == 1
+    if fault != "closed stream":
+        conn.push_rows("s", [(7, 8)])
+        assert [r.timestamp for r in cur.fetch()] == [6]
 
 
 def test_windowed_query_same_windows(conn):

@@ -1,0 +1,202 @@
+"""Door parity: ``push``, ``push_tuple`` and ``push_rows`` are one door.
+
+Whatever mix of the three a client uses, and however rows are grouped
+into batches, the server must end up exactly where it would have been
+had the same rows been pushed one ``push`` at a time: identical
+per-cursor result *sequences*, store contents and timestamps,
+``IngressPoint.accepted`` and ``tcq_server_ingress_tuples_total``.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.analysis.report import PlanCheckWarning
+from repro.core.engine import TelegraphCQServer
+from repro.core.tuples import Schema
+from repro.monitor.telemetry import MetricRegistry, set_registry
+
+A = Schema.of("a", "k", "v")
+B = Schema.of("b", "k", "w")
+SCHEMAS = {"a": A, "b": B}
+WINDOWS = 12
+
+FILTER_SQL = "SELECT * FROM a WHERE v > 4"
+JOIN_SQL = "SELECT * FROM a, b WHERE a.k = b.k"
+WINDOWED_SQL = f"""
+    SELECT * FROM b WHERE w > 2
+    for (t = 1; t <= {WINDOWS}; t++) {{ WindowIs(b, t - 1, t); }}"""
+
+
+def flat(t):
+    return (t.values, t.timestamp)
+
+
+class Harness:
+    """One server under a private registry, three standing queries."""
+
+    def __init__(self):
+        self.previous = set_registry(MetricRegistry())
+        self.srv = TelegraphCQServer()
+        for schema in SCHEMAS.values():
+            self.srv.create_stream(schema)
+        self.cursors = {
+            "filter": self.srv.submit(FILTER_SQL),
+            "join": self.srv.submit(JOIN_SQL),
+            "windowed": self.srv.submit(WINDOWED_SQL, env={"ST": 1}),
+        }
+        self.clock = {"a": 0, "b": 0}
+
+    def stamps(self, stream, n, gap):
+        """The timestamps the door must assign to ``n`` rows pushed with
+        base ``clock + 1 + gap`` (``gap`` None: no base given)."""
+        first = self.clock[stream] + 1 + (gap or 0)
+        if n:
+            self.clock[stream] = first + n - 1
+        return first
+
+    def observe(self):
+        srv = self.srv
+        for stream in SCHEMAS:
+            srv.close_stream(stream)
+        srv.run_until_quiescent()
+        snap = srv.telemetry()
+        seen = {
+            "results": {
+                name: [flat(t) for t in cur.fetch()]
+                for name, cur in self.cursors.items() if name != "windowed"},
+            "windows": [(t, [flat(r) for r in rows]) for t, rows in
+                        self.cursors["windowed"].fetch_windows()],
+            "stores": {s: [flat(t) for t in srv.stores[s].scan(0, 1 << 40)]
+                       for s in SCHEMAS},
+            "accepted": {s: srv.ingress[s].accepted for s in SCHEMAS},
+            "counter": {s: snap.value("tcq_server_ingress_tuples_total",
+                                      stream=s) for s in SCHEMAS},
+            "ingested": srv.stats()["ingested"],
+        }
+        srv.close()
+        set_registry(self.previous)
+        return seen
+
+
+def run_doors(ops):
+    """Each op through the door it names."""
+    h = Harness()
+    for door, stream, rows, gap in ops:
+        if door == "step":
+            h.srv.step()
+            continue
+        first = h.stamps(stream, len(rows), gap)
+        base = None if gap is None else first
+        if door == "push_rows":
+            reply = h.srv.push_rows(stream, rows, timestamp=base)
+            assert reply == {"pushed": len(rows), "shed": 0}
+        elif door == "push":
+            for i, row in enumerate(rows):
+                h.srv.push(stream, *row, timestamp=None if base is None
+                           else base + i)
+        else:
+            for i, row in enumerate(rows):
+                h.srv.push_tuple(stream, SCHEMAS[stream].make(
+                    *row, timestamp=first + i))
+    return h.observe()
+
+
+def run_reference(ops):
+    """The same rows, one ``push`` at a time, every timestamp explicit."""
+    h = Harness()
+    for door, stream, rows, gap in ops:
+        if door == "step":
+            h.srv.step()
+            continue
+        first = h.stamps(stream, len(rows), gap)
+        for i, row in enumerate(rows):
+            h.srv.push(stream, *row, timestamp=first + i)
+    return h.observe()
+
+
+row = st.tuples(st.integers(0, 3), st.integers(0, 9))
+op = st.one_of(
+    st.tuples(st.just("step"), st.just(""), st.just(()), st.none()),
+    st.tuples(st.sampled_from(["push", "push_tuple", "push_rows"]),
+              st.sampled_from(["a", "b"]),
+              st.lists(row, min_size=0, max_size=6),
+              st.one_of(st.none(), st.integers(0, 2))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(op, max_size=14))
+def test_every_door_is_the_same_door(ops):
+    got, want = run_doors(ops), run_reference(ops)
+    assert got == want
+    rows_in = {s: sum(len(rows) for _d, stream, rows, _g in ops
+                      if stream == s) for s in SCHEMAS}
+    assert got["accepted"] == rows_in
+    assert got["ingested"] == sum(rows_in.values())
+
+
+# -- query-set changes in the middle of a batch ------------------------------
+
+def mid_batch(batched, react, second_sql=None):
+    """Queries ``first`` (over ``a``) and ``second``; ``first``'s third
+    result calls ``react(srv, state)``.  Rows go in as one ``push_rows``
+    per stream or one ``push`` at a time; returns every result
+    sequence."""
+    previous = set_registry(MetricRegistry())
+    srv = TelegraphCQServer()
+    srv.create_stream(A)
+    srv.create_stream(B)
+    state = {"first": [], "late": None}
+
+    def on_first(t):
+        state["first"].append(flat(t))
+        if len(state["first"]) == 3:
+            react(srv, state)
+
+    srv.submit("SELECT * FROM a WHERE v >= 0", on_result=on_first)
+    state["second"] = srv.submit(second_sql or "SELECT * FROM a WHERE v > 1")
+    b_rows = [(k, k) for k in range(4)]
+    a_rows = [(i % 4, i) for i in range(8)]
+    for stream, rows in (("b", b_rows), ("a", a_rows), ("b", b_rows)):
+        if batched:
+            srv.push_rows(stream, rows)
+        else:
+            for r in rows:
+                srv.push(stream, *r)
+    out = {"first": state["first"],
+           "second": [flat(t) for t in state["second"].fetch()],
+           "late": None if state["late"] is None
+           else [(t["a.v"], t["b.w"]) for t in state["late"].fetch()],
+           "engines": srv.stats()["cacq_engines"]}
+    srv.close()
+    set_registry(previous)
+    return out
+
+
+def test_cancel_inside_a_batch_takes_effect_at_the_next_tuple():
+    def react(srv, state):
+        state["second"].close()
+
+    batched, single = mid_batch(True, react), mid_batch(False, react)
+    assert batched == single
+    # `second` (v > 1) saw a's third row (v = 2) only if it was delivered
+    # before `first`'s callback ran; either way nothing after it.
+    assert all(values[1] <= 2 for values, _ts in batched["second"])
+    assert len(batched["first"]) == 8
+
+
+@pytest.mark.filterwarnings(f"ignore::{PlanCheckWarning.__module__}."
+                            f"{PlanCheckWarning.__name__}")
+def test_engine_merge_inside_a_batch_takes_effect_at_the_next_tuple():
+    def react(srv, state):
+        state["late"] = srv.submit(JOIN_SQL)
+
+    batched, single = (
+        mid_batch(flag, react, second_sql="SELECT * FROM b WHERE w >= 0")
+        for flag in (True, False))
+    assert batched == single
+    assert batched["engines"] == 1          # a's and b's classes merged
+    assert len(batched["first"]) == 8       # survived the merge mid-batch
+    # The join was admitted during a's third row (v = 2): only a's later
+    # rows route through the merged engine and build into its SteM, so
+    # the second round of b rows joins with exactly those.
+    assert sorted(batched["late"]) == [(3, 3), (4, 0), (5, 1), (6, 2), (7, 3)]

@@ -289,6 +289,41 @@ class TestCursorsAndProxies:
                        client="alice")
         assert srv.stats()["proxies"]["alice"] == 3
 
+    def test_closed_cursors_leave_their_proxy_under_churn(self):
+        srv = TelegraphCQServer()
+        srv.create_stream(TRADES)
+        keeper = srv.submit("SELECT * FROM trades WHERE price > 0")
+        delivered = 0
+        for i in range(100):
+            cur = srv.submit("SELECT * FROM trades WHERE price > 0")
+            srv.push("trades", "A", float(i + 1))
+            delivered += 2
+            assert srv.find_cursor(cur.cursor_id) is cur
+            cur.close()
+            with pytest.raises(QueryError):
+                srv.find_cursor(cur.cursor_id)
+            # The retired cursor's results stay counted (monotonic).
+            assert srv.telemetry().value(
+                "tcq_server_egress_tuples_total") == delivered
+        (proxy,) = srv._proxies["default"]
+        assert proxy.cursors == [keeper] and proxy.has_room
+        assert srv.open_cursors() == [keeper]
+        assert srv.stats()["proxies"] == {"default": 1}
+        keeper.close()
+        assert srv.stats()["proxies"] == {} and srv.open_cursors() == []
+
+    def test_cancel_stops_a_windowed_cursor_too(self):
+        srv = TelegraphCQServer()
+        srv.create_stream(TRADES)
+        cur = srv.submit("""
+            SELECT * FROM trades
+            for (t = 1; t <= 3; t++) { WindowIs(trades, t, t); }""")
+        srv.cancel(cur)
+        for i in range(5):
+            srv.push("trades", "A", float(i + 1))
+        srv.run_until_quiescent()
+        assert cur.closed and cur.fetch_windows() == []
+
     def test_clients_have_separate_proxies(self):
         srv = TelegraphCQServer()
         srv.create_stream(TRADES)

@@ -1,9 +1,11 @@
-"""One Ingress protocol, four doors.
+"""One Ingress door.
 
-Every way a tuple can enter the system — ``server.push_tuple``, a
-:class:`SourceModule`, a :class:`Streamer`, and the network PUSH op —
-now funnels through :class:`repro.ingress.ingress.IngressPoint`: same
-admission counters, same shedding hook, same trace attachment.
+Every way a tuple can enter the system — the server's ``push_rows`` /
+``push`` / ``push_tuple`` from either transport, a :class:`SourceModule`
+and a :class:`Streamer` — funnels through
+:class:`repro.ingress.ingress.IngressPoint`: same admission counters,
+same shedding hook, same trace attachment, one batch handed to the
+consumer.
 """
 
 import asyncio
@@ -11,7 +13,7 @@ import asyncio
 import pytest
 
 from repro.core.tuples import Schema
-from repro.ingress.ingress import IngressPoint, attach_trace
+from repro.ingress.ingress import IngressPoint
 from repro.ingress.wrappers import Streamer
 from repro.monitor.qos import LoadShedder
 import repro.monitor.tracing as tracing
@@ -30,7 +32,7 @@ def make_tuples(n):
 
 def test_admit_one_delivers_and_counts():
     got = []
-    point = IngressPoint("p", deliver=got.append)
+    point = IngressPoint("p", deliver=got.extend)
     for t in make_tuples(3):
         assert point.admit_one(t)
     assert point.accepted == 3 and point.shed == 0
@@ -39,7 +41,7 @@ def test_admit_one_delivers_and_counts():
 
 def test_admit_batch_returns_accepted_count():
     got = []
-    point = IngressPoint("p", deliver=got.append)
+    point = IngressPoint("p", deliver=got.extend)
     assert point.admit(make_tuples(5)) == 5
     assert len(got) == 5
 
@@ -53,7 +55,7 @@ def test_store_sees_every_admitted_tuple():
 
 def test_assign_timestamps_fills_missing_only():
     got = []
-    point = IngressPoint("p", deliver=got.append, assign_timestamps=True)
+    point = IngressPoint("p", deliver=got.extend, assign_timestamps=True)
     fresh = SCHEMA.make(7)             # no timestamp
     pinned = SCHEMA.make(8, timestamp=99)
     point.admit([fresh, pinned])
@@ -67,7 +69,7 @@ def test_shedder_drops_are_counted_not_delivered():
     # Teach the shedder it is badly overloaded.
     for _ in range(5):
         shedder.update(arrived=100, serviced=10)
-    point = IngressPoint("p", deliver=got.append, shedder=shedder)
+    point = IngressPoint("p", deliver=got.extend, shedder=shedder)
     admitted = point.admit(make_tuples(100))
     assert admitted == len(got)
     assert point.shed == 100 - admitted
@@ -80,11 +82,11 @@ def test_trace_attachment_is_idempotent():
     tracer.configure(sample_every=1)
     try:
         t = SCHEMA.make(1, timestamp=1)
-        attach_trace(t, "first-door")
-        trace = t.trace
-        assert trace is not None
-        attach_trace(t, "second-door")
-        assert t.trace is trace, "re-admission must not restart the trace"
+        second = IngressPoint("second-door", deliver=lambda batch: None)
+        first = IngressPoint("first-door", deliver=second.admit)
+        first.admit([t])
+        assert t.trace is not None and t.trace.source == "first-door", \
+            "re-admission must not restart the trace"
     finally:
         tracer.configure(sample_every=old)
 
@@ -135,26 +137,74 @@ def test_source_module_is_an_ingress_point():
     assert len([i for i in sink.log if isinstance(i, Tuple)]) == 4
 
 
+def test_admit_hands_the_consumer_one_batch():
+    batches = []
+    point = IngressPoint("p", deliver=batches.append)
+    point.admit(make_tuples(3))
+    point.admit([])
+    assert [len(b) for b in batches] == [3]
+
+
+def test_refused_batch_moves_nothing():
+    from repro.core.windows import HistoricalStore
+    from repro.errors import QueryError
+    store, got = HistoricalStore("s"), []
+    point = IngressPoint("p", deliver=got.extend, store=store)
+    point.admit(make_tuples(2))
+    late = [SCHEMA.make(7, timestamp=5), SCHEMA.make(8, timestamp=1)]
+    with pytest.raises(QueryError):
+        point.admit(late)
+    assert len(store) == 2 and len(got) == 2
+    assert point.accepted == 2 and point.shed == 0
+
+
 def test_network_push_is_the_fourth_door():
+    """A wire PUSH lands on the server's own per-stream point, once:
+    counted there, shed there, traced there."""
     from repro.net.aioclient import AsyncFrameClient
     from repro.net.service import TelegraphCQService
 
     async def scenario():
         service = TelegraphCQService(admin_port=None)
         await service.start()
+        tracer = tracing.TRACER
+        old = tracer.sample_every
+        tracer.configure(sample_every=1)
         try:
             c = AsyncFrameClient("127.0.0.1", service.port)
             await c.connect(client="c")
             await c.request("DDL", action="create_stream", name="s",
                             columns=["a"])
-            await c.request("PUSH", stream="s", rows=[[1], [2], [3]])
-            point = service._net_ingress["s"]
-            assert isinstance(point, IngressPoint)
-            assert point.accepted == 3
-            # ... which composes into the engine's own door.
-            assert service.server.ingress["s"].accepted == 3
+            reply = await c.request("PUSH", stream="s",
+                                    rows=[[1], [2], [3]])
+            assert (reply["pushed"], reply["shed"]) == (3, 0)
+            point = service.server.ingress["s"]
+            assert point.accepted == 3 and point.shed == 0
+            assert point.shedder is service.shedder
+            assert not hasattr(service, "_net_ingress")
+            stored = service.server.stores["s"].scan(0, 10)
+            assert [t.timestamp for t in stored] == [1, 2, 3]
+            traces = [t.trace for t in stored]
+            assert all(tr is not None for tr in traces)
+            assert len({id(tr) for tr in traces}) == 3
+            assert all([h.kind for h in tr.hops].count("ingress") == 1
+                       for tr in traces)
+            # Overload: the same point counts what the wire sheds.
+            for _ in range(5):
+                service.shedder.update(arrived=100, serviced=10)
+            reply = await c.request("PUSH", stream="s",
+                                    rows=[[i] for i in range(100)])
+            assert reply["pushed"] + reply["shed"] == 100
+            assert 0 < reply["shed"] < 100
+            assert point.shed == reply["shed"]
+            assert point.accepted == 3 + reply["pushed"]
+            snap = service.server.telemetry()
+            assert snap.value("tcq_net_push_shed_total") == point.shed
+            assert snap.value("tcq_server_ingress_tuples_total",
+                              stream="s") == point.accepted
             await c.close()
         finally:
+            tracer.configure(sample_every=old)
             await service.stop()
 
     asyncio.run(scenario())

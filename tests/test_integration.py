@@ -173,8 +173,9 @@ class TestWrapperHostIntoServer:
         class ServerStreamer(Streamer):
             # The IngressPoint handles admission/counting; only the
             # delivery target changes (fjord queues -> the server).
-            def _push_all(self, t):
-                srv.push_tuple(self.stream, t)
+            def _push_all(self, batch):
+                for t in batch:
+                    srv.push_tuple(self.stream, t)
 
             def close(self):
                 srv.close_stream(self.stream)

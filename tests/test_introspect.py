@@ -298,9 +298,14 @@ def test_server_explain_analyze_two_join_cacq():
 def test_server_explain_closed_query():
     srv, cursor = _two_join_server()
     srv.cancel(cursor)
-    report = srv.explain(cursor.cursor_id)
+    report = srv.explain(cursor)
     assert report["operators"] == []
     assert "query is closed; no live plan" in report["notes"]
+    # A closed cursor is retired from the server: its handle still
+    # explains, its id no longer resolves.
+    from repro.errors import QueryError
+    with pytest.raises(QueryError):
+        srv.explain(cursor.cursor_id)
 
 
 def test_server_explain_snapshot_cursor():
