@@ -16,6 +16,11 @@ unbounded number of simultaneous queries; queries can be added and
 removed while data is flowing (the robustness requirement of Section
 1.1).
 
+There is one data path, :meth:`CACQEngine.push_batch`: a batch of one
+stream's tuples meets each grouped filter once (the batch's lineage is a
+column of masks, one per row), and the survivors then build, deliver and
+probe one by one in arrival order.  A single tuple is a batch of one.
+
 The engine is deliberately independent of the Fjord scheduler so it can
 be benchmarked head-to-head against the per-query and NiagaraCQ-style
 baselines; :class:`CACQModule` packages it as a Fjord module for use
@@ -25,18 +30,29 @@ inside the full TelegraphCQ server.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from collections import defaultdict
 from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple as TypingTuple
 
+import repro.monitor.tracing as tracing
 from repro.core.grouped_filter import GroupedFilter
 from repro.core.stem import SteM
 from repro.core.tuples import Schema, Tuple
 from repro.errors import QueryError
 from repro.monitor.telemetry import get_registry
-
-_CACQ_IDS = itertools.count()
 from repro.query.predicates import (ALWAYS_TRUE, ColumnComparison, Comparison,
                                     Predicate, decompose)
+
+_CACQ_IDS = itertools.count()
+
+#: One grouped-filter pass over a batch: the attribute, its filter, and
+#: the (ascending) arrival indexes it probed and those it left alive.
+_Stage = TypingTuple[str, GroupedFilter, Sequence[int], List[int]]
+
+
+def _holds(sorted_indexes: Sequence[int], i: int) -> bool:
+    k = bisect_left(sorted_indexes, i)
+    return k < len(sorted_indexes) and sorted_indexes[k] == i
 
 
 class ContinuousQuery:
@@ -114,6 +130,9 @@ class CACQEngine:
         # Masks: which query bits read each stream / each footprint.
         self._source_mask: Dict[str, int] = defaultdict(int)
         self._footprint_mask: Dict[FrozenSet[str], int] = defaultdict(int)
+        #: bumped by every admission and removal; a batch in flight
+        #: compares it after each row (see :meth:`push_batch`).
+        self.generation = 0
         self.tuples_in = 0
         self.results_out = 0
         self.filter_probes = 0
@@ -168,6 +187,7 @@ class CACQEngine:
         query = ContinuousQuery(next(self._next_qid), footprint, predicate,
                                 callback=callback, name=name)
         self.queries[query.qid] = query
+        self.generation += 1
         self._footprint_mask[footprint] |= query.bit
         for s in footprint:
             self._source_mask[s] |= query.bit
@@ -206,6 +226,7 @@ class CACQEngine:
         if query.qid not in self.queries:
             raise QueryError(f"query {query.name} is not registered")
         del self.queries[query.qid]
+        self.generation += 1
         self._footprint_mask[query.footprint] &= ~query.bit
         for s in query.footprint:
             self._source_mask[s] &= ~query.bit
@@ -239,63 +260,115 @@ class CACQEngine:
 
     # -- data path ------------------------------------------------------------
     def push(self, stream: str, *, timestamp: Optional[int] = None,
-             **values: Any) -> List[Tuple]:
+             **values: Any) -> None:
         """Ingest one tuple (by column name) into ``stream``."""
         schema = self.schemas.get(stream)
         if schema is None:
             raise QueryError(f"unknown stream {stream!r}")
         row = tuple(values[c] for c in schema.column_names())
-        return self.push_tuple(stream, schema.make(*row, timestamp=timestamp))
+        self.push_tuple(stream, schema.make(*row, timestamp=timestamp))
 
-    def push_tuple(self, stream: str, t: Tuple) -> List[Tuple]:
-        """Route one already-built tuple through the super-query.
+    def push_tuple(self, stream: str, t: Tuple) -> None:
+        """Route one already-built tuple: a batch of one."""
+        self.push_batch(stream, [t])
 
-        Returns the delivered result tuples (they are also handed to
-        each query's callback / results list).
+    def push_batch(self, stream: str, tuples: Sequence[Tuple]) -> int:
+        """Route a batch of ``stream``'s tuples, in arrival order,
+        through the super-query; results go to each query's callback /
+        results list.
+
+        Returns how many rows were consumed.  That is all of them unless
+        a result callback admitted or cancelled a query: the change must
+        take effect at the next tuple, so routing stops after the row
+        that caused it and the caller pushes ``tuples[consumed:]`` again
+        (to whichever engine reads the stream by then).  Counters move
+        for consumed rows only.
         """
-        self.tuples_in += 1
-        t.queries = self._source_mask.get(stream, 0)
-        if not t.queries:
-            return []
-        delivered: List[Tuple] = []
-        worklist: List[Tuple] = [t]
-        while worklist:
-            current = worklist.pop()
-            produced = self._route(current, delivered)
-            worklist.extend(produced)
-        self.results_out += len(delivered)
-        return delivered
-
-    def _route(self, t: Tuple, delivered: List[Tuple]) -> List[Tuple]:
-        """Drive one tuple through filters, its home build, and probes;
-        returns newly generated join matches for further routing."""
-        produced: List[Tuple] = []
-        if len(t.sources) == 1:
-            (stream,) = t.sources
-            # 1. grouped filters for this stream: one probe per shared
-            # index evaluates every registered query's factors at once.
-            for attr, gf in self._stream_filters.get(stream, ()):
-                if not (t.queries & gf.registered_mask):
+        n = len(tuples)
+        lineage = self._source_mask.get(stream, 0)
+        if not lineage or not n:
+            self.tuples_in += n
+            return n
+        generation = self.generation
+        # 1. grouped filters, one probe per shared index per *batch*:
+        # lineage is a mask column (by arrival index), ``live`` the
+        # arrival indexes still alive for some query.  A filter probes
+        # only the rows that still interest one of its queries.
+        masks = [lineage] * n
+        live: Sequence[int] = range(n)
+        stages: List[_Stage] = []
+        index_of = tuples[0].schema.index_of
+        for attr, gf in self._stream_filters.get(stream, ()):
+            registered = gf.registered_mask
+            # When every reader of the stream is registered here, every
+            # live row is of interest: no need to look.
+            probed = live if not lineage & ~registered \
+                else [i for i in live if masks[i] & registered]
+            if not probed:
+                continue
+            pos = index_of(attr)
+            failed = gf.failing_many([tuples[i].values[pos] for i in probed])
+            passed: List[int] = []
+            for i, mask in zip(probed, failed):
+                mask = masks[i] = masks[i] & ~mask
+                if mask:
+                    passed.append(i)
+            stages.append((attr, gf, probed, passed))
+            if len(passed) < len(probed):
+                live = passed if len(probed) == len(live) \
+                    else [i for i in live if masks[i]]
+        work = live
+        if tracing.TRACER.active:
+            # Sampled rows report their filter hops when their turn
+            # comes, dropped ones included.
+            work = sorted({i for i, t in enumerate(tuples)
+                           if t.trace is not None}.union(live))
+        # 2. per surviving row, in arrival order: build into the home
+        # SteM so later arrivals find it, deliver to selection-only
+        # queries, probe the partner SteMs; composite matches are routed
+        # on (deliver, probe further partners) before the next row.
+        stem = self.stems.get(stream)
+        joins = self._pair_factors      # live: a callback may add one
+        consumed = n
+        try:
+            for i in work:
+                t = tuples[i]
+                if t.trace is not None:
+                    self._trace_filters(stream, t.trace, i, stages)
+                if not masks[i]:
                     continue
-                t.queries &= ~gf.failing(t[attr])
-                self.filter_probes += 1
-                alive = bool(t.queries)
-                gf.observe(alive)
-                tr = t.trace
-                if tr is not None:
-                    tr.hop("filter", f"gf[{stream}.{attr}]",
-                           "pass" if alive else "drop")
-                if not alive:
-                    return produced
-            # 2. build into the home SteM so later arrivals find it.
-            stem = self.stems.get(stream)
-            if stem is not None:
-                stem.build(t)
-        # 3. deliver to selection-only (or completed-join) queries.
-        self._deliver(t, delivered)
-        # 4. probe the SteMs of partner streams.
-        produced.extend(self._probe_partners(t))
-        return produced
+                t.queries = masks[i]
+                if stem is not None:
+                    t.stamp_arrival()
+                    stem.build(t)
+                self._deliver(t)
+                if joins:
+                    worklist = self._probe_partners(t)
+                    while worklist:
+                        match = worklist.pop()
+                        self._deliver(match)
+                        worklist.extend(self._probe_partners(match))
+                if self.generation != generation:
+                    consumed = i + 1
+                    break
+        finally:
+            self.tuples_in += consumed
+            for _attr, gf, probed, passed in stages:
+                n_probed = bisect_left(probed, consumed)
+                n_passed = bisect_left(passed, consumed)
+                self.filter_probes += n_probed
+                gf.probes -= len(probed) - n_probed
+                gf.observe(n_probed, n_passed)
+        return consumed
+
+    @staticmethod
+    def _trace_filters(stream: str, trace: Any, i: int,
+                       stages: Sequence[_Stage]) -> None:
+        """The filter hops of the sampled row at arrival index ``i``."""
+        for attr, _gf, probed, passed in stages:
+            if _holds(probed, i):
+                trace.hop("filter", f"gf[{stream}.{attr}]",
+                          "pass" if _holds(passed, i) else "drop")
 
     def _probe_partners(self, t: Tuple) -> List[Tuple]:
         out: List[Tuple] = []
@@ -348,10 +421,8 @@ class CACQEngine:
                     matches.append(joined)
         return matches
 
-    def _deliver(self, t: Tuple, delivered: List[Tuple]) -> None:
+    def _deliver(self, t: Tuple) -> None:
         eligible = t.queries & self._footprint_mask.get(t.sources, 0)
-        if not eligible:
-            return
         queries = self.queries
         while eligible:
             low = eligible & -eligible
@@ -362,7 +433,7 @@ class CACQEngine:
                 continue
             if query.residual is ALWAYS_TRUE or query.residual.matches(t):
                 query.deliver(t)
-                delivered.append(t)
+                self.results_out += 1
 
     # -- introspection ---------------------------------------------------------
     def stats(self) -> Dict[str, Any]:

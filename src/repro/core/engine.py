@@ -24,6 +24,7 @@ matching the proxy service on the right of Figure 5.
 from __future__ import annotations
 
 import itertools
+import sys
 import warnings
 from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple as TypingTuple, Union)
 
@@ -34,7 +35,7 @@ from repro.core.executor import DispatchUnit, Executor
 from repro.core.tuples import Schema, Tuple
 from repro.core.windows import HistoricalStore
 from repro.errors import ExecutionError, PlanCheckError, QueryError
-from repro.fjords.queues import EMPTY, PushQueue
+from repro.fjords.queues import PushQueue
 from repro.ingress.ingress import IngressPoint
 from repro.monitor.telemetry import get_registry
 import repro.monitor.tracing as tracing
@@ -44,6 +45,8 @@ from repro.query.catalog import Catalog
 from repro.query.optimizer import CompiledQuery, WindowedPlan, compile_query
 from repro.query.parser import parse
 from repro.query.predicates import Predicate
+
+_NO_LIMIT = sys.maxsize
 
 
 class Cursor:
@@ -123,17 +126,11 @@ class Cursor:
         computed windows into row order, so a client that does not care
         about window boundaries never needs :meth:`fetch_windows`.
         """
+        out = self._out
         if self.kind == "windowed":
             for _t, rows in self.fetch_windows():
-                for row in rows:
-                    self._out.push(row)
-        out: List[Tuple] = []
-        while not limit or len(out) < limit:
-            item = self._out.pop()
-            if item is EMPTY:
-                break
-            out.append(item)
-        return out
+                out.push_many(rows)
+        return out.pop_many(limit or _NO_LIMIT)
 
     def fetchall(self) -> List[Tuple]:
         """Every buffered result (``fetch()`` with no limit)."""
@@ -317,9 +314,10 @@ class TelegraphCQServer:
         self._stream_closed: Dict[str, bool] = {}
         #: one shared CQ engine per footprint-class root.
         self._cacq: Dict[str, CACQEngine] = {}
-        #: stream -> engines with a standing query over it; emptied
-        #: whenever a continuous query is admitted or cancelled.
-        self._readers: Dict[str, List[CACQEngine]] = {}
+        #: stream -> the engine with a standing query over it (None:
+        #: nobody reads it); emptied whenever a continuous query is
+        #: admitted or cancelled.
+        self._readers: Dict[str, Optional[CACQEngine]] = {}
         #: cursor id -> (streams, predicate, cursor) of every standing
         #: continuous query, so class merges can rebuild a combined
         #: engine.
@@ -377,9 +375,7 @@ class TelegraphCQServer:
         schema = self._open_stream(stream)
         first = timestamp if timestamp is not None else \
             self._stream_clock.get(stream, 0) + 1
-        return self._admit(stream, [
-            schema.make(*row, timestamp=first + i)
-            for i, row in enumerate(rows)])
+        return self._admit(stream, schema.make_many(rows, first))
 
     def push(self, stream: str, *values: Any,
              timestamp: Optional[int] = None) -> None:
@@ -405,23 +401,22 @@ class TelegraphCQServer:
 
     def _route_batch(self, stream: str, batch: List[Tuple]) -> None:
         """The ingress point's consumer: advance the stream clock and
-        route each admitted tuple, in arrival order, through the engines
-        reading the stream.  A result callback may admit or cancel a
-        query mid-batch; that empties ``_readers``, so the change takes
-        effect from the next tuple."""
-        clock, readers = self._stream_clock, self._readers
-        for t in batch:
-            clock[stream] = t.timestamp
-            engines = readers.get(stream)
-            if engines is None:
-                engines = readers[stream] = [
-                    engine for engine in self._cacq.values()
-                    if engine._source_mask.get(stream)]
-            for engine in engines:
-                clone = Tuple(t.schema, t.values, timestamp=t.timestamp)
-                if t.trace is not None:
-                    clone.trace = t.trace
-                engine.push_tuple(stream, clone)
+        hand the admitted batch, itself, to the engine reading the
+        stream (a stream belongs to one footprint class, so to one
+        engine).  A result callback may admit, cancel or merge engines
+        mid-batch; the engine then stops after that row, and the rest
+        goes to whichever engine reads the stream by then."""
+        self._stream_clock[stream] = batch[-1].timestamp
+        readers = self._readers
+        while batch:
+            if stream not in readers:
+                readers[stream] = next(
+                    (engine for engine in self._cacq.values()
+                     if engine._source_mask.get(stream)), None)
+            engine = readers[stream]
+            if engine is None:
+                return
+            batch = batch[engine.push_batch(stream, batch):]
 
     def shed_with(self, shedder: Any) -> None:
         """Gate every stream's ingress point, present and future, with
@@ -567,6 +562,7 @@ class TelegraphCQServer:
         old_engines = [self._cacq.pop(r) for r in absorbed]
         seen_streams = set()
         for old in old_engines:
+            old.generation += 1     # retired: a batch in flight stops
             for name, schema in old.schemas.items():
                 if name not in seen_streams:
                     merged.register_stream(schema)

@@ -8,10 +8,13 @@ routed through the filter, one probe determines *which queries'* factors
 it fails — and the answer is a query bitmap, the same currency the
 tuple's lineage is kept in (experiment E4 measures the probe).
 
-The one primitive is :meth:`GroupedFilter.failing`: the bitmap of
-registered queries with at least one factor on this attribute that the
-value fails.  A query survives the filter iff its bit is absent, however
-many factors it registered, so nothing is counted per query.
+The one primitive is :meth:`GroupedFilter.failing_many`: for a column of
+values, the bitmap per value of registered queries with at least one
+factor on this attribute that the value fails.  A query survives the
+filter iff its bit is absent, however many factors it registered, so
+nothing is counted per query; and a batch pays for mask arithmetic once
+per distinct probe position, not once per row (``failing(v)`` is a
+column of one).
 
 Index layout per attribute:
 
@@ -36,7 +39,9 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from math import isqrt
-from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple as TypingTuple
+from operator import or_
+from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence, Set,
+                    Tuple as TypingTuple)
 
 from repro.errors import QueryError
 from repro.query.predicates import Comparison
@@ -160,11 +165,22 @@ class _RangeBank:
         self._cum = cum
         return cum
 
-    def failing(self, value: Any) -> int:
-        """Every query with a threshold in this bank that ``value``
-        fails: one stored cumulative mask plus the entries between the
-        probe position and the block boundary."""
-        idx = self.locate(self.keys, value)
+    def failing_many(self, values: Sequence[Any]) -> List[int]:
+        """For each value, every query with a threshold in this bank
+        that the value fails.  Each value costs one bisection; the
+        cumulative mask is folded once per *distinct* probe position in
+        the batch, however many rows land on it."""
+        keys, locate = self.keys, self.locate
+        if len(values) == 1:
+            return [self._fold(locate(keys, values[0]))]
+        positions = [locate(keys, value) for value in values]
+        folded = {idx: self._fold(idx) for idx in set(positions)}
+        return [folded[idx] for idx in positions]
+
+    def _fold(self, idx: int) -> int:
+        """The queries on the failing side of probe position ``idx``:
+        one stored cumulative mask plus the entries between the position
+        and the block boundary."""
         cum = self._cum
         if cum is None:
             cum = self._rebuild()
@@ -289,11 +305,40 @@ class GroupedFilter:
         return self._n_factors
 
     # -- probing -------------------------------------------------------------
+    def failing_many(self, values: Sequence[Any]) -> List[int]:
+        """For each value, the bitmap of registered queries with at
+        least one factor on this attribute that the value fails; lineage
+        survives as ``queries & ~failed``.  One call probes a whole
+        column: every value is bisected into each range bank, but masks
+        are folded once per distinct probe position (range banks) or
+        distinct value (``==`` / ``!=``), not once per row."""
+        self.probes += len(values)
+        parts: List[List[int]] = []
+        for bank in self._banks.values():
+            if bank.keys:
+                parts.append(bank.failing_many(values))
+        if self._eq_all or self._ne:
+            point: Dict[Any, int] = {}
+            part = []
+            for value in values:
+                mask = point.get(value)
+                if mask is None:
+                    mask = point[value] = self._point_failing(value)
+                part.append(mask)
+            parts.append(part)
+        if not parts:
+            return [0] * len(values)
+        failed = parts[0]
+        for part in parts[1:]:
+            failed = list(map(or_, failed, part))
+        return failed
+
     def failing(self, value: Any) -> int:
-        """The bitmap of registered queries with at least one factor on
-        this attribute that ``value`` fails.  Lineage survives as
-        ``queries & ~failing(value)``."""
-        self.probes += 1
+        """:meth:`failing_many` for one value."""
+        return self.failing_many((value,))[0]
+
+    def _point_failing(self, value: Any) -> int:
+        """The ``==`` / ``!=`` share of a probe."""
         failed = self._eq_contradictory
         if self._eq_all:
             hit = self._eq.get(value)
@@ -307,9 +352,6 @@ class GroupedFilter:
             if hit:
                 self._point_ops += len(hit)
                 failed |= mask_of(hit)
-        for bank in self._banks.values():
-            if bank.keys:
-                failed |= bank.failing(value)
         return failed
 
     def matching(self, value: Any) -> Set[int]:
@@ -320,15 +362,17 @@ class GroupedFilter:
     def matching_batch(self, values: List[Any]) -> List[Set[int]]:
         """``[self.matching(v) for v in values]`` (including the
         ``probes`` counter), for callers holding a column of values."""
-        return [self.matching(v) for v in values]
+        registered = self.registered_mask
+        return [decode_mask(registered & ~failed)
+                for failed in self.failing_many(values)]
 
     # -- introspection -------------------------------------------------------
-    def observe(self, passed: bool, n: int = 1) -> None:
-        """Record the outcome of ``n`` probes for the selectivity
-        estimate (the CACQ route calls this right after the kill)."""
-        self.seen += n
-        if passed:
-            self.passed_count += n
+    def observe(self, probed: int, passed: int) -> None:
+        """Record the outcome of ``probed`` probes, ``passed`` of which
+        left the tuple alive, for the selectivity estimate (the CACQ
+        route calls this once per batch)."""
+        self.seen += probed
+        self.passed_count += passed
 
     def observed_selectivity(self) -> float:
         """Fraction of probed tuples that survived this filter for at

@@ -27,6 +27,7 @@ from repro.core.columnar import ColumnStore
 from repro.errors import SchemaError
 
 _tuple_ids = itertools.count()
+_NoneType = type(None)
 
 
 @dataclass(frozen=True)
@@ -118,6 +119,30 @@ class Schema:
 
     def column_names(self) -> List[str]:
         return [c.name for c in self.columns]
+
+    def make_many(self, rows: Iterable[Sequence[Any]],
+                  first_timestamp: int) -> List["Tuple"]:
+        """Build one tuple per row, row ``i`` stamped
+        ``first_timestamp + i``.
+
+        All or nothing: arity and dtypes are checked over the whole
+        batch (once per column, not once per value) before the first
+        tuple exists; the :class:`SchemaError` names the offending row.
+        """
+        batch = [tuple(row) for row in rows]
+        ok = set(map(len, batch)) <= {len(self.columns)}
+        for pos, col in enumerate(self.columns):
+            if ok and col.dtype is not object:
+                ok = all(kind is _NoneType or issubclass(kind, col.dtype)
+                         for kind in {type(values[pos]) for values in batch})
+        if not ok:
+            for i, values in enumerate(batch):
+                try:
+                    self.make(*values)
+                except SchemaError as exc:
+                    raise SchemaError(f"row {i}: {exc}") from None
+        return [Tuple(self, values, first_timestamp + i)
+                for i, values in enumerate(batch)]
 
     def make(self, *values: Any, timestamp: Optional[int] = None) -> "Tuple":
         """Build a tuple of this schema, validating arity and dtypes."""
@@ -225,6 +250,13 @@ class Tuple:
     def sources(self) -> frozenset:
         """The set of base streams this (possibly composite) tuple spans."""
         return self.schema.sources
+
+    def stamp_arrival(self) -> None:
+        """Re-date a base tuple built ahead of its turn (a batch is
+        built whole, then routed row by row): SteM probes order tuples
+        by ``max_base``, and a tuple pushed by a result callback in the
+        middle of the batch did arrive before the rows still waiting."""
+        self.max_base = next(_tuple_ids)
 
     def mark_done(self, module_bit: int) -> None:
         """Record that the eddy module with bitmask ``module_bit`` has

@@ -213,11 +213,15 @@ class FjordQueue:
         update.  Returns a (possibly empty) list — the batch-granularity
         mirror of :meth:`pop`."""
         items = self._items
-        n = min(max_items, len(items))
-        if n <= 0:
+        if not items or max_items <= 0:
             return []
-        popleft = items.popleft
-        out = [popleft() for _ in range(n)]
+        if max_items >= len(items):         # drain: no per-item call
+            out = list(items)
+            items.clear()
+        else:
+            popleft = items.popleft
+            out = [popleft() for _ in range(max_items)]
+        n = len(out)
         self.stats.dequeued += n
         TOTALS.dequeued += n
         if tracing.TRACER.active:

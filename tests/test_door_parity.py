@@ -136,7 +136,7 @@ def test_every_door_is_the_same_door(ops):
 
 # -- query-set changes in the middle of a batch ------------------------------
 
-def mid_batch(batched, react, second_sql=None):
+def mid_batch(batched, react, second_sql=None, late_row=flat):
     """Queries ``first`` (over ``a``) and ``second``; ``first``'s third
     result calls ``react(srv, state)``.  Rows go in as one ``push_rows``
     per stream or one ``push`` at a time; returns every result
@@ -165,7 +165,7 @@ def mid_batch(batched, react, second_sql=None):
     out = {"first": state["first"],
            "second": [flat(t) for t in state["second"].fetch()],
            "late": None if state["late"] is None
-           else [(t["a.v"], t["b.w"]) for t in state["late"].fetch()],
+           else [late_row(t) for t in state["late"].fetch()],
            "engines": srv.stats()["cacq_engines"]}
     srv.close()
     set_registry(previous)
@@ -191,7 +191,8 @@ def test_engine_merge_inside_a_batch_takes_effect_at_the_next_tuple():
         state["late"] = srv.submit(JOIN_SQL)
 
     batched, single = (
-        mid_batch(flag, react, second_sql="SELECT * FROM b WHERE w >= 0")
+        mid_batch(flag, react, second_sql="SELECT * FROM b WHERE w >= 0",
+                  late_row=lambda t: (t["a.v"], t["b.w"]))
         for flag in (True, False))
     assert batched == single
     assert batched["engines"] == 1          # a's and b's classes merged
@@ -200,3 +201,53 @@ def test_engine_merge_inside_a_batch_takes_effect_at_the_next_tuple():
     # rows route through the merged engine and build into its SteM, so
     # the second round of b rows joins with exactly those.
     assert sorted(batched["late"]) == [(3, 3), (4, 0), (5, 1), (6, 2), (7, 3)]
+
+
+def test_admission_inside_a_batch_takes_effect_at_the_next_tuple():
+    """The new query joins the engine the batch is running in: the rows
+    behind the one whose callback admitted it were filtered before it
+    existed, and must be filtered again."""
+    def react(srv, state):
+        state["late"] = srv.submit("SELECT * FROM a WHERE v < 6")
+
+    batched, single = mid_batch(True, react), mid_batch(False, react)
+    assert batched == single
+    assert batched["engines"] == 1
+    # admitted during a's third row (v = 2): sees v = 3, 4, 5 and no more
+    assert [values[1] for values, _ts in batched["late"]] == [3, 4, 5]
+    assert len(batched["first"]) == 8
+
+
+def test_a_callback_pushing_into_the_partner_stream_mid_batch():
+    """A result callback feeds stream ``b`` while a batch of ``a`` is
+    half routed: the ``a`` rows still waiting arrive after those ``b``
+    rows, whenever they were built, and must join with them."""
+    def run(batched):
+        previous = set_registry(MetricRegistry())
+        srv = TelegraphCQServer()
+        srv.create_stream(A)
+        srv.create_stream(B)
+        join = srv.submit(JOIN_SQL)
+        seen = []
+
+        def feed(t):
+            seen.append(flat(t))
+            if len(seen) == 2:
+                srv.push_rows("b", [(k, 10 + k) for k in range(4)])
+
+        srv.submit("SELECT * FROM a WHERE v >= 0", on_result=feed)
+        rows = [(i % 4, i) for i in range(8)]
+        if batched:
+            srv.push_rows("a", rows)
+        else:
+            for r in rows:
+                srv.push("a", *r)
+        out = [flat(t) for t in join.fetch()]
+        srv.close()
+        set_registry(previous)
+        return out
+
+    assert run(True) == run(False)
+    # b arrived during a's second row: a's rows 0 and 1 were found in
+    # the SteM by b's probes, rows 2..7 found b's rows by their own
+    assert len(run(True)) == 8

@@ -4,7 +4,8 @@ per-query bank over random predicate workloads."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.grouped_filter import GroupedFilter, NaiveFilterBank
+from repro.core.grouped_filter import (GroupedFilter, NaiveFilterBank,
+                                       _RangeBank)
 from repro.errors import QueryError
 from repro.query.predicates import Comparison
 
@@ -266,3 +267,67 @@ def test_registration_does_not_rebuild_cumulative_masks():
     assert bank._cum is not None
     gf.remove_query(99)
     assert bank._cum is None
+
+
+# -- one probe for a column of values ----------------------------------------
+
+_VALUES = st.lists(st.one_of(_CONSTANTS, st.none()), max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 5),
+                          st.sampled_from(["==", "!=", "<", "<=", ">", ">="]),
+                          _CONSTANTS), min_size=1, max_size=30),
+       _VALUES)
+def test_failing_many_is_failing_value_by_value(entries, values):
+    """Property: ``failing_many(vs) == [failing(v) for v in vs]`` --
+    ``None``, 2 next to 2.0 and repeated values included -- and agrees
+    with the naive bank; repeating the column costs no further mask
+    fold, because folds go by distinct probe position, not by row."""
+    gf, bank = GroupedFilter("p"), NaiveFilterBank("p")
+    for qid, op, constant in entries:
+        gf.add(Comparison("p", op, constant), qid)
+        bank.add(Comparison("p", op, constant), qid)
+    try:
+        one_by_one = [gf.failing(v) for v in values]
+    except TypeError:
+        # ``None`` against a range threshold: no order, as ever.
+        with pytest.raises(TypeError):
+            gf.failing_many(values)
+        return
+    counted = gf.probes
+    assert gf.failing_many(values) == one_by_one
+    assert gf.probes == counted + len(values)
+    if None not in values:
+        assert one_by_one == [
+            sum(1 << q for q in bank.registered_queries - bank.matching(v))
+            for v in values]
+    ops = gf.mask_ops
+    gf.failing_many(values)
+    once = gf.mask_ops - ops
+    gf.failing_many(values * 3)
+    assert gf.mask_ops - ops == 2 * once
+
+
+def test_a_batch_folds_once_per_distinct_position_not_once_per_row(
+        monkeypatch):
+    """Count-based guard for the door's batch path: 256 rows against 8
+    disjoint band queries land on at most 9 positions of each range
+    bank, so a bank folds at most 9 masks, not 256."""
+    gf = GroupedFilter("price")
+    for qid in range(8):
+        gf.add(Comparison("price", ">", 120 * qid), qid)
+        gf.add(Comparison("price", "<", 120 * qid + 50), qid)
+    prices = [(37 * i) % 1000 for i in range(256)]
+    folds = []
+    fold = _RangeBank._fold
+    monkeypatch.setattr(_RangeBank, "_fold", lambda bank, idx:
+                        folds.append(idx) or fold(bank, idx))
+    failed = gf.failing_many(prices)
+    assert len(folds) <= 2 * 9
+    assert len(folds) == sum(
+        len({bank.locate(bank.keys, p) for p in prices})
+        for bank in gf._banks.values() if bank.keys)
+    for price, mask in zip(prices, failed):
+        assert mask == sum(1 << qid for qid in range(8)
+                           if not 120 * qid < price < 120 * qid + 50)

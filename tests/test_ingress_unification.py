@@ -158,6 +158,44 @@ def test_refused_batch_moves_nothing():
     assert point.accepted == 2 and point.shed == 0
 
 
+@pytest.mark.parametrize("bad, message", [
+    ((5,), r"row 2: expected 2 values, got 1"),
+    ((5, 6, 7), r"row 2: expected 2 values, got 3"),
+    (("five", 6), r"row 2: column 'a' expects int, got str"),
+])
+def test_a_malformed_row_rejects_the_whole_batch_before_anything_moves(
+        bad, message):
+    """All or nothing survives the batch constructor: the bad row sits
+    behind two good ones, and neither the store, the stream clock, the
+    point's counters nor any CACQ counter sees the batch."""
+    from repro.client import LocalConnection
+    from repro.core.tuples import Column
+    from repro.errors import SchemaError
+    conn = LocalConnection()
+    conn.create_stream(Schema([Column("a", int), Column("b")], name="s"))
+    cur = conn.submit("SELECT * FROM s WHERE a > 0")
+    conn.push_rows("s", [(1, None), (2, "x")])
+    srv = conn.server
+    (engine,) = srv._cacq.values()
+    gf = engine.filters[("s", "a")]
+
+    def state():
+        return (len(srv.stores["s"]), srv._stream_clock["s"],
+                srv.ingress["s"].accepted, srv.ingress["s"].shed,
+                engine.stats(), gf.probes, gf.seen, gf.passed_count)
+
+    before = state()
+    with pytest.raises(SchemaError, match=message):
+        conn.push_rows("s", [(3, 0), (4, 0), bad, (6, 0)])
+    assert state() == before
+    assert [t.values for t in cur.fetch()] == [(1, None), (2, "x")]
+    # ... and the door still works, continuing the clock where it was.
+    # (a bool is an int: dtypes are checked per kind of value)
+    conn.push_rows("s", [(True, 0), (7, None)])
+    assert [t.timestamp for t in srv.stores["s"].scan(0, 10)] == [1, 2, 3, 4]
+    conn.close()
+
+
 def test_network_push_is_the_fourth_door():
     """A wire PUSH lands on the server's own per-stream point, once:
     counted there, shed there, traced there."""
