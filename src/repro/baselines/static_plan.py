@@ -93,12 +93,9 @@ class HashJoinIterator(PlanIterator):
         table: Dict[Any, List[Tuple]] = {}
         for t in self.build:
             table.setdefault(t[self.build_key], []).append(t)
-        join_schema: Optional[Schema] = None
         for p in self.probe:
             for b in table.get(p[self.probe_key], ()):
-                if join_schema is None:
-                    join_schema = b.schema.join(p.schema)
-                joined = b.concat(p, schema=join_schema)
+                joined = b.concat(p)
                 if self.residual is None or self.residual.matches(joined):
                     yield joined
 

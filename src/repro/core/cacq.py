@@ -394,19 +394,20 @@ class CACQEngine:
         """Probe a shared SteM on behalf of every join query at once.
 
         Candidates come from the union of per-predicate index lookups;
-        each candidate pair is materialised once, and the match's query
-        bitmap keeps only the queries whose join factor holds.
+        a match is the joined tuple :meth:`SteM.probe` built (one per
+        candidate pair: a pair a later factor finds again is dropped by
+        its ``base_ids``), and its query bitmap keeps only the queries
+        whose join factor holds.
         """
-        seen_ids: Set[int] = set()
+        seen: Set[FrozenSet[int]] = set()
         matches: List[Tuple] = []
         for bit, factor in factors:
             if not (prober.queries & bit):
                 continue
-            for stored in stem.probe_stored(prober, [factor]):
-                if stored.tid in seen_ids:
+            for joined in stem.probe(prober, [factor]):
+                if joined.base_ids in seen:
                     continue
-                seen_ids.add(stored.tid)
-                joined = prober.concat(stored)
+                seen.add(joined.base_ids)
                 alive = joined.queries
                 # Re-check every pair factor on the materialised match:
                 # queries joining on a different column must not survive.

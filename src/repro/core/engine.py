@@ -222,6 +222,10 @@ class _WindowedQueryState:
         self.iterator = spec_iter
         self.cursor = cursor
         self.server = server
+        #: binding -> catalog object, and the static-table bindings
+        #: (no WindowIs): plan constants, read once.
+        self.objects: Dict[str, str] = dict(plan.compiled.bindings)
+        self.static = [(b, self.objects[b]) for b in plan.static_bindings]
         self.pending: Optional[TypingTuple[int, Dict[str, TypingTuple[int, int]]]] = None
         self.done = False
         self.windows_evaluated = 0
@@ -264,11 +268,10 @@ class _WindowedQueryState:
             window_data: Dict[str, List[Tuple]] = {}
             for binding, (lo, hi) in bounds.items():
                 window_data[binding] = self.server._window_tuples(
-                    self.plan.compiled, binding, lo, hi)
+                    binding, self.objects[binding], lo, hi)
             # Inputs without a WindowIs are static tables (§4.1.1): the
             # whole table participates in every window.
-            for binding in getattr(self.plan, "static_bindings", ()):
-                obj = dict(self.plan.compiled.bindings)[binding]
+            for binding, obj in self.static:
                 window_data[binding] = self.server._rebind(
                     self.server.tables.get(obj, []), binding, obj)
             rows = self.plan.evaluate(window_data)
@@ -282,8 +285,7 @@ class _WindowedQueryState:
         """A window fires once no more data can arrive inside it: every
         stream's clock is strictly past the right end, or closed."""
         for binding, (_lo, hi) in bounds.items():
-            obj = self.plan.compiled and dict(
-                self.plan.compiled.bindings)[binding]
+            obj = self.objects[binding]
             if self.server._stream_closed.get(obj, False):
                 continue
             clock = self.server._stream_clock.get(obj)
@@ -622,9 +624,8 @@ class TelegraphCQServer:
             ready=state.ready, query_class=cursor.client)
         self.executor.enqueue_plan(compiled.footprint, du)
 
-    def _window_tuples(self, compiled: CompiledQuery, binding: str,
+    def _window_tuples(self, binding: str, obj: str,
                        lo: int, hi: int) -> List[Tuple]:
-        obj = dict(compiled.bindings)[binding]
         if obj in self.stores:
             raw = self.stores[obj].scan(lo, hi)
         else:

@@ -273,7 +273,6 @@ class SymmetricHashJoin(Module):
         self._tables: List[Dict[Any, List[Tuple]]] = [defaultdict(list),
                                                       defaultdict(list)]
         self._keys = (left_key, right_key)
-        self._join_schema: Optional[Schema] = None
 
     def process(self, item: Tuple, port: int) -> Iterable[Tuple]:
         key_col = self._keys[port]
@@ -283,10 +282,7 @@ class SymmetricHashJoin(Module):
         matches = self._tables[other].get(key, ())
         out: List[Tuple] = []
         for m in matches:
-            left, right = (item, m) if port == 0 else (m, item)
-            if self._join_schema is None:
-                self._join_schema = left.schema.join(right.schema)
-            joined = left.concat(right, schema=self._join_schema)
+            joined = item.concat(m) if port == 0 else m.concat(item)
             if self.residual is None or self.residual.matches(joined):
                 out.append(joined)
         return out

@@ -33,6 +33,17 @@ from repro.query.predicates import ColumnComparison, Predicate
 _STEM_IDS = itertools.count()
 
 
+def _hop(trace: Any, site: str, detail: str) -> None:
+    """A SteM waypoint on a sampled tuple's trace: recorded while the
+    trace is open, and once.  A row lives on in its stream's store and
+    is built into (or probes) a window SteM again for every later window
+    that contains it; those repeats are not new steps of the trip the
+    trace measures, and must not make it grow with the window count."""
+    if trace.finished_at is None and not any(
+            h.site == site and h.detail == detail for h in trace.hops):
+        trace.hop("stem", site, detail)
+
+
 class SteM:
     """A temporary repository of tuples for one (composite) source."""
 
@@ -50,7 +61,6 @@ class SteM:
         self.matches_out = 0
         self.evictions = 0
         self.batch_probes = 0
-        self._join_schemas: Dict[TypingTuple[frozenset, frozenset], Schema] = {}
         # Collector-based telemetry: build/probe stay pure int updates.
         self._telemetry = get_registry()
         self._telemetry_id = f"{self.name}#{next(_STEM_IDS)}"
@@ -77,7 +87,7 @@ class SteM:
         self.builds += 1
         tr = t.trace
         if tr is not None:
-            tr.hop("stem", self._telemetry_id, "build")
+            _hop(tr, self._telemetry_id, "build")
         for col, index in self._indexes.items():
             index[t[col]].append(t)
 
@@ -95,7 +105,7 @@ class SteM:
         self._tuples.extend(rows)
         self.builds += len(rows)
         for tr in batch.traces:
-            tr.hop("stem", self._telemetry_id, "build")
+            _hop(tr, self._telemetry_id, "build")
         for col, index in self._indexes.items():
             for value, t in zip(batch.column(col), rows):
                 index[value].append(t)
@@ -155,7 +165,7 @@ class SteM:
                 continue
             if dedupe_by_arrival and stored.max_base >= prober.max_base:
                 continue
-            joined = self._concat(prober, stored)
+            joined = prober.concat(stored)
             if all(p.matches(joined) for p in predicates):
                 out.append(joined)
         self.matches_out += len(out)
@@ -163,30 +173,7 @@ class SteM:
             self.probe_hits += 1
         tr = prober.trace
         if tr is not None:
-            tr.hop("stem", self._telemetry_id, f"probe:{len(out)}")
-        return out
-
-    def probe_stored(self, prober: Tuple, predicates: Sequence[Predicate],
-                     dedupe_by_arrival: bool = True) -> List[Tuple]:
-        """Like :meth:`probe`, but returns the matching *stored* tuples
-        instead of concatenated results — callers that manage their own
-        lineage merging (CACQ) concatenate themselves."""
-        self.probes += 1
-        out: List[Tuple] = []
-        for stored in self._candidates(prober, predicates):
-            if stored.dead:
-                continue
-            if dedupe_by_arrival and stored.max_base >= prober.max_base:
-                continue
-            joined = self._concat(prober, stored)
-            if all(p.matches(joined) for p in predicates):
-                out.append(stored)
-        self.matches_out += len(out)
-        if out:
-            self.probe_hits += 1
-        tr = prober.trace
-        if tr is not None:
-            tr.hop("stem", self._telemetry_id, f"probe:{len(out)}")
+            _hop(tr, self._telemetry_id, f"probe:{len(out)}")
         return out
 
     def probe_batch(self, batch: TupleBatch,
@@ -242,7 +229,7 @@ class SteM:
                     continue
                 if dedupe_by_arrival and stored.max_base >= prober_max:
                     continue
-                joined = self._concat(prober, stored)
+                joined = prober.concat(stored)
                 if all(p.matches(joined) for p in preds):
                     out.append(joined)
                     hits[i] = True
@@ -253,8 +240,7 @@ class SteM:
             for prober, hit in zip(rows, hits):
                 tr = prober.trace
                 if tr is not None:
-                    tr.hop("stem", site,
-                           "probe:hit" if hit else "probe:0")
+                    _hop(tr, site, "probe:hit" if hit else "probe:0")
         return out, hits
 
     def _candidates(self, prober: Tuple,
@@ -279,14 +265,6 @@ class SteM:
                 if mine in self._indexes and prober_schema.has_column(theirs):
                     return self._indexes[mine], theirs
         return None
-
-    def _concat(self, prober: Tuple, stored: Tuple) -> Tuple:
-        key = (prober.schema.sources, stored.schema.sources)
-        schema = self._join_schemas.get(key)
-        if schema is None:
-            schema = prober.schema.join(stored.schema)
-            self._join_schemas[key] = schema
-        return prober.concat(stored, schema=schema)
 
     # -- telemetry ----------------------------------------------------------
     def _publish_telemetry(self) -> None:

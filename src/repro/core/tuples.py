@@ -54,7 +54,7 @@ class Schema:
     column names are qualified (``source.column``) when ambiguous.
     """
 
-    __slots__ = ("columns", "sources", "_index", "name")
+    __slots__ = ("columns", "sources", "_index", "name", "_joins")
 
     def __init__(self, columns: Sequence[Column], sources: Iterable[str] = (),
                  name: str = ""):
@@ -62,6 +62,9 @@ class Schema:
         self.sources: frozenset = frozenset(sources) or (
             frozenset({name}) if name else frozenset())
         self.name = name
+        #: ``(right, self.join(right))`` per schema this one was joined
+        #: with: see :meth:`join`.
+        self._joins: List[TypingTuple["Schema", "Schema"]] = []
         self._index: Dict[str, int] = {}
         for i, col in enumerate(self.columns):
             if col.name in self._index:
@@ -164,7 +167,15 @@ class Schema:
         source label so join predicates written as ``S.col == T.col``
         always resolve; unqualified access remains available for
         suffixes that stay unambiguous (see ``__init__``).
+
+        This is the one owner of "the schema of a ⋈ b": the result is
+        built once per pair of schema *objects* and handed back to every
+        later caller.  The memo holds the right-hand schema itself (not
+        its ``id``), so a collected schema can never alias a live one.
         """
+        for right, joined in self._joins:
+            if right is other:
+                return joined
         cols: List[Column] = []
         for schema in (self, other):
             label = schema.name or "|".join(sorted(schema.sources)) or "x"
@@ -173,7 +184,9 @@ class Schema:
                     cols.append(Column(f"{label}.{col.name}", col.dtype))
                 else:
                     cols.append(col)
-        return Schema(cols, sources=self.sources | other.sources)
+        joined = Schema(cols, sources=self.sources | other.sources)
+        self._joins.append((other, joined))
+        return joined
 
     def __len__(self) -> int:
         return len(self.columns)
@@ -275,7 +288,7 @@ class Tuple:
                 "set t.queries to a concrete bitmap first")
         self.queries &= ~query_bit
 
-    def concat(self, other: "Tuple", schema: Optional[Schema] = None) -> "Tuple":
+    def concat(self, other: "Tuple") -> "Tuple":
         """Concatenate with ``other`` to form a join-result tuple.
 
         The result timestamp is the max of the inputs (the instant at
@@ -283,12 +296,11 @@ class Tuple:
         intersected, because a join output is only alive for queries that
         both inputs are still alive for.
         """
-        joined_schema = schema if schema is not None else \
-            self.schema.join(other.schema)
         ts = None
         if self.timestamp is not None or other.timestamp is not None:
             ts = max(self.timestamp or 0, other.timestamp or 0)
-        out = Tuple(joined_schema, self.values + other.values, timestamp=ts)
+        out = Tuple(self.schema.join(other.schema),
+                    self.values + other.values, timestamp=ts)
         out.queries = self.queries & other.queries
         # A join result has already been through every module either of
         # its parents has visited, and descends from both lineages.

@@ -14,7 +14,6 @@ know is *observed online*.  This module centralises the estimators:
 from __future__ import annotations
 
 import random
-import warnings
 from collections import deque
 from typing import Deque, Dict, List, Optional
 
@@ -29,8 +28,7 @@ class SelectivityTracker:
 
     The blessed accessors are the :attr:`windowed_rate` and
     :attr:`lifetime_rate` properties — the vocabulary the telemetry
-    snapshot uses.  The legacy ``windowed()`` / ``lifetime()`` callables
-    remain as thin deprecated aliases.
+    snapshot uses.
     """
 
     def __init__(self, window: int = 256):
@@ -57,20 +55,6 @@ class SelectivityTracker:
         if not self.total_seen:
             return 1.0
         return self.total_passed / self.total_seen
-
-    def windowed(self) -> float:
-        """Deprecated alias for :attr:`windowed_rate`."""
-        warnings.warn("SelectivityTracker.windowed() is deprecated; "
-                      "use the windowed_rate property",
-                      DeprecationWarning, stacklevel=2)
-        return self.windowed_rate
-
-    def lifetime(self) -> float:
-        """Deprecated alias for :attr:`lifetime_rate`."""
-        warnings.warn("SelectivityTracker.lifetime() is deprecated; "
-                      "use the lifetime_rate property",
-                      DeprecationWarning, stacklevel=2)
-        return self.lifetime_rate
 
 
 def sample_drift(old: Dict[str, float], new: Dict[str, float]) -> float:

@@ -21,12 +21,14 @@ from repro.errors import QueryError
 
 
 class CatalogEntry:
-    __slots__ = ("name", "schema", "kind")
+    __slots__ = ("name", "schema", "kind", "aliases")
 
     def __init__(self, name: str, schema: Schema, kind: str):
         self.name = name
         self.schema = schema
         self.kind = kind
+        #: alias -> this object's schema re-labelled (see alias_schema).
+        self.aliases: Dict[str, Schema] = {}
 
     @property
     def is_stream(self) -> bool:
@@ -78,9 +80,16 @@ class Catalog:
 
     def alias_schema(self, name: str, alias: str) -> Schema:
         """The schema of ``name`` re-labelled under ``alias`` — tuples of
-        a self-joined stream are replicated under each alias binding."""
-        base = self.lookup(name).schema
-        return Schema(base.columns, name=alias)
+        a self-joined stream are replicated under each alias binding.
+        One schema object per alias for the life of the entry, so joins
+        over aliased rows find their joined schema again
+        (:meth:`Schema.join`)."""
+        entry = self.lookup(name)
+        schema = entry.aliases.get(alias)
+        if schema is None:
+            schema = entry.aliases[alias] = Schema(entry.schema.columns,
+                                                   name=alias)
+        return schema
 
     def resolve_column(self, column: str,
                        bindings: Sequence[TypingTuple[str, str]]) -> str:

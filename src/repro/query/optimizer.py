@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple as TypingTuple
 
 from repro.core.aggregates import make_aggregate
+from repro.core.stem import SteM
 from repro.core.tuples import Column, Schema, Tuple
 from repro.core.windows import ForLoopSpec, WindowIs
 from repro.errors import QueryError
@@ -101,8 +102,16 @@ class WindowedPlan:
         self.local_filters: Dict[str, List] = {b: [] for b in binding_names}
         for factor in decomposed.single_variable:
             owner = factor.column.split(".", 1)[0]
-            self.local_filters.setdefault(owner, []).append(factor)
+            self.local_filters[owner].append(factor)
         self.join_factors = decomposed.equijoins
+        #: the join, one step per non-leading binding in FROM order: the
+        #: equijoin factors that become evaluable once it has joined.
+        self._join_steps: List[TypingTuple[str, List]] = [
+            (b, [f for f in self.join_factors if b in f.sources()
+                 and f.sources() <= set(binding_names[:i + 1])])
+            for i, b in enumerate(binding_names) if i]
+        #: binding -> the SteM holding its rows of the current window.
+        self._stems: Dict[str, SteM] = {}
         self.residual = decomposed.residual_predicate()
         self.select_items = spec.select_items
         self.distinct = spec.distinct
@@ -183,7 +192,7 @@ class WindowedPlan:
             for factor in self.local_filters.get(b, ()):
                 rows = [t for t in rows if factor.matches(t)]
             filtered[b] = rows
-        rows = self._join(bindings, filtered)
+        rows = self._join(filtered)
         if self.residual is not ALWAYS_TRUE:
             rows = [t for t in rows if self.residual.matches(t)]
         if any(item.aggregate for item in self.select_items):
@@ -206,40 +215,27 @@ class WindowedPlan:
                           reverse=descending)
         return rows
 
-    def _join(self, bindings: List[str],
-              filtered: Dict[str, List[Tuple]]) -> List[Tuple]:
-        if len(bindings) == 1:
-            return list(filtered[bindings[0]])
-        rows = list(filtered[bindings[0]])
-        joined_sources = {bindings[0]}
-        for b in bindings[1:]:
-            factors = [f for f in self.join_factors
-                       if f.sources() <= (joined_sources | {b})
-                       and b in f.sources()]
-            next_rows: List[Tuple] = []
-            if factors and len(filtered[b]) > 4:
-                # hash join on the first equijoin factor
-                factor = factors[0]
-                b_col = factor.left if factor.left.startswith(b + ".") \
-                    else factor.right
-                o_col = factor.right if b_col == factor.left else factor.left
-                table: Dict[Any, List[Tuple]] = {}
-                for t in filtered[b]:
-                    table.setdefault(t[b_col], []).append(t)
-                rest = factors[1:]
-                for left in rows:
-                    for right in table.get(left[o_col], ()):
-                        joined = left.concat(right)
-                        if all(f.matches(joined) for f in rest):
-                            next_rows.append(joined)
-            else:
-                for left in rows:
-                    for right in filtered[b]:
-                        joined = left.concat(right)
-                        if all(f.matches(joined) for f in factors):
-                            next_rows.append(joined)
-            rows = next_rows
-            joined_sources.add(b)
+    def _join(self, filtered: Dict[str, List[Tuple]]) -> List[Tuple]:
+        """Left-deep join in FROM order through SteMs: each non-leading
+        binding's rows are built into its SteM (last window's evicted
+        first) and the rows joined so far probe it.  Matches come out
+        left-major, in build order within a key; a step with no equijoin
+        factor probes the SteM's scan path, i.e. a cross product."""
+        rows = list(filtered[self.compiled.bindings[0][0]])
+        for b, factors in self._join_steps:
+            stem = self._stems.get(b)
+            if stem is None:
+                # Made at the first window, not at compile time and not
+                # per window: a SteM is a telemetry series for life.
+                stem = self._stems[b] = SteM(b, index_columns=[
+                    f.left if f.left.startswith(b + ".") else f.right
+                    for f in factors[:1]])
+            stem.evict_where(lambda _t: True)
+            for t in filtered[b]:
+                stem.build(t)
+            rows = [match for left in rows
+                    for match in stem.probe(left, factors,
+                                            dedupe_by_arrival=False)]
         return rows
 
     def _project(self, rows: List[Tuple]) -> List[Tuple]:

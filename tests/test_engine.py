@@ -4,6 +4,7 @@ paper's §4.1 examples through the full SQL path."""
 
 import pytest
 
+from repro.analysis.report import PlanCheckWarning
 from repro.core.engine import TelegraphCQServer
 from repro.core.tuples import Schema
 from repro.errors import ExecutionError, QueryError
@@ -97,7 +98,13 @@ class TestContinuousQueries:
         srv = TelegraphCQServer()
         srv.create_stream(TRADES)
         cursors = [srv.submit(f"SELECT * FROM trades WHERE price > {i}")
-                   for i in range(100)]
+                   for i in range(64)]
+        # Past the advisory lineage capacity: admitted, with TCQ205 once.
+        with pytest.warns(PlanCheckWarning, match="TCQ205") as caught:
+            cursors += [
+                srv.submit(f"SELECT * FROM trades WHERE price > {i}")
+                for i in range(64, 100)]
+        assert len(caught) == 1
         srv.push("trades", "A", 1000.0)
         assert all(len(c.fetch()) == 1 for c in cursors)
         assert srv.stats()["cacq_engines"] == 1
@@ -117,8 +124,10 @@ class TestContinuousQueries:
         c1 = srv.submit("SELECT * FROM trades WHERE price > 0")
         c2 = srv.submit("SELECT * FROM quotes WHERE bid > 0")
         assert srv.stats()["cacq_engines"] == 2
-        c3 = srv.submit(
-            "SELECT * FROM trades, quotes WHERE trades.sym = quotes.sym")
+        with pytest.warns(PlanCheckWarning, match="TCQ204"):
+            c3 = srv.submit(
+                "SELECT * FROM trades, quotes "
+                "WHERE trades.sym = quotes.sym")
         assert srv.stats()["cacq_engines"] == 1
         srv.push("trades", "A", 1.0)
         srv.push("quotes", "A", 2.0)
@@ -135,8 +144,10 @@ class TestContinuousQueries:
         srv.create_stream(Schema.of("quotes", "sym", "bid"))
         c1 = srv.submit("SELECT * FROM trades WHERE price > 0")
         c2 = srv.submit("SELECT * FROM quotes WHERE bid > 0")
-        c3 = srv.submit(
-            "SELECT * FROM trades, quotes WHERE trades.sym = quotes.sym")
+        with pytest.warns(PlanCheckWarning, match="TCQ204"):
+            c3 = srv.submit(
+                "SELECT * FROM trades, quotes "
+                "WHERE trades.sym = quotes.sym")
         assert srv.stats()["cacq_engines"] == 1
         srv.cancel(c1)
         assert c1.closed and c1.continuous_query is None

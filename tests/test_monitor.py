@@ -23,13 +23,13 @@ class TestSelectivityTracker:
             tr.observe(True)
         for _ in range(50):
             tr.observe(False)
-        assert tr.windowed() == 0.0
-        assert 0.7 < tr.lifetime() < 0.9
+        assert tr.windowed_rate == 0.0
+        assert 0.7 < tr.lifetime_rate < 0.9
 
     def test_defaults_before_evidence(self):
         tr = SelectivityTracker()
-        assert tr.windowed() == 1.0
-        assert tr.lifetime() == 1.0
+        assert tr.windowed_rate == 1.0
+        assert tr.lifetime_rate == 1.0
 
 
 class TestRateEstimator:

@@ -191,7 +191,7 @@ class TestWindowedPlanEvaluation:
                         TRADES.make("B", 9, timestamp=2)]})
         assert [t["price"] for t in out] == [9, 1]
 
-    def test_self_join_hash_path_and_nested_loop_agree(self):
+    def test_self_join_small_and_large_windows(self):
         compiled = compile_query(parse(
             """SELECT * FROM trades AS a, trades AS b
                WHERE a.sym = b.sym
@@ -210,7 +210,7 @@ class TestWindowedPlanEvaluation:
             "b": [b_schema.make(s, i, timestamp=1)
                   for i, s in enumerate("xyxyx")],
         }
-        # len(b)=2 takes the nested-loop path; len(b)=5 the hash path.
+        # One plan, one SteM on b, refilled for the second window.
         small_out = compiled.window_plan.evaluate(small)
         big_out = compiled.window_plan.evaluate(big)
         assert len(small_out) == 3        # x-x (2 a's * 1 b) + y-y

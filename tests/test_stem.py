@@ -65,12 +65,29 @@ class TestBuildProbe:
         s.dead = True
         assert stem.probe(T.make(1, 20), [JOIN]) == []
 
-    def test_probe_stored_returns_stored_side(self):
+    def test_probe_match_carries_the_stored_side(self):
         stem = SteM("S")
         s = S.make(1, 10)
         stem.build(s)
-        stored = stem.probe_stored(T.make(1, 20), [JOIN])
-        assert stored == [s]
+        t = T.make(1, 20)
+        (match,) = stem.probe(t, [JOIN])
+        assert match.base_ids == {s.tid, t.tid}
+        assert match.values == t.values + s.values
+
+    def test_probers_of_one_source_with_different_columns(self):
+        """The joined schema belongs to the schema pair, not to the
+        pair of source sets: a projected and an unprojected S row
+        probing one SteM each get their own columns."""
+        stem = SteM("T")
+        stem.build(T.make(1, 20))
+        narrow = Schema.of("S", "k")
+        (wide_match,) = stem.probe(S.make(1, 10), [JOIN])
+        (narrow_match,) = stem.probe(narrow.make(1), [JOIN])
+        assert wide_match.schema.column_names() == \
+            ["S.k", "S.x", "T.k", "T.y"]
+        assert narrow_match.schema.column_names() == ["S.k", "T.k", "T.y"]
+        assert narrow_match["T.y"] == 20
+        assert narrow_match.as_dict() == {"S.k": 1, "T.k": 1, "T.y": 20}
 
     def test_counters(self):
         stem = SteM("S")
