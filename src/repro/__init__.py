@@ -83,8 +83,7 @@ from repro.storage.spooled_stream import SpooledStream
 from repro.egress.egress import (FanoutEgress, PullEgress, PushEgress,
                                  TranscodingEgress)
 from repro.core.tuples import Column, Punctuation, Schema, Tuple
-from repro.core.windows import (ForLoopSpec, HistoricalStore,
-                                WindowedQueryRunner, WindowIs)
+from repro.core.windows import ForLoopSpec, HistoricalStore, WindowIs
 from repro.errors import (ClusterError, ExecutionError, ParseError,
                           PlanError, QueryError, SchemaError, StorageError,
                           TelegraphError, TelemetryError)
@@ -142,7 +141,7 @@ __all__ = [
     "SteMOperator",
     "StorageError", "TagAggregator", "TelegraphCQServer", "TelegraphError",
     "TelemetryError",
-    "TranscodingEgress", "Tuple", "WindowIs", "WindowedQueryRunner",
+    "TranscodingEgress", "Tuple", "WindowIs",
     "as_backend", "parse", "parse_predicate", "parse_script",
     "BroadcastReader", "BroadcastSchedule", "BufferPool", "PeriodicQuery",
     "SimulatedWebForm", "SpillStore", "SpillingQueryStore",

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple as TypingTuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple as TypingTuple
 
 from repro.errors import QueryError
 
@@ -32,6 +32,11 @@ class IncrementalAggregate:
 
     def add(self, value: Any) -> None:
         raise NotImplementedError
+
+    def add_many(self, values: Sequence[Any]) -> None:
+        """``add`` each value in order (one call for a whole window)."""
+        for value in values:
+            self.add(value)
 
     def result(self) -> Any:
         raise NotImplementedError
@@ -54,6 +59,9 @@ class CountAggregate(IncrementalAggregate):
     def add(self, value: Any) -> None:
         self._n += 1
 
+    def add_many(self, values: Sequence[Any]) -> None:
+        self._n += len(values)
+
     def result(self) -> int:
         return self._n
 
@@ -72,6 +80,13 @@ class SumAggregate(IncrementalAggregate):
         self._sum += value
         self._n += 1
 
+    def add_many(self, values: Sequence[Any]) -> None:
+        total = self._sum
+        for value in values:
+            total += value
+        self._sum = total
+        self._n += len(values)
+
     def result(self) -> Any:
         return self._sum if self._n else None
 
@@ -79,16 +94,12 @@ class SumAggregate(IncrementalAggregate):
         return 1
 
 
-class AvgAggregate(IncrementalAggregate):
+class AvgAggregate(SumAggregate):
     name = "AVG"
 
     def __init__(self) -> None:
         self._sum = 0.0
         self._n = 0
-
-    def add(self, value: Any) -> None:
-        self._sum += value
-        self._n += 1
 
     def result(self) -> Optional[float]:
         return self._sum / self._n if self._n else None

@@ -216,9 +216,7 @@ class CACQEngine:
             for s in pair:
                 if s not in self.stems:
                     self.stems[s] = SteM(s)
-                col = factor.left if factor.left.startswith(s + ".") \
-                    else factor.right
-                self.stems[s].add_index(col)
+                self.stems[s].add_index(factor.column_of(s))
         return query
 
     def remove_query(self, query: ContinuousQuery) -> None:

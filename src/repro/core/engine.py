@@ -265,21 +265,22 @@ class _WindowedQueryState:
             t, bounds = self.pending
             if not self._ready(bounds):
                 return worked
-            window_data: Dict[str, List[Tuple]] = {}
-            for binding, (lo, hi) in bounds.items():
-                window_data[binding] = self.server._window_tuples(
-                    binding, self.objects[binding], lo, hi)
             # Inputs without a WindowIs are static tables (§4.1.1): the
-            # whole table participates in every window.
+            # whole table as it stands joins every window.  A table row
+            # is stamped with its position, so that is the bound.
+            bounds = dict(bounds)
             for binding, obj in self.static:
-                window_data[binding] = self.server._rebind(
-                    self.server.tables.get(obj, []), binding, obj)
-            rows = self.plan.evaluate(window_data)
+                bounds[binding] = (0, len(self.server.tables[obj]) - 1)
+            rows = self.plan.window(bounds, self._scan)
             self.cursor._deliver_window(t, rows)
             self.windows_evaluated += 1
             self.pending = None
             worked = True
         return worked
+
+    def _scan(self, binding: str, lo: int, hi: int) -> List[Tuple]:
+        return self.server._window_tuples(binding, self.objects[binding],
+                                          lo, hi)
 
     def _ready(self, bounds: Dict[str, TypingTuple[int, int]]) -> bool:
         """A window fires once no more data can arrive inside it: every
@@ -502,12 +503,12 @@ class TelegraphCQServer:
 
     # -- snapshot path (Figure 4) ---------------------------------------------------
     def _run_snapshot(self, compiled: CompiledQuery, cursor: Cursor) -> None:
-        window_data: Dict[str, List[Tuple]] = {}
-        for binding, obj in compiled.bindings:
-            data = self.tables.get(obj, [])
-            window_data[binding] = self._rebind(data, binding, obj)
-        real_plan = _make_snapshot_plan(compiled, self.catalog)
-        for row in real_plan.evaluate(window_data):
+        """A plan with no WindowIs — every binding a static table —
+        evaluated once over the tables as they stand."""
+        plan = WindowedPlan(compiled, None, self.catalog)
+        for row in plan.evaluate({
+                binding: self._rebind(self.tables[obj], binding, obj)
+                for binding, obj in compiled.bindings}):
             cursor._deliver(row)
         self.cancel(cursor)
 
@@ -626,11 +627,12 @@ class TelegraphCQServer:
 
     def _window_tuples(self, binding: str, obj: str,
                        lo: int, hi: int) -> List[Tuple]:
+        """``obj``'s rows stamped ``lo..hi``, under ``binding``."""
         if obj in self.stores:
             raw = self.stores[obj].scan(lo, hi)
         else:
-            raw = [t for t in self.tables.get(obj, ())
-                   if t.timestamp is not None and lo <= t.timestamp <= hi]
+            # A table row is stamped with its position (see insert).
+            raw = self.tables[obj][max(lo, 0):max(hi + 1, 0)]
         return self._rebind(raw, binding, obj)
 
     def _rebind(self, tuples: List[Tuple], binding: str,
@@ -855,16 +857,3 @@ class TelegraphCQServer:
             "proxies": {client: len(proxies)
                         for client, proxies in self._proxies.items()},
         }
-
-
-def _make_snapshot_plan(compiled: CompiledQuery,
-                        catalog: Catalog) -> WindowedPlan:
-    """A windowed plan with a degenerate all-of-the-table window; reuses
-    the filters/join/aggregate pipeline for snapshot queries."""
-    from repro.query.ast import ForLoopClause, NumberExpr, WindowClause
-    clause = ForLoopClause(
-        "t", NumberExpr(0), (NumberExpr(0), "==", NumberExpr(0)),
-        ("=", NumberExpr(-1)),
-        tuple(WindowClause(b, NumberExpr(0), NumberExpr(1 << 60))
-              for b, _o in compiled.bindings))
-    return WindowedPlan(compiled, clause, catalog)

@@ -5,24 +5,31 @@ half of a traditional join operator".  It stores homogeneous tuples (all
 spanning the same set of base sources) and supports:
 
 * ``build(t)``   — insert a tuple whose sources match the SteM's home;
+* ``matching(probers, ...)`` — the stored rows that join each prober;
 * ``probe(p)``   — return concatenated matches for a tuple from *other*
-  sources, under the query's evaluable join predicates;
-* ``evict(...)`` — optional deletion, used for window expiry.
+  sources, under the query's evaluable join predicates (the matching
+  rows, each joined to the prober);
+* ``evict_before(ts)`` — window expiry.
 
 SteMs can be augmented with hash indexes on join columns; a probe uses an
 index when some equality predicate binds the indexed column, else falls
-back to a scan.  Duplicate answers in a symmetric join are suppressed
-with the classic arrival-order rule: a match is generated only by the
-*later* arriving of the two tuples (we use the global tuple id as arrival
-order), so the pair is produced exactly once no matter how the eddy
-interleaves builds and probes.
+back to a scan.  ``None`` and NaN equal nothing, so they are never
+indexed: no probe finds their bucket, and the bucket a probe does find
+needs no re-check of the equality that picked it.
+
+Duplicate answers in a symmetric join are suppressed with the classic
+arrival-order rule: a match is generated only by the *later* arriving of
+the two tuples (we use the global tuple id as arrival order), so the
+pair is produced exactly once no matter how the eddy interleaves builds
+and probes.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import defaultdict, deque
-from typing import (Any, Callable, Deque, Dict, Iterable, List, Sequence, Set, Tuple as TypingTuple)
+from typing import (Any, Callable, Deque, Dict, Iterable, List, Optional, Sequence, Set,
+                    Tuple as TypingTuple)
 
 from repro.core import columnar
 from repro.core.tuples import Schema, Tuple, TupleBatch
@@ -44,6 +51,11 @@ def _hop(trace: Any, site: str, detail: str) -> None:
         trace.hop("stem", site, detail)
 
 
+def _keyed(value: Any) -> bool:
+    """Whether ``value`` goes into an index: not ``None``, not NaN."""
+    return value is not None and value == value
+
+
 class SteM:
     """A temporary repository of tuples for one (composite) source."""
 
@@ -55,6 +67,10 @@ class SteM:
         self._tuples: Deque[Tuple] = deque()
         self._indexes: Dict[str, Dict[Any, List[Tuple]]] = {
             col: defaultdict(list) for col in index_columns}
+        #: (position, index) per index for rows of ``_keyed_schema``:
+        #: key columns are found by name once per schema, not per row.
+        self._key_positions: List[TypingTuple[int, Dict[Any, List[Tuple]]]] = []
+        self._keyed_schema: Optional[Schema] = None
         self.builds = 0
         self.probes = 0
         self.probe_hits = 0
@@ -73,8 +89,18 @@ class SteM:
             return
         index: Dict[Any, List[Tuple]] = defaultdict(list)
         for t in self._tuples:
-            index[t[column]].append(t)
+            key = t[column]
+            if _keyed(key):
+                index[key].append(t)
         self._indexes[column] = index
+        self._keyed_schema = None
+
+    def _keys_of(self, schema: Schema) -> List[TypingTuple[int, Dict[Any, List[Tuple]]]]:
+        if schema is not self._keyed_schema:
+            self._key_positions = [(schema.index_of(col), index)
+                                   for col, index in self._indexes.items()]
+            self._keyed_schema = schema
+        return self._key_positions
 
     def build(self, t: Tuple) -> None:
         """Insert a build tuple.  Raises if the tuple does not belong to
@@ -88,8 +114,12 @@ class SteM:
         tr = t.trace
         if tr is not None:
             _hop(tr, self._telemetry_id, "build")
-        for col, index in self._indexes.items():
-            index[t[col]].append(t)
+        if self._indexes:
+            values = t.values
+            for pos, index in self._keys_of(t.schema):
+                key = values[pos]
+                if _keyed(key):
+                    index[key].append(t)
 
     def build_batch(self, batch: TupleBatch) -> None:
         """Vectorized insert: one validation, one deque extend, and one
@@ -108,46 +138,85 @@ class SteM:
             _hop(tr, self._telemetry_id, "build")
         for col, index in self._indexes.items():
             for value, t in zip(batch.column(col), rows):
-                index[value].append(t)
+                if _keyed(value):
+                    index[value].append(t)
 
-    def evict_before(self, timestamp: int) -> int:
-        """Window expiry: drop tuples with timestamp < ``timestamp``.
+    def evict_before(self, timestamp: Optional[int]) -> int:
+        """Window expiry: drop tuples with timestamp < ``timestamp`` —
+        every tuple when ``timestamp`` is None (a window starting over).
 
         Tuples arrive in timestamp order on a single stream, so expiry
         pops from the head.  Returns the eviction count.
         """
+        tuples = self._tuples
         evicted = 0
-        while self._tuples and self._tuples[0].timestamp is not None \
-                and self._tuples[0].timestamp < timestamp:
-            old = self._tuples.popleft()
+        while tuples:
+            head = tuples[0]
+            if timestamp is not None and (head.timestamp is None
+                                          or head.timestamp >= timestamp):
+                break
+            tuples.popleft()
             evicted += 1
-            self.evictions += 1
-            for col, index in self._indexes.items():
-                bucket = index.get(old[col])
-                if bucket:
-                    bucket.remove(old)
-                    if not bucket:
-                        del index[old[col]]
-        return evicted
-
-    def evict_where(self, condition: Callable[[Tuple], bool]) -> int:
-        """General eviction; O(n).  Used for count-based windows."""
-        keep = [t for t in self._tuples if not condition(t)]
-        evicted = len(self._tuples) - len(keep)
-        if evicted:
-            self.evictions += evicted
-            self._tuples = deque(keep)
-            for col in self._indexes:
-                index: Dict[Any, List[Tuple]] = defaultdict(list)
-                for t in self._tuples:
-                    index[t[col]].append(t)
-                self._indexes[col] = index
+            if self._indexes:
+                values = head.values
+                for pos, index in self._keys_of(head.schema):
+                    bucket = index.get(values[pos])
+                    if bucket:
+                        bucket.remove(head)
+                        if not bucket:
+                            del index[values[pos]]
+        self.evictions += evicted
         return evicted
 
     # -- probing ----------------------------------------------------------
+    def matching(self, probers: Sequence[Tuple], column: Optional[str] = None,
+                 keys: Sequence[Any] = (),
+                 accept: Optional[Callable[[Tuple, Tuple], bool]] = None,
+                 dedupe_by_arrival: bool = False
+                 ) -> List[TypingTuple[Tuple, Tuple]]:
+        """The stored rows that join each prober, as ``(prober, stored)``
+        pairs: probers in order, each one's rows in arrival order.
+
+        With ``column`` (an indexed column) prober ``i`` meets only the
+        bucket of ``keys[i]``, so the equality that picked the bucket
+        holds and is not checked again; without, it meets every stored
+        row.  Dead rows never join; under ``dedupe_by_arrival`` only rows
+        that arrived before the prober do (see :meth:`probe`); and
+        ``accept(prober, stored)``, when given, decides the rest.  Each
+        prober counts as one probe.
+        """
+        index = self._indexes[column] if column is not None else None
+        if index is None:
+            keys = itertools.repeat(None)
+        site = self._telemetry_id
+        out: List[TypingTuple[Tuple, Tuple]] = []
+        hits = 0
+        for prober, key in zip(probers, keys):
+            candidates = self._tuples if index is None \
+                else index.get(key, ())
+            newest = prober.max_base if dedupe_by_arrival else None
+            found = len(out)
+            for stored in candidates:
+                if stored.dead or (newest is not None
+                                   and stored.max_base >= newest):
+                    continue
+                if accept is None or accept(prober, stored):
+                    out.append((prober, stored))
+            found = len(out) - found
+            if found:
+                hits += 1
+            tr = prober.trace
+            if tr is not None:
+                _hop(tr, site, f"probe:{found}")
+        self.probes += len(probers)
+        self.probe_hits += hits
+        self.matches_out += len(out)
+        return out
+
     def probe(self, prober: Tuple, predicates: Sequence[Predicate],
               dedupe_by_arrival: bool = True) -> List[Tuple]:
-        """Return ``prober ⋈ stored`` matches satisfying every predicate.
+        """Return ``prober ⋈ stored`` matches satisfying every predicate:
+        :meth:`matching`'s rows, each joined to the prober.
 
         ``predicates`` are the query's join factors evaluable over the
         prober's and this SteM's columns.  With ``dedupe_by_arrival``
@@ -157,24 +226,23 @@ class SteM:
         generated by the later-arriving side only (multi-path duplicates
         in >=3-way joins are removed at the eddy output by lineage).
         """
-        self.probes += 1
-        candidates = self._candidates(prober, predicates)
-        out: List[Tuple] = []
-        for stored in candidates:
-            if stored.dead:
-                continue
-            if dedupe_by_arrival and stored.max_base >= prober.max_base:
-                continue
-            joined = prober.concat(stored)
-            if all(p.matches(joined) for p in predicates):
-                out.append(joined)
-        self.matches_out += len(out)
-        if out:
-            self.probe_hits += 1
-        tr = prober.trace
-        if tr is not None:
-            _hop(tr, self._telemetry_id, f"probe:{len(out)}")
-        return out
+        rest = list(predicates)
+        column, keys = None, ()
+        plan = self._index_probe_plan(rest, prober.schema)
+        if plan is not None:
+            i, column, theirs = plan
+            keys = (prober[theirs],)
+            del rest[i]
+        accept = None
+        if rest:
+            def accept(p: Tuple, stored: Tuple) -> bool:
+                # The pair under the joined schema, without the lineage
+                # a match carries: only a kept pair is joined for real.
+                pair = Tuple(p.schema.join(stored.schema),
+                             p.values + stored.values)
+                return all(pred.matches(pair) for pred in rest)
+        return [prober.concat(stored) for _p, stored in self.matching(
+            (prober,), column, keys, accept, dedupe_by_arrival)]
 
     def probe_batch(self, batch: TupleBatch,
                     predicates: Sequence[Predicate],
@@ -203,8 +271,8 @@ class SteM:
         plan = self._index_probe_plan(predicates, batch.schema)
         preds = list(predicates)
         if plan is not None:
-            index, theirs = plan
-            index_get = index.get
+            _i, column, theirs = plan
+            index_get = self._indexes[column].get
             key_idx = batch.schema.index_of(theirs)
             key_arr = batch.store.array(key_idx)
             if key_arr is not None and n > 1:
@@ -243,27 +311,19 @@ class SteM:
                     _hop(tr, site, "probe:hit" if hit else "probe:0")
         return out, hits
 
-    def _candidates(self, prober: Tuple,
-                    predicates: Sequence[Predicate]) -> Iterable[Tuple]:
-        """Choose an access path: an index lookup when some equality
-        predicate binds an indexed column from the prober, else a scan."""
-        plan = self._index_probe_plan(predicates, prober.schema)
-        if plan is not None:
-            index, theirs = plan
-            return index.get(prober[theirs], ())
-        return self._tuples
-
     def _index_probe_plan(self, predicates: Sequence[Predicate],
-                          prober_schema: Schema):
-        """(index, prober_column) when some equality predicate binds an
-        indexed column from the prober's side, else None."""
-        for pred in predicates:
+                          prober_schema: Schema
+                          ) -> Optional[TypingTuple[int, str, str]]:
+        """The access path: (position of the predicate, indexed column,
+        prober column) when some equality predicate binds an indexed
+        column from the prober's side, else None (a scan)."""
+        for i, pred in enumerate(predicates):
             if not isinstance(pred, ColumnComparison) or pred.op != "==":
                 continue
             for mine, theirs in ((pred.left, pred.right),
                                  (pred.right, pred.left)):
                 if mine in self._indexes and prober_schema.has_column(theirs):
-                    return self._indexes[mine], theirs
+                    return i, mine, theirs
         return None
 
     # -- telemetry ----------------------------------------------------------
@@ -332,8 +392,8 @@ class CacheSteM(SteM):
     def build(self, t: Tuple) -> None:
         if self.capacity and len(self._tuples) >= self.capacity:
             victim = self._tuples.popleft()
-            for col, index in self._indexes.items():
-                bucket = index.get(victim[col])
+            for pos, index in self._keys_of(victim.schema):
+                bucket = index.get(victim.values[pos])
                 if bucket:
                     bucket.remove(victim)
         super().build(t)

@@ -115,10 +115,14 @@ class Schema:
             return self._index.get(suffix)
         return None
 
+    def locate(self, column: str) -> Optional[int]:
+        """The position of ``column`` (as :meth:`index_of` finds it), or
+        None when the schema has no such column."""
+        idx = self._index.get(column)
+        return idx if idx is not None else self._qualified_fallback(column)
+
     def has_column(self, column: str) -> bool:
-        if column in self._index:
-            return True
-        return self._qualified_fallback(column) is not None
+        return self.locate(column) is not None
 
     def column_names(self) -> List[str]:
         return [c.name for c in self.columns]
@@ -296,11 +300,9 @@ class Tuple:
         intersected, because a join output is only alive for queries that
         both inputs are still alive for.
         """
-        ts = None
-        if self.timestamp is not None or other.timestamp is not None:
-            ts = max(self.timestamp or 0, other.timestamp or 0)
         out = Tuple(self.schema.join(other.schema),
-                    self.values + other.values, timestamp=ts)
+                    self.values + other.values,
+                    timestamp=joined_timestamp(self, other))
         out.queries = self.queries & other.queries
         # A join result has already been through every module either of
         # its parents has visited, and descends from both lineages.
@@ -341,6 +343,15 @@ class Tuple:
             f"{c.name}={v!r}" for c, v in zip(self.schema.columns, self.values))
         ts = f" @{self.timestamp}" if self.timestamp is not None else ""
         return f"Tuple({pairs}{ts})"
+
+
+def joined_timestamp(left: Tuple, right: Tuple) -> Optional[int]:
+    """The timestamp of ``left ⋈ right``: the later of the two, the
+    instant the match could first exist (None when neither has one)."""
+    a, b = left.timestamp, right.timestamp
+    if a is None or b is None:
+        return None if a is None and b is None else max(a or 0, b or 0)
+    return a if a >= b else b
 
 
 class TupleBatch:

@@ -20,9 +20,11 @@ provides:
   band-join windows);
 * :class:`HistoricalStore` — an ordered per-stream tuple log supporting
   efficient timestamp range scans (the "scanner driven by window
-  descriptors" of Section 4.2.3);
-* :class:`WindowedQueryRunner` — executes an arbitrary per-window
-  evaluation function over the loop, yielding the sequence of sets.
+  descriptors" of Section 4.2.3).
+
+The one window evaluator is the optimizer's
+:class:`~repro.query.optimizer.WindowedPlan`, which the server drives
+over these stores.
 
 Timestamps here are *logical* (tuple sequence numbers) by default, which
 the paper notes makes window memory requirements knowable a priori;
@@ -299,34 +301,3 @@ class HistoricalStore:
     def __len__(self) -> int:
         return len(self._tuples)
 
-
-class WindowedQueryRunner:
-    """Executes a query body over a for-loop's window sequence.
-
-    ``evaluate`` receives ``{stream: [tuples in that stream's window]}``
-    and returns the result rows for that window; the runner yields
-    ``(loop_value, results)`` pairs — the paper's sequence of sets, each
-    set tagged with its instant.
-    """
-
-    def __init__(self, spec: ForLoopSpec,
-                 stores: Dict[str, HistoricalStore],
-                 evaluate: Callable[[Dict[str, List[Tuple]]], List[Tuple]]):
-        for stream in spec.streams():
-            if stream not in stores:
-                raise QueryError(
-                    f"no historical store for stream {stream!r}")
-        self.spec = spec
-        self.stores = stores
-        self.evaluate = evaluate
-
-    def __iter__(self) -> Iterator[TypingTuple[int, List[Tuple]]]:
-        for instance in self.spec:
-            window_data = {
-                stream: self.stores[stream].scan(*instance.bounds_for(stream))
-                for stream in self.spec.streams()
-            }
-            yield instance.t, self.evaluate(window_data)
-
-    def run(self) -> List[TypingTuple[int, List[Tuple]]]:
-        return list(self)

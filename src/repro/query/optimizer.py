@@ -10,7 +10,8 @@ and produces the matching plan object:
   CACQ engine (selection and join CQs);
 * **windowed**   — a for-loop present: compiled to a
   :class:`~repro.core.windows.ForLoopSpec` plus a per-window evaluation
-  pipeline (filters → join → aggregate/distinct/sort → project).
+  pipeline (filters → join → aggregate/distinct/sort → project) over
+  standing per-binding state.
 
 Column references are qualified against the FROM bindings here, so the
 runtime never guesses; self-join aliases get their own logical sources.
@@ -18,16 +19,22 @@ runtime never guesses; self-join aliases get their own logical sources.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import itemgetter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple as TypingTuple
 
 from repro.core.aggregates import make_aggregate
 from repro.core.stem import SteM
-from repro.core.tuples import Column, Schema, Tuple
+from repro.core.tuples import Column, Schema, Tuple, joined_timestamp
 from repro.core.windows import ForLoopSpec, WindowIs
 from repro.errors import QueryError
 from repro.query.ast import ForLoopClause, QuerySpec
 from repro.query.catalog import Catalog
-from repro.query.predicates import (ALWAYS_TRUE, Predicate, decompose, rewrite_columns)
+from repro.query.predicates import (And, Check, ColumnComparison, Locate, Predicate,
+                                    rewrite_columns)
+
+#: ``scan(binding, lo, hi)``: the binding's rows stamped ``lo..hi``.
+Scan = Callable[[str, int, int], Sequence[Tuple]]
 
 #: Comparison functions for loop conditions.
 _CONDITIONS: Dict[str, Callable[[int, int], bool]] = {
@@ -62,25 +69,63 @@ class CompiledQuery:
         return f"CompiledQuery({self.kind}, over={self.footprint})"
 
 
+class _JoinStep:
+    """One non-leading FROM binding of a windowed plan, bound to
+    positions: its SteM, the column that SteM is indexed on (the
+    binding's side of the step's first equijoin factor; None: scan),
+    where the factor's other side sits in a prober's values, and
+    ``accept``: every other factor the step can evaluate, checked on
+    the pair's values."""
+
+    __slots__ = ("stem", "column", "key", "accept")
+
+    def __init__(self, stem: SteM, column: Optional[str], key: int,
+                 check: Optional[Check]):
+        self.stem = stem
+        self.column = column
+        self.key = key
+        self.accept = None if check is None else \
+            (lambda prober, stored: check(prober.values + stored.values))
+
+    def join(self, probers: List[Tuple]) -> List[TypingTuple[Tuple, Tuple]]:
+        key = self.key
+        keys = [p.values[key] for p in probers] if self.column else ()
+        return self.stem.matching(probers, self.column, keys, self.accept)
+
+
+def _picker(positions: Sequence[int]) -> Callable[[Sequence[Any]], TypingTuple]:
+    """values -> the tuple of the values at ``positions``."""
+    if len(positions) == 1:
+        (pos,) = positions
+        return lambda values: (values[pos],)
+    return itemgetter(*positions) if positions else (lambda values: ())
+
+
 class WindowedPlan:
     """A for-loop query lowered to spec-builder + per-window pipeline.
 
     ``build_spec(env)`` late-binds free variables like ``ST`` (the
-    query's submission time); ``evaluate(window_data)`` runs the body
-    over one window's tuples per binding.
+    query's submission time).  ``window(bounds, scan)`` evaluates the
+    body over the next window: each FROM binding keeps its standing rows
+    — scanned, filtered and built into the binding's SteM once — and
+    slides them to the window's bounds.  ``evaluate(window_data)`` runs
+    the same body over one window's tuples per binding, from empty.
+
+    Every column the body reads is bound to a position when the first
+    window fires; a plan without a ``clause`` has no WindowIs, so every
+    binding is a static table (a snapshot query).
     """
 
-    def __init__(self, compiled: CompiledQuery, clause: ForLoopClause,
-                 catalog: Catalog):
+    def __init__(self, compiled: CompiledQuery,
+                 clause: Optional[ForLoopClause], catalog: Catalog):
         self.compiled = compiled
         self.clause = clause
         self.catalog = catalog
         spec = compiled.spec
-        decomposed = decompose(compiled.predicate)
         bindings = compiled.bindings
         binding_names = [b for b, _o in bindings]
         windowed_bindings = set()
-        for w in clause.windows:
+        for w in (clause.windows if clause is not None else ()):
             if w.stream not in binding_names:
                 raise QueryError(
                     f"WindowIs names {w.stream!r}, which is not in FROM "
@@ -98,21 +143,6 @@ class WindowedPlan:
                     f"windowed query without a WindowIs; unbounded "
                     f"inputs need windows")
             self.static_bindings.append(binding)
-        #: per-binding single-variable factors, pre-split.
-        self.local_filters: Dict[str, List] = {b: [] for b in binding_names}
-        for factor in decomposed.single_variable:
-            owner = factor.column.split(".", 1)[0]
-            self.local_filters[owner].append(factor)
-        self.join_factors = decomposed.equijoins
-        #: the join, one step per non-leading binding in FROM order: the
-        #: equijoin factors that become evaluable once it has joined.
-        self._join_steps: List[TypingTuple[str, List]] = [
-            (b, [f for f in self.join_factors if b in f.sources()
-                 and f.sources() <= set(binding_names[:i + 1])])
-            for i, b in enumerate(binding_names) if i]
-        #: binding -> the SteM holding its rows of the current window.
-        self._stems: Dict[str, SteM] = {}
-        self.residual = decomposed.residual_predicate()
         self.select_items = spec.select_items
         self.distinct = spec.distinct
         self.group_by = tuple(
@@ -121,7 +151,19 @@ class WindowedPlan:
         if spec.order_by is not None:
             self.order_by = (self._qualify(spec.order_by[0]),
                              spec.order_by[1])
-        self._out_schema: Optional[Schema] = None
+        self._names = binding_names
+        #: binding -> the SteM holding its standing rows, and the
+        #: (lo, hi) they were last slid to.
+        self._stems: Dict[str, SteM] = {}
+        self._last: Dict[str, TypingTuple[int, int]] = {}
+        # Bound at the first window (see _bind).
+        self._filters: Dict[str, Optional[Check]] = {}
+        self._steps: List[_JoinStep] = []
+        self._star = False
+        self._project: Optional[TypingTuple[Callable, Schema]] = None
+        self._aggregates: Optional[TypingTuple[Optional[Callable],
+                                               List, Schema]] = None
+        self._order: Optional[TypingTuple[int, bool]] = None
 
     def _qualify(self, column: str) -> str:
         return self.catalog.resolve_column(
@@ -182,127 +224,213 @@ class WindowedPlan:
                            max_iterations=max_iterations)
 
     # -- per-window evaluation ----------------------------------------------------
+    def window(self, bounds: Dict[str, TypingTuple[int, int]],
+               scan: Scan) -> List[Tuple]:
+        """The next window: slide every binding's standing rows to its
+        ``(lo, hi)`` in ``bounds``, then evaluate the body over them.
+
+        A binding moving forward forgets the rows stamped before ``lo``
+        and reads only ``(last hi, hi]`` through ``scan``.  On its first
+        window, or when either bound moves backward, it starts empty and
+        reads ``[lo, hi]``: the same slide, from nothing.
+        """
+        self._bind()
+        for binding, (lo, hi) in bounds.items():
+            last = self._last.get(binding)
+            fresh = last is None or lo < last[0] or hi < last[1]
+            self._slide(binding, None if fresh else lo,
+                        scan(binding, lo if fresh else max(lo, last[1] + 1),
+                             hi))
+            self._last[binding] = (lo, hi)
+        return self._output()
+
     def evaluate(self, window_data: Dict[str, List[Tuple]]) -> List[Tuple]:
-        """filters -> join -> residual -> aggregate/distinct/sort ->
-        project, over one window."""
-        bindings = [b for b, _o in self.compiled.bindings]
-        filtered: Dict[str, List[Tuple]] = {}
-        for b in bindings:
-            rows = window_data.get(b, [])
-            for factor in self.local_filters.get(b, ()):
-                rows = [t for t in rows if factor.matches(t)]
-            filtered[b] = rows
-        rows = self._join(filtered)
-        if self.residual is not ALWAYS_TRUE:
-            rows = [t for t in rows if self.residual.matches(t)]
-        if any(item.aggregate for item in self.select_items):
-            rows = self._aggregate(rows)
+        """filters -> join -> aggregate/distinct/sort -> project over one
+        window's tuples per binding, fed to the standing state from
+        empty: a pure function of ``window_data``."""
+        self._bind()
+        self._last.clear()
+        for binding in self._names:
+            self._slide(binding, None, window_data.get(binding, ()))
+        return self._output()
+
+    def _slide(self, binding: str, keep_from: Optional[int],
+               rows: Sequence[Tuple]) -> None:
+        """Forget ``binding``'s rows stamped before ``keep_from`` (all of
+        them when None); filter ``rows`` and build the survivors in."""
+        stem = self._stems[binding]
+        stem.evict_before(keep_from)
+        check = self._filters[binding]
+        for t in rows:
+            if check is None or check(t.values):
+                stem.build(t)
+
+    def _bind(self) -> None:
+        """Bind the body to positions, once: local filters, join steps
+        (with their SteMs), projection, group keys, aggregate arguments
+        and the ORDER BY key.  A row of binding ``b`` is the values of
+        ``b``'s schema; a joined row is those of every binding so far,
+        in FROM order."""
+        if self._stems:
+            return
+        names = self._names
+        where = {b: i for i, b in enumerate(names)}
+        schemas = [self.catalog.lookup(obj).schema if b == obj
+                   else self.catalog.alias_schema(obj, b)
+                   for b, obj in self.compiled.bindings]
+        offsets = [sum(len(s) for s in schemas[:i])
+                   for i in range(len(schemas))]
+
+        def locator(base: int) -> Locate:
+            def locate(column: str) -> Optional[int]:
+                binding, _dot, name = column.partition(".")
+                i = where.get(binding)
+                pos = schemas[i].locate(name) if i is not None else None
+                return None if pos is None else offsets[i] + pos - base
+            return locate
+
+        def located(column: str) -> int:
+            pos = locator(0)(column)
+            if pos is None:
+                raise QueryError(f"unknown column {column!r}")
+            return pos
+
+        # Each factor runs where its last binding joins: alone on that
+        # binding's rows when it reads one binding, else at that join
+        # step, where the step's first equijoin factor picks the bucket.
+        stems: Dict[str, SteM] = {}
+        steps: List[_JoinStep] = []
+        local: List[List[Predicate]] = [[] for _ in names]
+        at_step: List[List[Predicate]] = [[] for _ in names]
+        for factor in self.compiled.predicate.conjuncts():
+            last = max((where[s] for s in factor.sources()), default=0)
+            (at_step if len(factor.sources()) > 1 else local)[last].append(
+                factor)
+        for i, b in enumerate(names):
+            self._filters[b] = And(*local[i]).bind(locator(offsets[i])) \
+                if local[i] else None
+            if not i:
+                stems[b] = SteM(b)
+                continue
+            factors = at_step[i]
+            index = next((f for f in factors if isinstance(
+                f, ColumnComparison) and f.is_equijoin()), None)
+            column, key = None, 0
+            if index is not None:
+                factors = [f for f in factors if f is not index]
+                column = index.column_of(b)
+                key = located(index.left if column == index.right
+                              else index.right)
+            stems[b] = SteM(b, index_columns=[column] if column else ())
+            steps.append(_JoinStep(
+                stems[b], column, key,
+                And(*factors).bind(locator(0)) if factors else None))
+
+        joined = reduce(Schema.join, schemas)
+        aggs = [item for item in self.select_items if item.aggregate]
+        if aggs:
+            plain = [item for item in self.select_items
+                     if not item.aggregate and not item.is_star]
+            group_cols = self.group_by or tuple(
+                self._qualify(item.column) for item in plain)
+            out = Schema([Column(c.split(".", 1)[-1]) for c in group_cols]
+                         + [Column(item.output_name()) for item in aggs],
+                         sources={"agg"})
+            self._aggregates = (
+                _picker([located(c) for c in group_cols]) if group_cols
+                else None,
+                [(item.aggregate, None if item.column is None
+                  else located(self._qualify(item.column)))
+                 for item in aggs],
+                out)
+        elif len(self.select_items) == 1 and self.select_items[0].is_star \
+                and not self.select_items[0].alias:
+            self._star = True
+            out = joined
         else:
-            rows = self._project(rows)
+            columns: List[TypingTuple[str, int]] = []   # (out name, position)
+            for item in self.select_items:
+                if item.is_star:
+                    # "*", or "c2.*": every column of that binding.
+                    prefix = item.alias + "."
+                    columns.extend(
+                        (col, pos) for pos, col in
+                        enumerate(joined.column_names())
+                        if not item.alias or len(names) == 1
+                        or col.startswith(prefix))
+                else:
+                    columns.append((item.output_name(),
+                                    located(self._qualify(item.column))))
+            out = Schema([Column(name) for name, _pos in columns],
+                         sources=names)
+            self._project = (_picker([pos for _name, pos in columns]), out)
+        if self.order_by is not None:
+            column, descending = self.order_by
+            pos = out.locate(column)
+            if pos is None:
+                pos = out.locate(column.split(".", 1)[-1])
+            if pos is None:
+                raise QueryError(f"ORDER BY {column!r} is not in the output")
+            self._order = (pos, descending)
+        self._steps, self._stems = steps, stems     # bound
+
+    def _output(self) -> List[Tuple]:
+        """The body over the standing rows.  The leading binding's rows
+        probe each step's SteM in FROM order; only a pair that passes is
+        materialised: joined once for a further step or ``SELECT *``,
+        else projected or aggregated straight from the pair's values."""
+        rows = self._stems[self._names[0]].contents()
+        pairs: Optional[List[TypingTuple[Tuple, Tuple]]] = None
+        for n, step in enumerate(self._steps, 1):
+            pairs = step.join(rows)
+            if n < len(self._steps):
+                rows = [left.concat(stored) for left, stored in pairs]
+        if self._star:
+            out = rows if pairs is None else \
+                [left.concat(stored) for left, stored in pairs]
+        elif self._aggregates is not None:
+            out = self._aggregate(
+                [t.values for t in rows] if pairs is None else
+                [left.values + stored.values for left, stored in pairs])
+        else:
+            pick, schema = self._project
+            out = [Tuple(schema, pick(t.values), timestamp=t.timestamp)
+                   for t in rows] if pairs is None else \
+                [Tuple(schema, pick(left.values + stored.values),
+                       timestamp=joined_timestamp(left, stored))
+                 for left, stored in pairs]
         if self.distinct:
             seen = set()
             unique = []
-            for t in rows:
+            for t in out:
                 if t.values not in seen:
                     seen.add(t.values)
                     unique.append(t)
-            rows = unique
-        if self.order_by is not None:
-            column, descending = self.order_by
-            key_col = column if rows and rows[0].schema.has_column(column) \
-                else column.split(".", 1)[-1]
-            rows = sorted(rows, key=lambda t: t[key_col],
-                          reverse=descending)
-        return rows
-
-    def _join(self, filtered: Dict[str, List[Tuple]]) -> List[Tuple]:
-        """Left-deep join in FROM order through SteMs: each non-leading
-        binding's rows are built into its SteM (last window's evicted
-        first) and the rows joined so far probe it.  Matches come out
-        left-major, in build order within a key; a step with no equijoin
-        factor probes the SteM's scan path, i.e. a cross product."""
-        rows = list(filtered[self.compiled.bindings[0][0]])
-        for b, factors in self._join_steps:
-            stem = self._stems.get(b)
-            if stem is None:
-                # Made at the first window, not at compile time and not
-                # per window: a SteM is a telemetry series for life.
-                stem = self._stems[b] = SteM(b, index_columns=[
-                    f.left if f.left.startswith(b + ".") else f.right
-                    for f in factors[:1]])
-            stem.evict_where(lambda _t: True)
-            for t in filtered[b]:
-                stem.build(t)
-            rows = [match for left in rows
-                    for match in stem.probe(left, factors,
-                                            dedupe_by_arrival=False)]
-        return rows
-
-    def _project(self, rows: List[Tuple]) -> List[Tuple]:
-        if not rows:
-            return rows
-        if len(self.select_items) == 1 and self.select_items[0].is_star \
-                and not self.select_items[0].alias:
-            return rows
-        sample = rows[0]
-        columns: List[TypingTuple[str, str]] = []   # (out name, in column)
-        for item in self.select_items:
-            if item.is_star and item.alias:
-                # "c2.*": every column of that binding.
-                prefix = item.alias + "."
-                for col in sample.schema.column_names():
-                    if col.startswith(prefix) or (
-                            len(self.compiled.bindings) == 1):
-                        columns.append((col, col))
-                continue
-            if item.is_star:
-                for col in sample.schema.column_names():
-                    columns.append((col, col))
-                continue
-            qualified = self._qualify(item.column)
-            in_col = qualified if sample.schema.has_column(qualified) \
-                else item.column
-            columns.append((item.output_name(), in_col))
-        schema = Schema([Column(name) for name, _src in columns],
-                        sources=sample.schema.sources)
-        out = []
-        for t in rows:
-            out.append(Tuple(schema, tuple(t[src] for _n, src in columns),
-                             timestamp=t.timestamp))
+            out = unique
+        if self._order is not None:
+            pos, descending = self._order
+            out = sorted(out, key=lambda t: t.values[pos], reverse=descending)
         return out
 
-    def _aggregate(self, rows: List[Tuple]) -> List[Tuple]:
-        aggs = [item for item in self.select_items if item.aggregate]
-        plain = [item for item in self.select_items if not item.aggregate
-                 and not item.is_star]
-        group_cols = self.group_by or tuple(
-            self._qualify(item.column) for item in plain)
-        groups: Dict[TypingTuple[Any, ...], List] = {}
-        order: List[TypingTuple[Any, ...]] = []
-        for t in rows:
-            key = tuple(t[c] for c in group_cols)
-            state = groups.get(key)
-            if state is None:
-                state = [make_aggregate(item.aggregate) for item in aggs]
-                groups[key] = state
-                order.append(key)
-            for item, agg in zip(aggs, state):
-                if item.column is None:
-                    agg.add(1)
-                else:
-                    agg.add(t[self._qualify(item.column)])
-        names = [c.split(".", 1)[-1] for c in group_cols] + \
-            [item.output_name() for item in aggs]
-        schema = Schema([Column(n) for n in names], sources={"agg"})
+    def _aggregate(self, rows: List[Sequence[Any]]) -> List[Tuple]:
+        """One output row per group (first-seen order) of ``rows``'
+        values; with no group columns, one row even for no rows."""
+        key_of, specs, schema = self._aggregates
+        if key_of is None:
+            groups: Dict[TypingTuple[Any, ...], List] = {(): rows}
+        else:
+            groups = {}
+            for values in rows:
+                groups.setdefault(key_of(values), []).append(values)
         out: List[Tuple] = []
-        if not rows and not group_cols:
-            # Aggregate of an empty window is a single all-None row
-            # (COUNT handles this as 0 via a fresh aggregate).
-            state = [make_aggregate(item.aggregate) for item in aggs]
-            return [Tuple(schema, tuple(a.result() for a in state))]
-        for key in order:
-            values = key + tuple(a.result() for a in groups[key])
-            out.append(Tuple(schema, values))
+        for key, members in groups.items():
+            results = []
+            for name, pos in specs:
+                agg = make_aggregate(name)
+                agg.add_many([1] * len(members) if pos is None
+                             else [values[pos] for values in members])
+                results.append(agg.result())
+            out.append(Tuple(schema, key + tuple(results)))
         return out
 
 

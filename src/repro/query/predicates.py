@@ -27,6 +27,22 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: helpers, which accept either.
 Kernel = Callable[["TupleBatch"], Any]
 
+#: A predicate bound to column positions (see :meth:`Predicate.bind`):
+#: a row's bare value tuple in, verdict out.
+Check = Callable[[Sequence[Any]], bool]
+
+#: Where a column sits in the value tuples a :data:`Check` reads; None
+#: when they hold no such column.
+Locate = Callable[[str], Optional[int]]
+
+
+def _always(values: Sequence[Any]) -> bool:
+    return True
+
+
+def _never(values: Sequence[Any]) -> bool:
+    return False
+
 
 class _KernelTotals:
     """Process-wide kernel counters (the fjords TOTALS pattern): the
@@ -102,6 +118,14 @@ class Predicate:
         return themselves."""
         return [self]
 
+    def bind(self, locate: Locate) -> Check:
+        """This predicate over bare value tuples: every column it reads
+        is resolved through ``locate`` here, once, so the check itself
+        looks nothing up by name.  Same verdict as :meth:`matches` on a
+        tuple whose columns sit where ``locate`` says; a column it
+        cannot place reads as missing."""
+        raise NotImplementedError
+
     def compile(self) -> Kernel:
         """Compile into a batch kernel: ``kernel(batch) -> selection
         vector`` with semantics identical to calling :meth:`matches` on
@@ -150,6 +174,9 @@ class TruePredicate(Predicate):
 
     def conjuncts(self) -> List[Predicate]:
         return []
+
+    def bind(self, locate: Locate) -> Check:
+        return _always
 
     def _compile_kernel(self) -> Kernel:
         return lambda batch: [True] * len(batch)
@@ -206,6 +233,23 @@ class Comparison(Predicate):
             return self._fn(value, self.value)
         except TypeError:
             return False
+
+    def bind(self, locate: Locate) -> Check:
+        pos = locate(self.column)
+        if pos is None:
+            return _never
+        fn, value = self._fn, self.value
+
+        def check(values: Sequence[Any]) -> bool:
+            actual = values[pos]
+            if actual is None:
+                return False
+            try:
+                return fn(actual, value)
+            except TypeError:
+                return False
+
+        return check
 
     def _compile_kernel(self) -> Kernel:
         fn = self._fn
@@ -273,7 +317,8 @@ class ColumnComparison(Predicate):
     Equality column comparisons spanning two sources are join predicates
     and get compiled into SteM probes; inequality ones (band joins,
     ``c2.closingPrice > c1.closingPrice``) are evaluated as post-join
-    filters.
+    filters.  A ``None`` (SQL NULL) on either side fails the comparison,
+    as it fails a :class:`Comparison`: an equijoin never pairs NULLs.
     """
 
     __slots__ = ("left", "op", "right", "_fn", "span")
@@ -289,17 +334,40 @@ class ColumnComparison(Predicate):
         self._fn = OPS[op]
 
     def matches(self, t: Tuple) -> bool:
-        lhs = t.get(self.left, _MISSING)
-        rhs = t.get(self.right, _MISSING)
-        if lhs is _MISSING or rhs is _MISSING:
+        lhs = t.get(self.left)
+        rhs = t.get(self.right)
+        if lhs is None or rhs is None:
             return False
         try:
             return self._fn(lhs, rhs)
         except TypeError:
             return False
 
+    def bind(self, locate: Locate) -> Check:
+        lpos, rpos = locate(self.left), locate(self.right)
+        if lpos is None or rpos is None:
+            return _never
+        fn = self._fn
+
+        def check(values: Sequence[Any]) -> bool:
+            lhs, rhs = values[lpos], values[rpos]
+            if lhs is None or rhs is None:
+                return False
+            try:
+                return fn(lhs, rhs)
+            except TypeError:
+                return False
+
+        return check
+
     def is_equijoin(self) -> bool:
         return self.op == "==" and len(self.sources()) == 2
+
+    def column_of(self, source: str) -> str:
+        """The side of this factor that names ``source``'s column (the
+        right side whenever the left does not)."""
+        return self.left if self.left.startswith(source + ".") \
+            else self.right
 
     def _compile_kernel(self) -> Kernel:
         fn = self._fn
@@ -321,12 +389,14 @@ class ColumnComparison(Predicate):
             lcol = batch.store.values(lidx)
             rcol = batch.store.values(ridx)
             try:
-                return [fn(l, r) for l, r in zip(lcol, rcol)]
+                return [l is not None and r is not None and fn(l, r)
+                        for l, r in zip(lcol, rcol)]
             except TypeError:
                 out: List[bool] = []
                 for l, r in zip(lcol, rcol):
                     try:
-                        out.append(bool(fn(l, r)))
+                        out.append(l is not None and r is not None
+                                   and bool(fn(l, r)))
                     except TypeError:
                         out.append(False)
                 return out
@@ -380,6 +450,12 @@ class And(Predicate):
             out.extend(p.conjuncts())
         return out
 
+    def bind(self, locate: Locate) -> Check:
+        checks = [p.bind(locate) for p in self.parts]
+        if len(checks) == 1:
+            return checks[0]
+        return lambda values: all(part(values) for part in checks)
+
     def _compile_kernel(self) -> Kernel:
         kernels = [p._compile_kernel() for p in self.parts]
 
@@ -422,6 +498,10 @@ class Or(Predicate):
 
     def matches(self, t: Tuple) -> bool:
         return any(p.matches(t) for p in self.parts)
+
+    def bind(self, locate: Locate) -> Check:
+        checks = [p.bind(locate) for p in self.parts]
+        return lambda values: any(part(values) for part in checks)
 
     def columns(self) -> Set[str]:
         out: Set[str] = set()
@@ -473,6 +553,10 @@ class Not(Predicate):
 
     def matches(self, t: Tuple) -> bool:
         return not self.part.matches(t)
+
+    def bind(self, locate: Locate) -> Check:
+        inner = self.part.bind(locate)
+        return lambda values: not inner(values)
 
     def _compile_kernel(self) -> Kernel:
         inner = self.part._compile_kernel()

@@ -275,13 +275,14 @@ def test_windowed_join_shows_as_stem_probes_one_series_per_binding(
         snap = conn.telemetry()
         assert len(cursor.fetch_windows()) == last - 3
     probes = stem_series(snap, "tcq_stem_probes_total")
-    # a probes b's SteM: one non-leading binding, one series, for 3
-    # windows as for 27.
-    assert [s.labels["stem"].split("#")[0] for s in probes] == ["stem[b]"]
-    assert probes[0].value > 0
+    # Each binding keeps its standing rows in one SteM, and a's rows
+    # probe b's: one series per binding, for 3 windows as for 27.
+    assert [s.labels["stem"].split("#")[0] for s in probes] == \
+        ["stem[a]", "stem[b]"]
+    assert probes[0].value == 0 and probes[1].value > 0
     for family in ("tcq_stem_builds_total", "tcq_stem_size",
                    "tcq_stem_evictions_total"):
-        assert len(stem_series(snap, family)) == 1
+        assert len(stem_series(snap, family)) == 2
 
 
 def test_sampled_rows_do_not_collect_a_hop_per_window(private_registry):

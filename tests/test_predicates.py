@@ -228,6 +228,13 @@ class TestCompiledKernels:
         self._parity(ColumnComparison("a", "==", "b"), rows_)
         self._parity(ColumnComparison("a", ">", "b"), rows_)
 
+    def test_null_equals_nothing_not_even_null(self):
+        rows_ = [row(a=None, b=None), row(a=None, b=1), row(a=1, b=1)]
+        assert self._parity(ColumnComparison("a", "==", "b"), rows_) == \
+            [False, False, True]
+        assert self._parity(ColumnComparison("a", "!=", "b"), rows_) == \
+            [False, False, False]
+
     def test_and_or_not_parity(self):
         rows_ = [row(a=v, b=w) for v in range(-2, 3) for w in range(-2, 3)]
         gt = Comparison("a", ">", 0)
@@ -257,3 +264,41 @@ class TestCompiledKernels:
         pred = Comparison("a", "<>", 5)
         assert pred._fn is operator.ne
         assert Comparison("a", "=", 5)._fn is operator.eq
+
+
+class TestBoundChecks:
+    """bind(locate) must agree with matches() on every row — None,
+    missing columns and mixed types included — reading each column at
+    the position ``locate`` gave it once."""
+
+    ROWS = [row(a=a, b=b) for a in (None, -1, 0, 1, "text")
+            for b in (None, 0, 1)]
+    PREDICATES = [
+        Comparison("S.a", ">", 0), Comparison("a", "==", 1),
+        Comparison("zzz", "==", 1),
+        ColumnComparison("S.a", "==", "S.b"), ColumnComparison("a", "<", "b"),
+        ColumnComparison("a", "==", "zzz"),
+        And(Comparison("a", ">", -1), ColumnComparison("a", "!=", "b")),
+        Or(Comparison("a", "==", 1), Comparison("b", "==", 1)),
+        Not(Or(Comparison("a", "==", 1), Comparison("b", "==", 1))),
+        ALWAYS_TRUE, And(), Or(),
+    ]
+
+    @pytest.mark.parametrize("pred", PREDICATES, ids=repr)
+    def test_bound_check_agrees_with_matches(self, pred):
+        check = pred.bind(S.locate)
+        assert [check(t.values) for t in self.ROWS] == \
+            [pred.matches(t) for t in self.ROWS]
+
+    def test_positions_come_from_locate(self):
+        """A check reads wherever ``locate`` says: here a joined row
+        whose S columns sit after two others."""
+        check = ColumnComparison("S.a", "<", "T.x").bind(
+            {"T.x": 0, "S.a": 2}.get)
+        assert check((5, "pad", 1)) and not check((1, "pad", 5))
+
+
+def test_column_of_names_the_source_side():
+    factor = ColumnComparison("a.k", "==", "ab.k")
+    assert factor.column_of("a") == "a.k"
+    assert factor.column_of("ab") == "ab.k"

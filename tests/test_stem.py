@@ -124,6 +124,34 @@ class TestIndexes:
         stem.add_index("S.k")
         assert len(stem.probe(T.make(1, 0), [JOIN])) == 1
 
+    @pytest.mark.parametrize("indexed", [True, False])
+    def test_null_and_nan_keys_join_nothing(self, indexed):
+        """NULL equals nothing, itself included, and so does NaN — even
+        the very same NaN object, which a dict lookup would find."""
+        nan = float("nan")
+        stem = SteM("S", index_columns=["S.k"] if indexed else [])
+        for key in (None, nan, 1):
+            stem.build(S.make(key, 0))
+        for key in (None, nan):
+            assert stem.probe(T.make(key, 0), [JOIN]) == []
+        assert len(stem.probe(T.make(1, 0), [JOIN])) == 1
+        if indexed:
+            assert list(stem._indexes["S.k"]) == [1]
+
+    def test_matching_pairs_and_counters(self):
+        stem = SteM("S", index_columns=["S.k"])
+        rows = [S.make(k, x) for k, x in ((1, 5), (2, 6), (1, 7))]
+        for r in rows:
+            stem.build(r)
+        probers = [T.make(1, 6), T.make(3, 0), T.make(2, 0)]
+        pairs = stem.matching(
+            probers, "S.k", [p["k"] for p in probers],
+            accept=lambda p, s: s["x"] > p["y"])
+        assert pairs == [(probers[0], rows[2]), (probers[2], rows[1])]
+        assert (stem.probes, stem.probe_hits, stem.matches_out) == (3, 2, 2)
+        # No column: every stored row meets every prober.
+        assert len(stem.matching(probers[:1])) == 3
+
 
 class TestEviction:
     def test_evict_before_timestamp(self):
@@ -137,13 +165,14 @@ class TestEviction:
         matches = stem.probe(T.make(0, 0, timestamp=99), [JOIN])
         assert all(m["S.x"] >= 5 for m in matches)
 
-    def test_evict_where(self):
+    def test_evict_before_none_evicts_everything(self):
         stem = SteM("S", index_columns=["S.k"])
-        for i in range(6):
-            stem.build(S.make(i, i, timestamp=i))
-        evicted = stem.evict_where(lambda t: t["x"] % 2 == 0)
-        assert evicted == 3
-        assert len(stem) == 3
+        for ts in (1, None, 3):
+            stem.build(S.make(1, 0, timestamp=ts))
+        assert stem.evict_before(2) == 1          # a stampless row stays
+        assert stem.evict_before(None) == 2 and len(stem) == 0
+        assert stem.evictions == 3
+        assert stem.probe(T.make(1, 0), [JOIN]) == []
 
     def test_contents_snapshot(self):
         stem = SteM("S")

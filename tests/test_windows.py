@@ -1,12 +1,10 @@
 """Tests for window semantics: the paper's four example queries (§4.1),
-every ForLoopSpec constructor, HistoricalStore, and the runner."""
+every ForLoopSpec constructor, and HistoricalStore."""
 
 import pytest
 
-from repro.core.windows import (ForLoopSpec, HistoricalStore,
-                                WindowedQueryRunner, WindowInstance,
-                                WindowIs)
-from repro.core.tuples import Schema
+from repro.client import connect
+from repro.core.windows import ForLoopSpec, HistoricalStore, WindowIs
 from repro.errors import QueryError
 from repro.ingress.generators import CLOSING_STOCK_PRICES
 
@@ -21,10 +19,6 @@ def stock_store(days=30, symbols=("MSFT", "IBM")):
             price = 45.0 + day if sym == "MSFT" else 50.0
             store.append(S.make(day, sym, price, timestamp=day))
     return store
-
-
-def msft_filter(rows):
-    return [t for t in rows if t["stockSymbol"] == "MSFT"]
 
 
 class TestForLoopConstructors:
@@ -120,98 +114,85 @@ class TestHistoricalStore:
 
 
 class PaperExamples:
-    """Namespace marker — the four §4.1 queries, executed literally."""
+    """Namespace marker — the four §4.1 queries, submitted through the
+    door as written in the paper and answered by the server's one
+    window evaluator over the stream's history."""
+
+
+def stock_windows(sql, days=30, symbols=("MSFT", "IBM")):
+    """``sql``'s windows over the deterministic price history."""
+    with connect() as conn:
+        conn.create_stream(S)
+        for day in range(1, days + 1):
+            for sym in symbols:
+                conn.push(S.name, day, sym,
+                          45.0 + day if sym == "MSFT" else 50.0,
+                          timestamp=day)
+        conn.close_stream(S.name)
+        cursor = conn.submit(sql)
+        conn.run()
+        return cursor.fetch_windows()
 
 
 class TestPaperExample1Snapshot:
     def test_first_five_days_of_msft(self):
         """'Select the closing prices for MSFT on the first five days of
         trading' — for(; t==0; t=-1) WindowIs(CSP, 1, 5)."""
-        store = stock_store()
-        spec = ForLoopSpec(0, lambda t: t == 0, lambda t: -1,
-                           [WindowIs("ClosingStockPrices",
-                                     lambda t: 1, lambda t: 5)])
-        runner = WindowedQueryRunner(
-            spec, {"ClosingStockPrices": store},
-            lambda data: msft_filter(data["ClosingStockPrices"]))
-        results = runner.run()
+        results = stock_windows(
+            "SELECT closingPrice, timestamp FROM ClosingStockPrices "
+            "WHERE stockSymbol = 'MSFT' "
+            "for (; t == 0; t = -1) { WindowIs(ClosingStockPrices, 1, 5); }")
         assert len(results) == 1
         _t, rows = results[0]
         assert [t.timestamp for t in rows] == [1, 2, 3, 4, 5]
+        assert [t["closingPrice"] for t in rows] == [46.0, 47.0, 48.0,
+                                                     49.0, 50.0]
 
 
 class TestPaperExample2Landmark:
     def test_days_msft_above_50_after_anchor(self):
         """Landmark: fixed left end, right end sweeping; the answer for
         iteration t is a superset of iteration t-1 (monotone growth)."""
-        store = stock_store(days=30)
-        spec = ForLoopSpec.landmark("ClosingStockPrices", anchor=5,
-                                    start=5, stop=30)
-
-        def body(data):
-            return [t for t in msft_filter(data["ClosingStockPrices"])
-                    if t["closingPrice"] > 50.0]
-
-        runner = WindowedQueryRunner(spec, {"ClosingStockPrices": store},
-                                     body)
-        sizes = [len(rows) for _t, rows in runner]
+        results = stock_windows(
+            "SELECT closingPrice, timestamp FROM ClosingStockPrices "
+            "WHERE stockSymbol = 'MSFT' AND closingPrice > 50.0 "
+            "for (t = 5; t <= 30; t++) { WindowIs(ClosingStockPrices, 5, t); }")
+        sizes = [len(rows) for _t, rows in results]
         assert sizes == sorted(sizes)           # landmark grows monotonically
         # MSFT price is 45+day: > 50 from day 6 on.
         assert sizes[-1] == 30 - 6 + 1
+        assert [t.timestamp for t in results[-1][1]] == list(range(6, 31))
 
 
 class TestPaperExample3SlidingAvg:
     def test_five_day_average_every_fifth_day(self):
-        store = stock_store(days=30, symbols=("MSFT",))
-        spec = ForLoopSpec.sliding("ClosingStockPrices", width=5,
-                                   start=5, stop=30, hop=5)
-
-        def body(data):
-            rows = msft_filter(data["ClosingStockPrices"])
-            return [sum(t["closingPrice"] for t in rows) / len(rows)]
-
-        runner = WindowedQueryRunner(spec, {"ClosingStockPrices": store},
-                                     body)
-        averages = [rows[0] for _t, rows in runner]
+        results = stock_windows(
+            "SELECT AVG(closingPrice) FROM ClosingStockPrices "
+            "WHERE stockSymbol = 'MSFT' "
+            "for (t = 5; t < 30; t += 5) { "
+            "WindowIs(ClosingStockPrices, t - 4, t); }",
+            symbols=("MSFT",))
+        averages = [rows[0]["avg_closingPrice"] for _t, rows in results]
         # days d-4..d with price 45+day: average = 45 + d - 2
         assert averages == [48.0, 53.0, 58.0, 63.0, 68.0]
 
 
 class TestPaperExample4BandJoin:
     def test_stocks_closing_higher_than_msft(self):
-        store = stock_store(days=10, symbols=("MSFT", "IBM"))
-        spec = ForLoopSpec.band(["c1", "c2"], width=5, start=5, stop=8)
-        alias_c1 = Schema(S.columns, name="c1")
-        alias_c2 = Schema(S.columns, name="c2")
-
-        def rebind(rows, schema):
-            from repro.core.tuples import Tuple
-            return [Tuple(schema, t.values, timestamp=t.timestamp)
-                    for t in rows]
-
-        def body(data):
-            c1 = [t for t in rebind(data["c1"], alias_c1)
-                  if t["stockSymbol"] == "MSFT"]
-            c2 = [t for t in rebind(data["c2"], alias_c2)
-                  if t["stockSymbol"] != "MSFT"]
-            out = []
-            for a in c1:
-                for b in c2:
-                    if b["timestamp"] == a["timestamp"] and \
-                            b["closingPrice"] > a["closingPrice"]:
-                        out.append(b)
-            return out
-
-        stores = {"c1": store, "c2": store}
-        runner = WindowedQueryRunner(spec, stores, body)
-        results = runner.run()
+        results = stock_windows(
+            "SELECT c2.* FROM ClosingStockPrices AS c1, "
+            "ClosingStockPrices AS c2 "
+            "WHERE c1.stockSymbol = 'MSFT' AND c2.stockSymbol != 'MSFT' "
+            "AND c2.closingPrice > c1.closingPrice "
+            "AND c2.timestamp = c1.timestamp "
+            "for (t = 5; t < 8; t++) { "
+            "WindowIs(c1, t - 4, t); WindowIs(c2, t - 4, t); }",
+            days=10)
         # MSFT = 45+day passes IBM (50) after day 5, so early windows
         # have matches and later ones thin out.
         first_window = results[0][1]
         assert all(t["stockSymbol"] == "IBM" for t in first_window)
         assert len(first_window) == 4     # days 1..4 of window 1..5
-
-    def test_runner_requires_stores(self):
-        spec = ForLoopSpec.snapshot("missing", 1, 5)
-        with pytest.raises(QueryError, match="no historical store"):
-            WindowedQueryRunner(spec, {}, lambda d: [])
+        assert [len(rows) for _t, rows in results] == [4, 3, 2]
+        assert first_window[0].schema.column_names() == [
+            "c2.timestamp", "c2.stockSymbol", "c2.closingPrice"]
