@@ -61,6 +61,10 @@ class ContinuousQuery:
     ``footprint`` is the set of streams the query reads (Section 4.2.2's
     query footprint); ``predicate`` its WHERE clause.  Results are
     appended to :attr:`results` or pushed through ``callback``.
+
+    :attr:`results` may be replaced by a list its reader owns (a pull
+    cursor's buffer, which it drains); :attr:`egress` then names the
+    trace stage a sampled result closes at when appended.
     """
 
     def __init__(self, qid: int, footprint: FrozenSet[str],
@@ -78,18 +82,38 @@ class ContinuousQuery:
         self.callback = callback
         self.name = name or f"q{qid}"
         self.results: List[Tuple] = []
-        self.delivered = 0
+        #: results handed to ``callback`` (those in ``results`` are
+        #: counted by the list's length).
+        self._passed = 0
+        self.egress: Optional[str] = None
         #: where the engine registered this query at admission — the
         #: only shared state its removal has to visit.
         self.filter_keys: List[TypingTuple[str, str]] = []
         self.pairs: List[FrozenSet[str]] = []
 
+    @property
+    def delivered(self) -> int:
+        """Results delivered: through the callback, or still in
+        :attr:`results` (a reader that drains the list counts what it
+        took)."""
+        return self._passed + len(self.results)
+
+    @delivered.setter
+    def delivered(self, count: int) -> None:
+        self._passed = count - len(self.results)
+
     def deliver(self, t: Tuple) -> None:
-        self.delivered += 1
+        """The sink for a callback or a sampled row; the engine appends
+        an untraced row for a query with no callback itself."""
         if self.callback is not None:
+            self._passed += 1
             self.callback(t)
-        else:
-            self.results.append(t)
+            return
+        self.results.append(t)
+        tr = t.trace
+        if tr is not None and self.egress is not None:
+            tr.hop("egress", self.egress)
+            tracing.TRACER.finish(tr, self.egress)
 
     def __repr__(self) -> str:
         return (f"ContinuousQuery({self.name}, over="
@@ -327,6 +351,11 @@ class CACQEngine:
         # on (deliver, probe further partners) before the next row.
         stem = self.stems.get(stream)
         joins = self._pair_factors      # live: a callback may add one
+        deliver = self._deliver
+        footprints = self._footprint_mask     # live: mutated in place
+        # A callback that changes the masks moves the generation, and
+        # the batch stops after that row: the home mask holds till then.
+        home = footprints.get(frozenset((stream,)), 0)
         consumed = n
         try:
             for i in work:
@@ -339,12 +368,13 @@ class CACQEngine:
                 if stem is not None:
                     t.stamp_arrival()
                     stem.build(t)
-                self._deliver(t)
+                if home:
+                    deliver(t, home)
                 if joins:
                     worklist = self._probe_partners(t)
                     while worklist:
                         match = worklist.pop()
-                        self._deliver(match)
+                        deliver(match, footprints.get(match.sources, 0))
                         worklist.extend(self._probe_partners(match))
                 if self.generation != generation:
                     consumed = i + 1
@@ -420,19 +450,32 @@ class CACQEngine:
                     matches.append(joined)
         return matches
 
-    def _deliver(self, t: Tuple) -> None:
-        eligible = t.queries & self._footprint_mask.get(t.sources, 0)
+    def _deliver(self, t: Tuple, footprint_mask: int) -> None:
+        """Hand ``t`` to each query in its lineage whose footprint is
+        ``footprint_mask``'s and whose residual holds.  The two sinks: a
+        query with no callback gets an untraced row appended to its
+        list here; a callback or a sampled row goes through
+        :meth:`ContinuousQuery.deliver`."""
+        eligible = t.queries & footprint_mask
         queries = self.queries
-        while eligible:
-            low = eligible & -eligible
-            eligible ^= low
-            # A callback may have cancelled a later query mid-delivery.
-            query = queries.get(low.bit_length() - 1)
-            if query is None:
-                continue
-            if query.residual is ALWAYS_TRUE or query.residual.matches(t):
-                query.deliver(t)
-                self.results_out += 1
+        plain = t.trace is None
+        n = 0
+        try:
+            while eligible:
+                low = eligible & -eligible
+                eligible ^= low
+                # A callback may have cancelled a later query mid-delivery.
+                query = queries.get(low.bit_length() - 1)
+                if query is None:
+                    continue
+                if query.residual is ALWAYS_TRUE or query.residual.matches(t):
+                    n += 1
+                    if plain and query.callback is None:
+                        query.results.append(t)
+                    else:
+                        query.deliver(t)
+        finally:
+            self.results_out += n
 
     # -- introspection ---------------------------------------------------------
     def stats(self) -> Dict[str, Any]:

@@ -78,9 +78,15 @@ class Cursor:
         self.client = client
         self.on_result = on_result
         self._out: PushQueue = PushQueue(name=f"out[{cursor_id}]")
+        #: a pull continuous cursor's buffer: its CACQ query appends
+        #: results here, and they stay after a cancel or an engine
+        #: merge.  Such a cursor never uses ``_out``.
+        self._results: List[Tuple] = []
         self._windows: List[TypingTuple[int, List[Tuple]]] = []
         self.closed = False
-        self.delivered = 0
+        #: results delivered other than into ``_results``, plus those
+        #: fetched out of it.
+        self._delivered = 0
         #: set for continuous cursors: the underlying CACQ query and
         #: the shared engine it is registered in.
         self.continuous_query: Optional[ContinuousQuery] = None
@@ -94,9 +100,14 @@ class Cursor:
         #: set for windowed cursors: the incremental execution state.
         self._windowed_state: Optional["_WindowedQueryState"] = None
 
+    @property
+    def delivered(self) -> int:
+        """Results delivered to this cursor, fetched or still buffered."""
+        return self._delivered + len(self._results)
+
     # -- engine side -------------------------------------------------------
     def _deliver(self, t: Tuple) -> None:
-        self.delivered += 1
+        self._delivered += 1
         tr = t.trace
         if tr is not None:
             query = f"cursor{self.cursor_id}"
@@ -108,7 +119,7 @@ class Cursor:
             self._out.push(t)
 
     def _deliver_window(self, t: int, rows: List[Tuple]) -> None:
-        self.delivered += len(rows)
+        self._delivered += len(rows)
         if tracing.TRACER.active:
             query = f"cursor{self.cursor_id}"
             for row in rows:
@@ -126,10 +137,22 @@ class Cursor:
         computed windows into row order, so a client that does not care
         about window boundaries never needs :meth:`fetch_windows`.
         """
+        results = self._results
+        # PushQueue.__bool__ is always True: ask its deque.
+        if not results and not self._out._items and not self._windows:
+            return []
+        if results:
+            if limit and limit < len(results):
+                rows = results[:limit]
+                del results[:limit]
+            else:
+                rows = results[:]
+                results.clear()
+            self._delivered += len(rows)
+            return rows
         out = self._out
-        if self.kind == "windowed":
-            for _t, rows in self.fetch_windows():
-                out.push_many(rows)
+        for _t, rows in self.fetch_windows():
+            out.push_many(rows)
         return out.pop_many(limit or _NO_LIMIT)
 
     def fetchall(self) -> List[Tuple]:
@@ -152,7 +175,8 @@ class Cursor:
         return out
 
     def pending(self) -> int:
-        return len(self._out) + sum(len(r) for _t, r in self._windows)
+        return (len(self._results) + len(self._out)
+                + sum(len(r) for _t, r in self._windows))
 
     def explain(self, analyze: bool = False) -> Dict[str, Any]:
         """The live plan behind this cursor (see
@@ -526,11 +550,7 @@ class TelegraphCQServer:
                     "continuous queries must range over streams only")
         root = self.executor.footprints.class_of(streams)
         engine = self._engine_for_class(root, streams)
-        cq = engine.add_query(list(streams), compiled.predicate,
-                              callback=cursor._deliver,
-                              name=f"cursor{cursor.cursor_id}")
-        cursor.continuous_query = cq
-        cursor._engine = engine
+        self._attach(engine, streams, compiled.predicate, cursor)
         self._cq_registry[cursor.cursor_id] = (streams, compiled.predicate,
                                                cursor)
         self._readers.clear()
@@ -577,12 +597,27 @@ class TelegraphCQServer:
                         merged.register_stream(
                             self.catalog.lookup(s).schema)
                         seen_streams.add(s)
-                cursor.continuous_query = merged.add_query(
-                    list(streams), predicate, callback=cursor._deliver,
-                    name=f"cursor{cursor.cursor_id}")
-                cursor._engine = merged
+                self._attach(merged, streams, predicate, cursor)
         self._cacq[root] = merged
         return merged
+
+    @staticmethod
+    def _attach(engine: CACQEngine, streams: Sequence[str],
+                predicate: Predicate, cursor: Cursor) -> None:
+        """Register ``cursor``'s query in ``engine``.  A push cursor's
+        results go through its callback; a pull cursor's query appends
+        into the cursor's own list, so a retired engine still finishing
+        the row that merged it delivers to the same place."""
+        name = f"cursor{cursor.cursor_id}"
+        if cursor.on_result is not None:
+            cq = engine.add_query(list(streams), predicate,
+                                  callback=cursor._deliver, name=name)
+        else:
+            cq = engine.add_query(list(streams), predicate, name=name)
+            cq.results = cursor._results
+            cq.egress = name
+        cursor.continuous_query = cq
+        cursor._engine = engine
 
     def cancel(self, cursor: Cursor) -> None:
         """Stop the query behind a cursor and retire the cursor from its

@@ -242,7 +242,11 @@ class FjordQueue:
     def __len__(self) -> int:
         return len(self._items)
 
-    def __bool__(self) -> bool:  # truthiness == "has data", len may be 0
+    def __bool__(self) -> bool:
+        # A queue is truthy whether or not it holds data: without this,
+        # ``__len__`` would make an empty queue falsy and ``if q`` /
+        # ``q or default`` would read "no queue attached".  Ask for data
+        # with ``len(q)``, ``has_ready_data()`` or ``q._items``.
         return True
 
     @property

@@ -131,26 +131,27 @@ class TestUnifiedFetch:
         import repro.monitor.tracing as tracing
         server = make_server()
         cur = server.submit("SELECT * FROM trades WHERE price > 1")
-        queue = cur._out
         assert cur.fetch() == [] and cur.fetch(limit=3) == []
-        assert queue.stats.dequeued == 0
         tracing.TRACER.configure(sample_every=1)
         try:
             server.push_rows("trades", [("A", float(p)) for p in range(7)])
+            assert (cur.delivered, cur.pending()) == (5, 5)
             first = cur.fetch(limit=2)
+            assert (cur.delivered, cur.pending()) == (5, 3)
             rest = cur.fetch()
         finally:
             tracing.TRACER.configure(sample_every=0)
             tracing.TRACER.reset()
         assert [t["price"] for t in first + rest] == [2.0, 3.0, 4.0, 5.0, 6.0]
         assert len(first) == 2 and cur.fetch() == []
-        assert queue.stats.dequeued == queue.stats.enqueued == 5
-        name = f"out[{cur.cursor_id}]"
+        assert (cur.delivered, cur.pending()) == (5, 0)
+        # A pull cursor's rows never pass through its fjord queue: the
+        # trace closes at delivery, egress is the last hop.
+        assert cur._out.stats.enqueued == 0
         for t in first + rest:
             kinds = [(h.kind, h.site, h.detail) for h in t.trace.hops]
-            assert kinds[-3:] == [("egress", f"cursor{cur.cursor_id}", ""),
-                                  ("queue", name, "in"),
-                                  ("queue", name, "out")]
+            assert kinds[-1] == ("egress", f"cursor{cur.cursor_id}", "")
+            assert t.trace.finished_at is not None
 
     def test_queue_attribute_is_gone(self):
         # The deprecated ``_queue`` escape hatch is removed: fetch /
