@@ -17,9 +17,10 @@ removed while data is flowing (the robustness requirement of Section
 1.1).
 
 There is one data path, :meth:`CACQEngine.push_batch`: a batch of one
-stream's tuples meets each grouped filter once (the batch's lineage is a
-column of masks, one per row), and the survivors then build, deliver and
-probe one by one in arrival order.  A single tuple is a batch of one.
+stream's rows meets each grouped filter once, on the rows' values (the
+batch's lineage is a column of masks, one per row), and the survivors
+then become tuples and build, deliver and probe one by one in arrival
+order.  A single tuple is a batch of one.
 
 The engine is deliberately independent of the Fjord scheduler so it can
 be benchmarked head-to-head against the per-query and NiagaraCQ-style
@@ -32,12 +33,13 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from collections import defaultdict
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple as TypingTuple
+from typing import (Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Set,
+                    Tuple as TypingTuple, Union)
 
 import repro.monitor.tracing as tracing
 from repro.core.grouped_filter import GroupedFilter
 from repro.core.stem import SteM
-from repro.core.tuples import Schema, Tuple
+from repro.core.tuples import Rows, Schema, Tuple
 from repro.errors import QueryError
 from repro.monitor.telemetry import get_registry
 from repro.query.predicates import (ALWAYS_TRUE, ColumnComparison, Comparison,
@@ -292,21 +294,30 @@ class CACQEngine:
 
     def push_tuple(self, stream: str, t: Tuple) -> None:
         """Route one already-built tuple: a batch of one."""
-        self.push_batch(stream, [t])
+        self.push_batch(stream, Rows.of((t,)))
 
-    def push_batch(self, stream: str, tuples: Sequence[Tuple]) -> int:
-        """Route a batch of ``stream``'s tuples, in arrival order,
-        through the super-query; results go to each query's callback /
-        results list.
+    def push_batch(self, stream: str,
+                   rows: Union[Rows, Sequence[Tuple]]) -> int:
+        """Route a batch of ``stream``'s rows (a
+        :class:`~repro.core.tuples.Rows`, or already-built tuples), in
+        arrival order, through the super-query; results go to each
+        query's callback / results list.
+
+        The filters read the rows' values; a row becomes a
+        :class:`Tuple` at its turn, and only if some query still wants
+        it (a row that already is one is used itself).
 
         Returns how many rows were consumed.  That is all of them unless
         a result callback admitted or cancelled a query: the change must
-        take effect at the next tuple, so routing stops after the row
-        that caused it and the caller pushes ``tuples[consumed:]`` again
+        take effect at the next row, so routing stops after the row
+        that caused it and the caller pushes ``rows[consumed:]`` again
         (to whichever engine reads the stream by then).  Counters move
         for consumed rows only.
         """
-        n = len(tuples)
+        if not isinstance(rows, Rows):
+            rows = Rows.of(rows)
+        values = rows.values
+        n = len(values)
         lineage = self._source_mask.get(stream, 0)
         if not lineage or not n:
             self.tuples_in += n
@@ -319,7 +330,7 @@ class CACQEngine:
         masks = [lineage] * n
         live: Sequence[int] = range(n)
         stages: List[_Stage] = []
-        index_of = tuples[0].schema.index_of
+        index_of = rows.schema.index_of
         for attr, gf in self._stream_filters.get(stream, ()):
             registered = gf.registered_mask
             # When every reader of the stream is registered here, every
@@ -329,7 +340,9 @@ class CACQEngine:
             if not probed:
                 continue
             pos = index_of(attr)
-            failed = gf.failing_many([tuples[i].values[pos] for i in probed])
+            failed = gf.failing_many(
+                [v[pos] for v in values] if len(probed) == n
+                else [values[i][pos] for i in probed])
             passed: List[int] = []
             for i, mask in zip(probed, failed):
                 mask = masks[i] = masks[i] & ~mask
@@ -340,15 +353,18 @@ class CACQEngine:
                 live = passed if len(probed) == len(live) \
                     else [i for i in live if masks[i]]
         work = live
-        if tracing.TRACER.active:
+        built = rows.built
+        if built and tracing.TRACER.active:
             # Sampled rows report their filter hops when their turn
             # comes, dropped ones included.
-            work = sorted({i for i, t in enumerate(tuples)
+            work = sorted({i for i, t in built.items()
                            if t.trace is not None}.union(live))
-        # 2. per surviving row, in arrival order: build into the home
-        # SteM so later arrivals find it, deliver to selection-only
-        # queries, probe the partner SteMs; composite matches are routed
-        # on (deliver, probe further partners) before the next row.
+        # 2. per surviving row, in arrival order: the row becomes a
+        # tuple, builds into the home SteM so later arrivals find it,
+        # is delivered to selection-only queries and probes the partner
+        # SteMs; composite matches are routed on (deliver, probe further
+        # partners) before the next row.
+        schema, stamps = rows.schema, rows.stamps
         stem = self.stems.get(stream)
         joins = self._pair_factors      # live: a callback may add one
         deliver = self._deliver
@@ -359,14 +375,19 @@ class CACQEngine:
         consumed = n
         try:
             for i in work:
-                t = tuples[i]
-                if t.trace is not None:
-                    self._trace_filters(stream, t.trace, i, stages)
-                if not masks[i]:
-                    continue
-                t.queries = masks[i]
+                mask = masks[i]
+                t = built.get(i) if built else None
+                if t is None:       # a live row, built at its turn
+                    t = Tuple(schema, values[i], stamps[i], 0, mask)
+                else:
+                    if t.trace is not None:
+                        self._trace_filters(stream, t.trace, i, stages)
+                    if not mask:
+                        continue
+                    t.queries = mask
+                    if stem is not None:
+                        t.stamp_arrival()
                 if stem is not None:
-                    t.stamp_arrival()
                     stem.build(t)
                 if home:
                     deliver(t, home)

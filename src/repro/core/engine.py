@@ -32,7 +32,7 @@ from repro.analysis.plan_check import AdmissionContext, check_compiled
 from repro.analysis.report import Diagnostic, PlanCheckWarning
 from repro.core.cacq import CACQEngine, ContinuousQuery
 from repro.core.executor import DispatchUnit, Executor
-from repro.core.tuples import Schema, Tuple
+from repro.core.tuples import Rows, Schema, Tuple
 from repro.core.windows import HistoricalStore
 from repro.errors import ExecutionError, PlanCheckError, QueryError
 from repro.fjords.queues import PushQueue
@@ -302,9 +302,8 @@ class _WindowedQueryState:
             worked = True
         return worked
 
-    def _scan(self, binding: str, lo: int, hi: int) -> List[Tuple]:
-        return self.server._window_tuples(binding, self.objects[binding],
-                                          lo, hi)
+    def _scan(self, binding: str, lo: int, hi: int) -> Rows:
+        return self.server._window_rows(self.objects[binding], lo, hi)
 
     def _ready(self, bounds: Dict[str, TypingTuple[int, int]]) -> bool:
         """A window fires once no more data can arrive inside it: every
@@ -313,7 +312,7 @@ class _WindowedQueryState:
             obj = self.objects[binding]
             if self.server._stream_closed.get(obj, False):
                 continue
-            clock = self.server._stream_clock.get(obj)
+            clock = self.server.ingress[obj].clock
             if clock is None or clock <= hi:
                 return False
         return True
@@ -337,7 +336,6 @@ class TelegraphCQServer:
         self.ingress: Dict[str, IngressPoint] = {}
         self._shedder: Optional[Any] = None
         self.tables: Dict[str, List[Tuple]] = {}
-        self._stream_clock: Dict[str, int] = {}
         self._stream_closed: Dict[str, bool] = {}
         #: one shared CQ engine per footprint-class root.
         self._cacq: Dict[str, CACQEngine] = {}
@@ -390,19 +388,23 @@ class TelegraphCQServer:
     # -- ingress (the Wrapper role) ------------------------------------------------
     def push_rows(self, stream: str, rows: Sequence[Sequence[Any]],
                   timestamp: Optional[int] = None) -> Dict[str, int]:
-        """The batch door: rows become timestamped tuples here and
-        nowhere else.  Row ``i`` is stamped ``timestamp + i``, or
-        continues the stream's clock when no base is given.
+        """The batch door: rows become validated, timestamped values
+        here and nowhere else.  Row ``i`` is stamped ``timestamp + i``,
+        or continues the stream's clock when no base is given.  A row
+        becomes a :class:`Tuple` only where something needs one (a query
+        keeps it, a window scans it, a trace samples it).
 
         All or nothing: an unknown or closed stream, a table name, a
-        malformed row or a timestamp behind the store rejects the whole
-        batch before the store, the clock or any counter moves.
-        Returns ``{"pushed": n, "shed": m}``.
+        malformed row or a timestamp behind the stream's clock rejects
+        the whole batch before the store, the clock or any counter
+        moves.  Returns ``{"pushed": n, "shed": m}``.
         """
         schema = self._open_stream(stream)
+        values = schema.validate(rows)
         first = timestamp if timestamp is not None else \
-            self._stream_clock.get(stream, 0) + 1
-        return self._admit(stream, schema.make_many(rows, first))
+            (self.ingress[stream].clock or 0) + 1
+        return self._admit(stream, Rows(schema, values,
+                                        range(first, first + len(values))))
 
     def push(self, stream: str, *values: Any,
              timestamp: Optional[int] = None) -> None:
@@ -411,7 +413,7 @@ class TelegraphCQServer:
     def push_tuple(self, stream: str, t: Tuple) -> None:
         """Admit one already-built tuple through the stream's door."""
         self._open_stream(stream)
-        self._admit(stream, [t])
+        self._admit(stream, Rows.of((t,)))
 
     def _open_stream(self, stream: str) -> Schema:
         entry = self.catalog.lookup(stream)
@@ -421,19 +423,18 @@ class TelegraphCQServer:
             raise ExecutionError(f"stream {stream!r} is closed")
         return entry.schema
 
-    def _admit(self, stream: str, batch: List[Tuple]) -> Dict[str, int]:
+    def _admit(self, stream: str, batch: Rows) -> Dict[str, int]:
         with self._telemetry.trace("ingress", stream=stream):
             pushed = self.ingress[stream].admit(batch)
         return {"pushed": pushed, "shed": len(batch) - pushed}
 
-    def _route_batch(self, stream: str, batch: List[Tuple]) -> None:
-        """The ingress point's consumer: advance the stream clock and
-        hand the admitted batch, itself, to the engine reading the
-        stream (a stream belongs to one footprint class, so to one
-        engine).  A result callback may admit, cancel or merge engines
-        mid-batch; the engine then stops after that row, and the rest
-        goes to whichever engine reads the stream by then."""
-        self._stream_clock[stream] = batch[-1].timestamp
+    def _route_batch(self, stream: str, batch: Rows) -> None:
+        """The ingress point's consumer: hand the admitted batch,
+        itself, to the engine reading the stream (a stream belongs to
+        one footprint class, so to one engine).  A result callback may
+        admit, cancel or merge engines mid-batch; the engine then stops
+        after that row, and the rest goes to whichever engine reads the
+        stream by then."""
         readers = self._readers
         while batch:
             if stream not in readers:
@@ -530,9 +531,8 @@ class TelegraphCQServer:
         """A plan with no WindowIs — every binding a static table —
         evaluated once over the tables as they stand."""
         plan = WindowedPlan(compiled, None, self.catalog)
-        for row in plan.evaluate({
-                binding: self._rebind(self.tables[obj], binding, obj)
-                for binding, obj in compiled.bindings}):
+        for row in plan.evaluate({binding: self.tables[obj]
+                                  for binding, obj in compiled.bindings}):
             cursor._deliver(row)
         self.cancel(cursor)
 
@@ -660,26 +660,17 @@ class TelegraphCQServer:
             ready=state.ready, query_class=cursor.client)
         self.executor.enqueue_plan(compiled.footprint, du)
 
-    def _window_tuples(self, binding: str, obj: str,
-                       lo: int, hi: int) -> List[Tuple]:
-        """``obj``'s rows stamped ``lo..hi``, under ``binding``."""
+    def _window_rows(self, obj: str, lo: int, hi: int) -> Rows:
+        """``obj``'s rows stamped ``lo..hi``."""
         if obj in self.stores:
-            raw = self.stores[obj].scan(lo, hi)
-        else:
-            # A table row is stamped with its position (see insert).
-            raw = self.tables[obj][max(lo, 0):max(hi + 1, 0)]
-        return self._rebind(raw, binding, obj)
-
-    def _rebind(self, tuples: List[Tuple], binding: str,
-                obj: str) -> List[Tuple]:
-        if binding == obj:
-            return list(tuples)
-        alias_schema = self.catalog.alias_schema(obj, binding)
-        return [Tuple(alias_schema, t.values, timestamp=t.timestamp)
-                for t in tuples]
+            return self.stores[obj].rows(lo, hi)
+        # A table row is stamped with its position (see insert).
+        return Rows.of(self.tables[obj][max(lo, 0):max(hi + 1, 0)],
+                       self.catalog.lookup(obj).schema)
 
     def _global_clock(self) -> int:
-        return max(self._stream_clock.values(), default=0)
+        return max((point.clock for point in self.ingress.values()
+                    if point.clock is not None), default=0)
 
     # -- driving the executor -------------------------------------------------------
     def step(self, batch: int = 16) -> StepResult:

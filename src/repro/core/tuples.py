@@ -10,6 +10,10 @@ the paper):
   in the tuple (CACQ tuple lineage).  A cleared bit means some predicate
   of that query rejected the tuple.
 
+A row that enters through the door stays a plain value tuple
+(:class:`Rows`) until something needs it as a :class:`Tuple` — a query
+that keeps it, a window that scans it, a trace that samples it.
+
 Schemas are deliberately lightweight: a named, ordered list of columns.
 Joins concatenate schemas; the resulting *composite* tuple remembers the
 set of sources it spans, which is what a SteM needs to distinguish build
@@ -20,7 +24,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple as TypingTuple
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple as TypingTuple)
 
 from repro.core import columnar
 from repro.core.columnar import ColumnStore
@@ -127,16 +132,14 @@ class Schema:
     def column_names(self) -> List[str]:
         return [c.name for c in self.columns]
 
-    def make_many(self, rows: Iterable[Sequence[Any]],
-                  first_timestamp: int) -> List["Tuple"]:
-        """Build one tuple per row, row ``i`` stamped
-        ``first_timestamp + i``.
+    def validate(self, rows: Iterable[Sequence[Any]]) -> List[TypingTuple[Any, ...]]:
+        """The rows as value tuples, checked against this schema.
 
         All or nothing: arity and dtypes are checked over the whole
-        batch (once per column, not once per value) before the first
-        tuple exists; the :class:`SchemaError` names the offending row.
+        batch (once per column, not once per value) before it is
+        returned; the :class:`SchemaError` names the offending row.
         """
-        batch = [tuple(row) for row in rows]
+        batch = list(map(tuple, rows))
         ok = set(map(len, batch)) <= {len(self.columns)}
         for pos, col in enumerate(self.columns):
             if ok and col.dtype is not object:
@@ -148,8 +151,7 @@ class Schema:
                     self.make(*values)
                 except SchemaError as exc:
                     raise SchemaError(f"row {i}: {exc}") from None
-        return [Tuple(self, values, first_timestamp + i)
-                for i, values in enumerate(batch)]
+        return batch
 
     def make(self, *values: Any, timestamp: Optional[int] = None) -> "Tuple":
         """Build a tuple of this schema, validating arity and dtypes."""
@@ -269,10 +271,12 @@ class Tuple:
         return self.schema.sources
 
     def stamp_arrival(self) -> None:
-        """Re-date a base tuple built ahead of its turn (a batch is
-        built whole, then routed row by row): SteM probes order tuples
-        by ``max_base``, and a tuple pushed by a result callback in the
-        middle of the batch did arrive before the rows still waiting."""
+        """Re-date a base tuple built ahead of its turn: SteM probes
+        order tuples by ``max_base``, and a tuple pushed by a result
+        callback in the middle of a batch did arrive before the rows
+        still waiting.  A row the door builds at its turn is already in
+        arrival order; only a pre-built one (``push_tuple``, a sampled
+        row, a row a dropping shedder classified) needs this."""
         self.max_base = next(_tuple_ids)
 
     def mark_done(self, module_bit: int) -> None:
@@ -343,6 +347,97 @@ class Tuple:
             f"{c.name}={v!r}" for c, v in zip(self.schema.columns, self.values))
         ts = f" @{self.timestamp}" if self.timestamp is not None else ""
         return f"Tuple({pairs}{ts})"
+
+
+class Rows:
+    """One schema's rows as values: what the door, the historical store
+    and CACQ's filter phase carry.
+
+    ``values[i]`` is row ``i``'s value tuple and ``stamps[i]`` its
+    timestamp; ``built`` maps a row's index to its :class:`Tuple` when
+    the row already exists as one (it arrived built, was sampled for
+    tracing or was classified by a shedder).  Such a row is that one
+    object everywhere from then on; any other row is built only where a
+    query keeps it.
+
+    A ``Rows`` also reads as a sequence of tuples, for consumers written
+    against one (a duck-typed shedder, a fjord queue): indexing or
+    iterating builds the rows it reaches and remembers them in
+    ``built``.
+    """
+
+    __slots__ = ("schema", "values", "stamps", "built")
+
+    def __init__(self, schema: Optional[Schema],
+                 values: List[TypingTuple[Any, ...]],
+                 stamps: Sequence[Optional[int]],
+                 built: Optional[Dict[int, Tuple]] = None):
+        self.schema = schema
+        self.values = values
+        self.stamps = stamps
+        self.built: Dict[int, Tuple] = {} if built is None else built
+
+    @classmethod
+    def of(cls, tuples: Iterable[Tuple],
+           schema: Optional[Schema] = None) -> "Rows":
+        """Already-built tuples as rows (every one of them ``built``)."""
+        rows = list(tuples)
+        return cls(rows[0].schema if rows else schema,
+                   [t.values for t in rows], [t.timestamp for t in rows],
+                   dict(enumerate(rows)))
+
+    def at(self, i: int) -> Tuple:
+        """Row ``i`` as a :class:`Tuple`: built on first need, then
+        remembered."""
+        t = self.built.get(i)
+        if t is None:
+            t = self.built[i] = Tuple(self.schema, self.values[i],
+                                      self.stamps[i])
+        return t
+
+    def tuples(self, schema: Optional[Schema] = None,
+               keep: Optional[Callable[[TypingTuple[Any, ...]], bool]] = None
+               ) -> List[Tuple]:
+        """The rows whose values pass ``keep`` (all of them when None),
+        as tuples of ``schema`` (default: the batch's).  A row that
+        exists as a tuple of that schema is that tuple; the others are
+        built for the caller and not remembered."""
+        if schema is None:
+            schema = self.schema
+        values, stamps, built = self.values, self.stamps, self.built
+        if not built:
+            if keep is None:
+                return [Tuple(schema, v, ts) for v, ts in zip(values, stamps)]
+            return [Tuple(schema, v, ts) for v, ts in zip(values, stamps)
+                    if keep(v)]
+        out = []
+        for i, (v, ts) in enumerate(zip(values, stamps)):
+            if keep is None or keep(v):
+                t = built.get(i)
+                out.append(t if t is not None and t.schema == schema
+                           else Tuple(schema, v, ts))
+        return out
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, key: Any) -> Any:
+        """``rows[i]`` is :meth:`at`; ``rows[a:b]`` the rows in that
+        slice (their built tuples with them)."""
+        positions = range(len(self.values))[key]
+        if isinstance(key, slice):
+            built = self.built
+            return Rows(self.schema, self.values[key], self.stamps[key],
+                        {j: built[i] for j, i in enumerate(positions)
+                         if i in built} if built else {})
+        return self.at(positions)
+
+    def __iter__(self) -> Iterator[Tuple]:
+        return map(self.at, range(len(self.values)))
+
+    def __repr__(self) -> str:
+        name = "|".join(sorted(self.schema.sources)) if self.schema else ""
+        return f"Rows<{name}>(n={len(self)}, built={len(self.built)})"
 
 
 def joined_timestamp(left: Tuple, right: Tuple) -> Optional[int]:

@@ -18,7 +18,7 @@ provides:
   :class:`WindowInstance` objects; constructors for the paper's query
   classes (snapshot, landmark, sliding/hopping, backward-moving, and
   band-join windows);
-* :class:`HistoricalStore` — an ordered per-stream tuple log supporting
+* :class:`HistoricalStore` — an ordered per-stream row log supporting
   efficient timestamp range scans (the "scanner driven by window
   descriptors" of Section 4.2.3).
 
@@ -35,9 +35,10 @@ timestamp order.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import (Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple as TypingTuple)
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple as TypingTuple, Union)
 
-from repro.core.tuples import Tuple
+from repro.core.tuples import Rows, Schema, Tuple
 from repro.errors import QueryError
 from repro.monitor import telemetry
 
@@ -233,71 +234,119 @@ class ForLoopSpec:
         return False
 
 
+def check_order(where: str, stamps: Sequence[Optional[int]],
+                last: Optional[int]) -> None:
+    """Raise :class:`QueryError` unless every stamp is present and they
+    are non-decreasing from ``last`` (None: no earlier stamp)."""
+    if isinstance(stamps, range) and stamps.step > 0:
+        stamps = stamps[:1]          # increasing: only the first can fail
+    for ts in stamps:
+        if ts is None:
+            raise QueryError(f"{where}: windowed tuples need timestamps")
+        if last is not None and ts < last:
+            raise QueryError(
+                f"{where}: out-of-order timestamp {ts} after {last}")
+        last = ts
+
+
 class HistoricalStore:
-    """An append-only, timestamp-ordered tuple log for one stream.
+    """An append-only, timestamp-ordered log of one stream's rows.
 
     Backs windows over "the portion of the stream that has already
     arrived".  Appends must be non-decreasing in timestamp; range scans
     bisect on timestamps, so a scan is O(log n + answer).
+
+    A row is kept as its value tuple and timestamp, which the garbage
+    collector never walks; the :class:`Tuple` of a row that exists as
+    one (it arrived built, was sampled for tracing or classified by a
+    shedder) is kept beside them, so a scan hands back that object.
     """
 
     def __init__(self, stream: str):
         self.stream = stream
-        self._tuples: List[Tuple] = []
+        #: the schema rows are built under by :meth:`scan` (the first
+        #: batch's).
+        self.schema: Optional[Schema] = None
+        self._values: List[TypingTuple] = []
         self._timestamps: List[int] = []
-
-    def _check_order(self, stamps: Iterable[Optional[int]]) -> None:
-        last = self._timestamps[-1] if self._timestamps else None
-        for ts in stamps:
-            if ts is None:
-                raise QueryError(
-                    f"stream {self.stream!r}: windowed tuples need timestamps")
-            if last is not None and ts < last:
-                raise QueryError(
-                    f"stream {self.stream!r}: out-of-order timestamp "
-                    f"{ts} after {last}")
-            last = ts
+        #: the rows that exist as tuples: their positions counted from
+        #: the first row ever appended (ascending), and the tuples.
+        self._built_at: List[int] = []
+        self._built: List[Tuple] = []
+        #: rows truncated so far: the position of ``_values[0]``.
+        self._dropped = 0
 
     def append(self, t: Tuple) -> None:
-        self._check_order((t.timestamp,))
-        self._tuples.append(t)
+        """Append one already-built tuple (kept as itself)."""
+        check_order(f"stream {self.stream!r}", (t.timestamp,),
+                    self.latest_timestamp())
+        if self.schema is None:
+            self.schema = t.schema
+        self._built_at.append(self._dropped + len(self._values))
+        self._built.append(t)
+        self._values.append(t.values)
         self._timestamps.append(t.timestamp)
         HISTORY_TOTALS.appends += 1
 
-    def extend(self, tuples: Iterable[Tuple]) -> None:
+    def extend(self, rows: Union[Rows, Iterable[Tuple]]) -> None:
         """Append a batch, all or nothing: every timestamp is checked
-        before the first tuple is stored."""
-        batch = list(tuples)
-        stamps = [t.timestamp for t in batch]
-        self._check_order(stamps)
-        self._tuples.extend(batch)
+        before the first row is stored."""
+        if not isinstance(rows, Rows):
+            rows = Rows.of(rows)
+        stamps = rows.stamps
+        check_order(f"stream {self.stream!r}", stamps,
+                    self.latest_timestamp())
+        if self.schema is None:
+            self.schema = rows.schema
+        if rows.built:
+            base = self._dropped + len(self._values)
+            for i in sorted(rows.built):
+                self._built_at.append(base + i)
+                self._built.append(rows.built[i])
+        self._values.extend(rows.values)
         self._timestamps.extend(stamps)
-        HISTORY_TOTALS.appends += len(batch)
+        HISTORY_TOTALS.appends += len(rows.values)
 
-    def scan(self, left: int, right: int) -> List[Tuple]:
-        """All tuples with ``left <= timestamp <= right``."""
+    def rows(self, left: int, right: int) -> Rows:
+        """The rows with ``left <= timestamp <= right``, as values."""
         lo = bisect_left(self._timestamps, left)
         hi = bisect_right(self._timestamps, right)
         HISTORY_TOTALS.scans += 1
         HISTORY_TOTALS.tuples_scanned += hi - lo
-        return self._tuples[lo:hi]
+        built = {}
+        if self._built_at:
+            first = self._dropped + lo
+            a = bisect_left(self._built_at, first)
+            b = bisect_left(self._built_at, self._dropped + hi)
+            built = {at - first: t for at, t in
+                     zip(self._built_at[a:b], self._built[a:b])}
+        return Rows(self.schema, self._values[lo:hi],
+                    self._timestamps[lo:hi], built)
+
+    def scan(self, left: int, right: int) -> List[Tuple]:
+        """All rows with ``left <= timestamp <= right``, as tuples."""
+        return self.rows(left, right).tuples()
 
     def latest_timestamp(self) -> Optional[int]:
         return self._timestamps[-1] if self._timestamps else None
 
     def truncate_before(self, timestamp: int) -> int:
-        """Discard tuples older than ``timestamp``; returns the count.
+        """Discard rows older than ``timestamp``; returns the count.
 
         The storage manager calls this once no standing window can reach
         that far back.
         """
         cut = bisect_left(self._timestamps, timestamp)
         if cut:
-            del self._tuples[:cut]
+            del self._values[:cut]
             del self._timestamps[:cut]
+            self._dropped += cut
+            gone = bisect_left(self._built_at, self._dropped)
+            del self._built_at[:gone]
+            del self._built[:gone]
             HISTORY_TOTALS.truncated += cut
         return cut
 
     def __len__(self) -> int:
-        return len(self._tuples)
+        return len(self._values)
 

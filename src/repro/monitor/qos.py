@@ -79,11 +79,13 @@ class LoadShedder:
         return self.drop_rate
 
     # -- admission ---------------------------------------------------------------
-    def admit(self, batch: Sequence[Tuple]) -> List[Tuple]:
-        """Filter a batch according to the current drop rate."""
+    def admit(self, batch: Sequence[Tuple]) -> Sequence[Tuple]:
+        """Filter a batch according to the current drop rate: the kept
+        tuples, or the batch itself, untouched, when nothing is dropped
+        (so an idle shedder reads no row)."""
         if self.drop_rate <= 0.0 or self.policy == "none":
             self.admitted += len(batch)
-            return list(batch)
+            return batch
         if self.policy == "random":
             kept = [t for t in batch if self._rng.random() >= self.drop_rate]
         else:

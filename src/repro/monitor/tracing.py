@@ -164,15 +164,15 @@ class Tracer:
         the disabled cost is one attribute test; the enabled-but-unsampled
         cost is one counter bump plus one modulo compare.
         """
-        if not self.active:
+        if not self.active or not self.due():
             return None
-        if next(self._arrivals) % self.sample_every:
-            return None
-        tr = TraceContext(next(self._ids), source)
-        tr.hop("ingress", source or "ingress")
-        t.trace = tr
-        self.started += 1
+        tr = t.trace = self.start(source)
         return tr
+
+    def due(self) -> bool:
+        """Count one arrival; True when it is the Nth (its trace should
+        start).  For a door that decides before it builds the tuple."""
+        return not next(self._arrivals) % self.sample_every
 
     def start(self, source: str = "") -> TraceContext:
         """Unconditionally start a trace (tests, ad-hoc probes)."""

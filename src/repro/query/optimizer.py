@@ -25,7 +25,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple as Typin
 
 from repro.core.aggregates import make_aggregate
 from repro.core.stem import SteM
-from repro.core.tuples import Column, Schema, Tuple, joined_timestamp
+from repro.core.tuples import Column, Rows, Schema, Tuple, joined_timestamp
 from repro.core.windows import ForLoopSpec, WindowIs
 from repro.errors import QueryError
 from repro.query.ast import ForLoopClause, QuerySpec
@@ -33,8 +33,9 @@ from repro.query.catalog import Catalog
 from repro.query.predicates import (And, Check, ColumnComparison, Locate, Predicate,
                                     rewrite_columns)
 
-#: ``scan(binding, lo, hi)``: the binding's rows stamped ``lo..hi``.
-Scan = Callable[[str, int, int], Sequence[Tuple]]
+#: ``scan(binding, lo, hi)``: the rows of the binding's object stamped
+#: ``lo..hi``.
+Scan = Callable[[str, int, int], Rows]
 
 #: Comparison functions for loop conditions.
 _CONDITIONS: Dict[str, Callable[[int, int], bool]] = {
@@ -157,6 +158,7 @@ class WindowedPlan:
         self._stems: Dict[str, SteM] = {}
         self._last: Dict[str, TypingTuple[int, int]] = {}
         # Bound at the first window (see _bind).
+        self._schemas: Dict[str, Schema] = {}
         self._filters: Dict[str, Optional[Check]] = {}
         self._steps: List[_JoinStep] = []
         self._star = False
@@ -244,26 +246,26 @@ class WindowedPlan:
             self._last[binding] = (lo, hi)
         return self._output()
 
-    def evaluate(self, window_data: Dict[str, List[Tuple]]) -> List[Tuple]:
+    def evaluate(self, window_data: Dict[str, Sequence[Tuple]]) -> List[Tuple]:
         """filters -> join -> aggregate/distinct/sort -> project over one
         window's tuples per binding, fed to the standing state from
         empty: a pure function of ``window_data``."""
         self._bind()
         self._last.clear()
         for binding in self._names:
-            self._slide(binding, None, window_data.get(binding, ()))
+            self._slide(binding, None, Rows.of(window_data.get(binding, ())))
         return self._output()
 
     def _slide(self, binding: str, keep_from: Optional[int],
-               rows: Sequence[Tuple]) -> None:
+               rows: Rows) -> None:
         """Forget ``binding``'s rows stamped before ``keep_from`` (all of
-        them when None); filter ``rows`` and build the survivors in."""
+        them when None); filter ``rows`` on their values and build the
+        survivors in, as tuples of the binding's own schema."""
         stem = self._stems[binding]
         stem.evict_before(keep_from)
-        check = self._filters[binding]
-        for t in rows:
-            if check is None or check(t.values):
-                stem.build(t)
+        build = stem.build
+        for t in rows.tuples(self._schemas[binding], self._filters[binding]):
+            build(t)
 
     def _bind(self) -> None:
         """Bind the body to positions, once: local filters, join steps
@@ -280,6 +282,7 @@ class WindowedPlan:
                    for b, obj in self.compiled.bindings]
         offsets = [sum(len(s) for s in schemas[:i])
                    for i in range(len(schemas))]
+        self._schemas = dict(zip(names, schemas))
 
         def locator(base: int) -> Locate:
             def locate(column: str) -> Optional[int]:

@@ -4,12 +4,17 @@ Whatever mix of the three a client uses, and however rows are grouped
 into batches, the server must end up exactly where it would have been
 had the same rows been pushed one ``push`` at a time: identical
 per-cursor result *sequences*, store contents and timestamps,
-``IngressPoint.accepted`` and ``tcq_server_ingress_tuples_total``.
+``IngressPoint.accepted`` / ``shed``, stream clocks,
+``tcq_server_ingress_tuples_total`` and the hops of every sampled row —
+with sampled tracing on or off and a dropping shedder in front or not.
 """
+
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.monitor.tracing as tracing
 from repro.analysis.report import PlanCheckWarning
 from repro.core.engine import TelegraphCQServer
 from repro.core.tuples import Schema
@@ -25,24 +30,57 @@ JOIN_SQL = "SELECT * FROM a, b WHERE a.k = b.k"
 WINDOWED_SQL = f"""
     SELECT * FROM b WHERE w > 2
     for (t = 1; t <= {WINDOWS}; t++) {{ WindowIs(b, t - 1, t); }}"""
+# an alias binding: its rows are built under the alias's own schema
+ALIASED_SQL = f"""
+    SELECT x.k, x.v FROM a AS x WHERE x.v > 1
+    for (t = 1; t <= {WINDOWS}; t++) {{ WindowIs(x, t - 2, t); }}"""
 
 
 def flat(t):
     return (t.values, t.timestamp)
 
 
-class Harness:
-    """One server under a private registry, three standing queries."""
+def hops(t):
+    """A sampled row's trip (SteM sites without their instance
+    number), or None for an unsampled one."""
+    if t.trace is None:
+        return None
+    return [(h.kind, re.sub(r"#\d+$", "", h.site), h.detail)
+            for h in t.trace.hops]
 
-    def __init__(self):
+
+class ShedByValue:
+    """A deterministic dropping shedder: it decides on each row alone
+    (the last value a multiple of 3 is shed), so how rows are grouped
+    into batches cannot change what it keeps."""
+
+    @staticmethod
+    def admit(batch):
+        return [t for t in batch if t.values[-1] % 3]
+
+
+def sheds(row, shed):
+    return shed and not row[-1] % 3
+
+
+class Harness:
+    """One server under a private registry, four standing queries;
+    tracing samples every ``sample``-th arrival (0: off)."""
+
+    def __init__(self, sample=0, shed=False):
         self.previous = set_registry(MetricRegistry())
+        tracing.configure_tracing(sample)
+        tracing.TRACER.reset()
         self.srv = TelegraphCQServer()
         for schema in SCHEMAS.values():
             self.srv.create_stream(schema)
+        if shed:
+            self.srv.shed_with(ShedByValue())
         self.cursors = {
             "filter": self.srv.submit(FILTER_SQL),
             "join": self.srv.submit(JOIN_SQL),
             "windowed": self.srv.submit(WINDOWED_SQL, env={"ST": 1}),
+            "aliased": self.srv.submit(ALIASED_SQL, env={"ST": 1}),
         }
         self.clock = {"a": 0, "b": 0}
 
@@ -60,27 +98,37 @@ class Harness:
             srv.close_stream(stream)
         srv.run_until_quiescent()
         snap = srv.telemetry()
+        stored = {s: srv.stores[s].scan(0, 1 << 40) for s in SCHEMAS}
         seen = {
             "results": {
                 name: [flat(t) for t in cur.fetch()]
-                for name, cur in self.cursors.items() if name != "windowed"},
-            "windows": [(t, [flat(r) for r in rows]) for t, rows in
-                        self.cursors["windowed"].fetch_windows()],
-            "stores": {s: [flat(t) for t in srv.stores[s].scan(0, 1 << 40)]
-                       for s in SCHEMAS},
+                for name, cur in self.cursors.items()
+                if name in ("filter", "join")},
+            "windows": {
+                name: [(t, [flat(r) for r in rows]) for t, rows in
+                       self.cursors[name].fetch_windows()]
+                for name in ("windowed", "aliased")},
+            "stores": {s: [flat(t) for t in rows]
+                       for s, rows in stored.items()},
+            "traces": {s: [hops(t) for t in rows]
+                       for s, rows in stored.items()},
             "accepted": {s: srv.ingress[s].accepted for s in SCHEMAS},
+            "shed": {s: srv.ingress[s].shed for s in SCHEMAS},
+            "clocks": {s: srv.ingress[s].clock for s in SCHEMAS},
             "counter": {s: snap.value("tcq_server_ingress_tuples_total",
                                       stream=s) for s in SCHEMAS},
             "ingested": srv.stats()["ingested"],
         }
         srv.close()
+        tracing.configure_tracing(0)
+        tracing.TRACER.reset()
         set_registry(self.previous)
         return seen
 
 
-def run_doors(ops):
+def run_doors(ops, sample=0, shed=False):
     """Each op through the door it names."""
-    h = Harness()
+    h = Harness(sample, shed)
     for door, stream, rows, gap in ops:
         if door == "step":
             h.srv.step()
@@ -89,7 +137,8 @@ def run_doors(ops):
         base = None if gap is None else first
         if door == "push_rows":
             reply = h.srv.push_rows(stream, rows, timestamp=base)
-            assert reply == {"pushed": len(rows), "shed": 0}
+            dropped = sum(sheds(row, shed) for row in rows)
+            assert reply == {"pushed": len(rows) - dropped, "shed": dropped}
         elif door == "push":
             for i, row in enumerate(rows):
                 h.srv.push(stream, *row, timestamp=None if base is None
@@ -101,9 +150,9 @@ def run_doors(ops):
     return h.observe()
 
 
-def run_reference(ops):
+def run_reference(ops, sample=0, shed=False):
     """The same rows, one ``push`` at a time, every timestamp explicit."""
-    h = Harness()
+    h = Harness(sample, shed)
     for door, stream, rows, gap in ops:
         if door == "step":
             h.srv.step()
@@ -123,15 +172,22 @@ op = st.one_of(
               st.one_of(st.none(), st.integers(0, 2))))
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(op, max_size=14))
-def test_every_door_is_the_same_door(ops):
-    got, want = run_doors(ops), run_reference(ops)
+@settings(max_examples=80, deadline=None)
+@given(st.lists(op, max_size=14), st.sampled_from([0, 1, 3]), st.booleans())
+def test_every_door_is_the_same_door(ops, sample, shed):
+    got, want = run_doors(ops, sample, shed), run_reference(ops, sample, shed)
     assert got == want
-    rows_in = {s: sum(len(rows) for _d, stream, rows, _g in ops
-                      if stream == s) for s in SCHEMAS}
-    assert got["accepted"] == rows_in
-    assert got["ingested"] == sum(rows_in.values())
+    rows_in = {s: [row for _d, stream, rows, _g in ops if stream == s
+                   for row in rows] for s in SCHEMAS}
+    dropped = {s: sum(sheds(row, shed) for row in rows)
+               for s, rows in rows_in.items()}
+    assert got["shed"] == dropped
+    assert got["accepted"] == {s: len(rows) - dropped[s]
+                               for s, rows in rows_in.items()}
+    assert got["ingested"] == sum(got["accepted"].values())
+    if sample == 1:
+        assert all(trip is not None for trips in got["traces"].values()
+                   for trip in trips)
 
 
 # -- query-set changes in the middle of a batch ------------------------------

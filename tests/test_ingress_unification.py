@@ -180,7 +180,7 @@ def test_a_malformed_row_rejects_the_whole_batch_before_anything_moves(
     gf = engine.filters[("s", "a")]
 
     def state():
-        return (len(srv.stores["s"]), srv._stream_clock["s"],
+        return (len(srv.stores["s"]), srv.ingress["s"].clock,
                 srv.ingress["s"].accepted, srv.ingress["s"].shed,
                 engine.stats(), gf.probes, gf.seen, gf.passed_count)
 
@@ -194,6 +194,47 @@ def test_a_malformed_row_rejects_the_whole_batch_before_anything_moves(
     conn.push_rows("s", [(True, 0), (7, None)])
     assert [t.timestamp for t in srv.stores["s"].scan(0, 10)] == [1, 2, 3, 4]
     conn.close()
+
+
+class KeepFirstHalf:
+    """A duck-typed shedder: while on, keeps the first half of a batch."""
+
+    def __init__(self):
+        self.on = True
+
+    def admit(self, batch):
+        return batch[:len(batch) // 2] if self.on else batch
+
+
+def test_shed_rows_keep_their_stamps_and_move_the_stream_clock():
+    """The door stamps every row it is offered, shed or not: a later
+    push continues after the shed rows' stamps, a fully shed batch moves
+    the clock too, and a window whose right end a shed tail passed
+    fires."""
+    from repro.client import connect
+    shedder = KeepFirstHalf()
+    with connect() as conn:
+        conn.create_stream("s", "a")
+        srv = conn.server
+        srv.shed_with(shedder)
+        cur = conn.submit("SELECT * FROM s for (t = 1; t <= 5; t++) "
+                          "{ WindowIs(s, t, t); }")
+        assert conn.push_rows("s", [(0,), (1,), (2,), (3,)]) == \
+            {"pushed": 2, "shed": 2}
+        srv.run_until_quiescent()
+        assert [(t, [r.values for r in rows])
+                for t, rows in cur.fetch_windows()] == \
+            [(1, [(0,)]), (2, [(1,)]), (3, [])]
+        assert conn.push_rows("s", [(9,)]) == {"pushed": 0, "shed": 1}
+        srv.run_until_quiescent()
+        assert cur.fetch_windows() == [(4, [])]
+        shedder.on = False
+        conn.push_rows("s", [(10,), (11,), (12,), (13,)])
+        assert [(t.values, t.timestamp) for t in srv.stores["s"].scan(0, 99)] \
+            == [((0,), 1), ((1,), 2), ((10,), 6), ((11,), 7), ((12,), 8),
+                ((13,), 9)]
+        point = srv.ingress["s"]
+        assert (point.accepted, point.shed, point.clock) == (6, 3, 9)
 
 
 def test_network_push_is_the_fourth_door():

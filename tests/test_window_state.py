@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.client import connect
-from repro.core.tuples import Schema, Tuple
+from repro.core.tuples import Rows, Schema, Tuple
 from repro.core.windows import HISTORY_TOTALS
 from repro.monitor.telemetry import MetricRegistry, set_registry
 from repro.query.catalog import Catalog
@@ -190,8 +190,8 @@ def test_one_plan_over_consecutive_windows_equals_nested_loops(
     sql, bindings, names, where, output = CASES[case]
     cat = catalog()
     plan = compile_query(parse(sql), cat).window_plan
-    # Stored rows, one Tuple each for the life of the run, as a store
-    # holds them; an alias binding sees them rebound under its schema.
+    # Stored rows, one Tuple each for the life of the run; the plan
+    # builds an alias binding's rows under the alias's schema itself.
     stored = {schema.name: [Tuple(schema, (k, v), timestamp=ts)
                             for k, v, ts in data.draw(history)]
               for schema in (A, B, C)}
@@ -199,15 +199,10 @@ def test_one_plan_over_consecutive_windows_equals_nested_loops(
     windowed = [b for b, _o in bindings if b not in plan.static_bindings]
     seq = {b: data.draw(bounds_sequence(n_windows)) for b in windowed}
 
-    def rows_of(binding, obj, lo, hi):
+    def rows_of(obj, lo, hi):
         if obj == "d":
-            rows = table[max(lo, 0):max(hi + 1, 0)]
-        else:
-            rows = [t for t in stored[obj] if lo <= t.timestamp <= hi]
-        if binding == obj:
-            return rows
-        schema = cat.alias_schema(obj, binding)
-        return [Tuple(schema, t.values, timestamp=t.timestamp) for t in rows]
+            return table[max(lo, 0):max(hi + 1, 0)]
+        return [t for t in stored[obj] if lo <= t.timestamp <= hi]
 
     objects = dict(bindings)
     for i in range(n_windows):
@@ -217,10 +212,10 @@ def test_one_plan_over_consecutive_windows_equals_nested_loops(
         bounds = {b: seq[b][i] for b in windowed}
         for b in plan.static_bindings:
             bounds[b] = (0, len(table) - 1)
-        out = plan.window(bounds, lambda b, lo, hi: rows_of(
-            b, objects[b], lo, hi))
+        out = plan.window(bounds, lambda b, lo, hi: Rows.of(
+            rows_of(objects[b], lo, hi), cat.lookup(objects[b]).schema))
         sides = [[(t.values, t.timestamp)
-                  for t in rows_of(b, obj, *bounds[b])]
+                  for t in rows_of(obj, *bounds[b])]
                  for b, obj in bindings]
         combos = [combo for combo in itertools.product(*sides)
                   if where(*(values for values, _ts in combo))]
