@@ -76,9 +76,9 @@ EXEMPT_TAGS = {
 }
 
 #: TCQ501 scope: path fragments whose files are batch hot paths.  The
-#: batch implementations themselves (tuples.py, columnar.py) carry no
-#: special-case list — any row-granular site there is either clean
-#: (``self._rows`` is the backing store) or carries an inline allow.
+#: batch implementation itself (tuples.py) carries no special-case list
+#: — any row-granular site there is either clean (``self._rows`` is the
+#: backing store) or carries an inline allow.
 _HOT_PATH_DIRS = ("repro/core/", "repro/query/")
 
 _CLOCK_NAMES = {"time", "monotonic", "perf_counter", "monotonic_ns",
@@ -458,7 +458,7 @@ def _rule_columnar_discipline(tree: ast.Module, file: str,
         elif isinstance(node, ast.Attribute) and node.attr == "_rows" \
                 and not (isinstance(node.value, ast.Name)
                          and node.value.id == "self"):
-            bad = "foreign ._rows access bypasses the columnar store"
+            bad = "foreign ._rows access bypasses the batch's columns"
             lineno = node.lineno
         if bad is None or _is_exempt(lines, lineno, "TCQ501"):
             continue
@@ -466,7 +466,7 @@ def _rule_columnar_discipline(tree: ast.Module, file: str,
             "TCQ501",
             f"row-granular batch access in a hot-path module: {bad}",
             file=file, line=lineno,
-            hint="use column()/column_array()/partition()/take() kernels, "
+            hint="use column()/partition()/take() kernels, "
                  "or mark a legitimately row-granular site "
                  "'# tcqcheck: allow-row-iteration'"))
     return diags

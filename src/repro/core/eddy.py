@@ -24,7 +24,6 @@ from __future__ import annotations
 import itertools
 from typing import (Dict, Iterable, List, Optional, Sequence, Set, Tuple as TypingTuple)
 
-from repro.core import columnar
 from repro.core.routing import BatchingDirective, PER_TUPLE, RoutingPolicy, RandomPolicy
 from repro.core.stem import SteM
 from repro.core.tuples import Punctuation, Tuple, TupleBatch, is_eos
@@ -124,13 +123,17 @@ class EddyOperator:
             (1.0 if passed else 0.0) - self._ewma_selectivity)
 
     def _observe_batch(self, mask: Sequence[bool]) -> None:
-        """Batched selectivity bookkeeping, equal to calling
-        :meth:`_observe` once per element of ``mask`` in order (list
-        masks fold sequentially; array masks use the closed form)."""
+        """Batched selectivity bookkeeping: exactly :meth:`_observe`
+        applied once per element of ``mask``, in order."""
+        passed = 0
+        ewma, alpha = self._ewma_selectivity, self._ewma_alpha
+        for ok in mask:
+            if ok:
+                passed += 1
+            ewma += alpha * ((1.0 if ok else 0.0) - ewma)
         self.seen += len(mask)
-        self.passed_count += columnar.mask_count(mask)
-        self._ewma_selectivity = columnar.ewma_update(
-            self._ewma_selectivity, self._ewma_alpha, mask)
+        self.passed_count += passed
+        self._ewma_selectivity = ewma
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name}>"

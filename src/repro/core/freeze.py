@@ -34,14 +34,13 @@ Counter parity: frozen execution updates exactly the same data-plane
 counters (``seen``/``passed_count`` per operator, SteM build/probe
 counters, eddy ``tuples_routed``/``outputs_emitted``) as the adaptive
 vectorized path, by restricting each fused stage's full-width mask to
-the rows still alive after earlier stages.  The EWMA selectivity uses
-the closed-form update (:func:`repro.core.columnar.ewma_update`) over
-the same outcome sequence — bit-identical inputs, float-identical up to
-pow/accumulation rounding.  One deliberate divergence: rows failing a
-fused segment collect the done-bits of *every* filter in the segment
-(the adaptive path stops marking at the failing hop).  Those rows are
-dead — never emitted, skipped by probes — so the extra bits are
-unobservable.
+the rows still alive after earlier stages and handing that outcome
+sequence to the operator's own ``_observe_batch`` — the same body the
+unfused path calls, so the EWMA selectivities match too.  One
+deliberate divergence: rows failing a fused segment collect the
+done-bits of *every* filter in the segment (the adaptive path stops
+marking at the failing hop).  Those rows are dead — never emitted,
+skipped by probes — so the extra bits are unobservable.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ from __future__ import annotations
 import itertools
 from typing import Any, Dict, List, Optional, Sequence, Tuple as TypingTuple
 
-from repro.core import columnar
 from repro.core.eddy import EddyOperator, FilterOperator
 from repro.core.tuples import TupleBatch
 from repro.errors import PlanError
@@ -80,24 +78,23 @@ class _FusedFilters:
         """Evaluate the whole chain, partition once, keep counters in
         lock-step with the unfused path."""
         alive, masks = self.chain(batch)
-        prior: Any = None
+        prior: Optional[List[bool]] = None
         for op, mask in zip(self.ops, masks):
+            # The outcomes this stage would have seen unfused: its mask
+            # at the rows every earlier stage passed.
             outcomes = mask if prior is None \
-                else columnar.mask_compress(prior, mask)
-            n_seen = len(outcomes)
+                else list(itertools.compress(mask, prior))
             if op.cost:
                 # The synthetic work knob burns per surviving row, as in
                 # FilterOperator.handle_batch.
                 acc = 0
-                for i in range(op.cost * n_seen):
+                for i in range(op.cost * len(outcomes)):
                     acc += i
-            op.seen += n_seen
-            op.passed_count += columnar.mask_count(outcomes)
-            op._ewma_selectivity = columnar.ewma_update(
-                op._ewma_selectivity, op._ewma_alpha, outcomes)
+            op._observe_batch(outcomes)
             batch.mark_done(op.bit)
-            prior = mask if prior is None else columnar.mask_and(prior, mask)
-        if columnar.mask_all(alive):
+            prior = mask if prior is None \
+                else [a and b for a, b in zip(prior, mask)]
+        if all(alive):
             return batch
         passed, failed = batch.partition(alive)
         failed.mark_dead()

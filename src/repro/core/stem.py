@@ -31,7 +31,6 @@ from collections import defaultdict, deque
 from typing import (Any, Callable, Deque, Dict, Iterable, List, Optional, Sequence, Set,
                     Tuple as TypingTuple)
 
-from repro.core import columnar
 from repro.core.tuples import Schema, Tuple, TupleBatch
 from repro.errors import PlanError
 from repro.monitor.telemetry import get_registry
@@ -252,12 +251,10 @@ class SteM:
 
         The access path is chosen once for the batch; with an index the
         probe keys are read straight off the batch's column list (one
-        pass, no per-tuple dict or schema lookup), and an array-backed
-        key column is *factorized* first — each distinct key is hashed
-        and looked up exactly once, then fanned back out to its rows.
-        Returns the concatenated matches plus a per-prober hit vector
-        (so callers can maintain the same selectivity observations as
-        the per-tuple path).  Counter semantics are identical to calling
+        pass, no per-tuple dict or schema lookup).  Returns the
+        concatenated matches plus a per-prober hit vector (so callers
+        can maintain the same selectivity observations as the per-tuple
+        path).  Counter semantics are identical to calling
         :meth:`probe` once per row.
         """
         n = len(batch)
@@ -273,18 +270,8 @@ class SteM:
         if plan is not None:
             _i, column, theirs = plan
             index_get = self._indexes[column].get
-            key_idx = batch.schema.index_of(theirs)
-            key_arr = batch.store.array(key_idx)
-            if key_arr is not None and n > 1:
-                # One-pass vectorized key hashing: unique() factorizes
-                # the key column in C; the dict is probed per DISTINCT
-                # key, not per row.
-                distinct, codes = columnar.distinct_codes(key_arr)
-                per_key = [index_get(k, ()) for k in distinct]
-                buckets: Iterable = [per_key[c] for c in codes]
-            else:
-                buckets = (index_get(key, ())
-                           for key in batch.store.values(key_idx))
+            buckets: Iterable = (index_get(key, ())
+                                 for key in batch.column(theirs))
         else:
             stored_all = self._tuples
             buckets = (stored_all for _ in range(n))

@@ -27,8 +27,6 @@ from dataclasses import dataclass
 from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
                     Tuple as TypingTuple)
 
-from repro.core import columnar
-from repro.core.columnar import ColumnStore
 from repro.errors import SchemaError
 
 _tuple_ids = itertools.count()
@@ -468,28 +466,24 @@ class TupleBatch:
     updates (:meth:`mark_done`, :meth:`mark_dead`) propagate to them so
     the per-tuple and vectorized paths observe identical state.
 
-    Columns live in a :class:`~repro.core.columnar.ColumnStore`: each
-    may be lazily promoted to a read-only numpy array (kernels ask via
-    :meth:`column_array`), with a pure-python list fallback when numpy
-    is absent or the values are mixed/nullable.  ``batch.columns`` is
-    preserved as a list-of-lists *view* for compatibility — treat it as
-    read-only; array-backed columns hand out cached copies, so writes
-    to the view would be silently lost.
+    ``columns`` is one python list per schema column; batches derived
+    by :meth:`take`, :meth:`slice` and :meth:`partition` get fresh
+    lists, so a child never shares a column with its parent (an
+    all-pass partition hands back the batch itself).
     """
 
-    __slots__ = ("schema", "store", "timestamps", "done", "queries",
+    __slots__ = ("schema", "columns", "timestamps", "done", "queries",
                  "_rows", "traces")
 
-    def __init__(self, schema: Schema, columns: Any,
+    def __init__(self, schema: Schema, columns: List[List[Any]],
                  timestamps: Optional[List[Optional[int]]] = None,
                  done: int = 0, queries: int = -1,
                  rows: Optional[List["Tuple"]] = None,
                  traces: TypingTuple[Any, ...] = ()):
         self.schema = schema
-        self.store: ColumnStore = columns if isinstance(columns, ColumnStore) \
-            else ColumnStore(columns)
+        self.columns = columns
         if timestamps is None:
-            timestamps = [None] * self.store.n_rows()
+            timestamps = [None] * (len(columns[0]) if columns else 0)
         self.timestamps = timestamps
         self.done = done
         self.queries = queries
@@ -498,11 +492,6 @@ class TupleBatch:
         # empty): batch-level hops fan out to these, so a sampled tuple
         # keeps its story even while travelling vectorized.
         self.traces = traces
-
-    @property
-    def columns(self) -> List[List[Any]]:
-        """Per-column value lists (a read-only compatibility view)."""
-        return self.store.as_lists()
 
     # -- construction ------------------------------------------------------
     @classmethod
@@ -522,8 +511,7 @@ class TupleBatch:
         paths that just minted the tuples and hand over sole ownership
         should pass ``retain_rows=False`` to get a *column-backed* batch
         instead — values are copied out and the row objects dropped, so
-        downstream partitions skip all per-row bookkeeping and stay on
-        the array fast path.
+        downstream partitions skip all per-row bookkeeping.
         """
         rows = list(tuples)
         if not rows:
@@ -556,13 +544,8 @@ class TupleBatch:
 
     def column(self, name: str) -> List[Any]:
         """The value list for ``name`` (qualified fallback as in
-        :meth:`Schema.index_of`); always python scalars."""
-        return self.store.values(self.schema.index_of(name))
-
-    def column_array(self, name: str) -> Optional[Any]:
-        """Column ``name`` as a read-only numpy array, or ``None`` when
-        the column is unpromotable (mixed types, ``None``, no numpy)."""
-        return self.store.array(self.schema.index_of(name))
+        :meth:`Schema.index_of`)."""
+        return self.columns[self.schema.index_of(name)]
 
     # -- lineage -----------------------------------------------------------
     def mark_done(self, module_bit: int) -> None:
@@ -588,7 +571,7 @@ class TupleBatch:
         sources, and the shared lineage, all uniform across the batch."""
         if self._rows is not None:
             return self._rows[0]
-        t = Tuple(self.schema, self.store.row(0),
+        t = Tuple(self.schema, tuple(col[0] for col in self.columns),
                   timestamp=self.timestamps[0])
         t.done = self.done
         t.queries = self.queries
@@ -596,16 +579,13 @@ class TupleBatch:
 
     def materialize(self) -> List["Tuple"]:
         """Row tuples for this batch, created lazily and cached (so SteM
-        builds and later lineage updates see the same objects).
-
-        Values come through the store's list views, so materialized rows
-        always hold python scalars even for array-backed columns."""
+        builds and later lineage updates see the same objects)."""
         if self._rows is None:
             schema = self.schema
             done = self.done
             queries = self.queries
             rows: List[Tuple] = []
-            for i, values in enumerate(zip(*self.store.as_lists())):
+            for i, values in enumerate(zip(*self.columns)):
                 t = Tuple(schema, values, timestamp=self.timestamps[i])
                 t.done = done
                 t.queries = queries
@@ -614,70 +594,51 @@ class TupleBatch:
         return self._rows
 
     # -- partitioning ------------------------------------------------------
-    def _subset(self, indexes: List[int], store: ColumnStore) -> "TupleBatch":
-        """A new batch over ``store`` holding rows at ``indexes``.
+    def _derive(self, columns: List[List[Any]],
+                timestamps: List[Optional[int]],
+                rows: Optional[List["Tuple"]]) -> "TupleBatch":
+        """A batch over a subset of this one's rows, same lineage.
 
         Row-backed batches subset the cached row objects too: those rows
         may alias SteM-stored tuples, and a slice must keep pointing at
         the SAME objects so lineage updates stay visible everywhere."""
-        rows = None
         traces: TypingTuple[Any, ...] = ()
-        if self._rows is not None:
-            rows = [self._rows[i] for i in indexes]
+        if rows:
             traces = tuple(t.trace for t in rows if t.trace is not None)
-        return TupleBatch(self.schema, store,
-                          [self.timestamps[i] for i in indexes],
+        return TupleBatch(self.schema, columns, timestamps,
                           done=self.done, queries=self.queries, rows=rows,
                           traces=traces)
 
     def take(self, indexes: Sequence[int]) -> "TupleBatch":
         """A new batch holding the rows at ``indexes`` (in order)."""
         idx = list(indexes)
-        return self._subset(idx, self.store.take(idx))
+        rows = self._rows
+        return self._derive([[col[i] for i in idx] for col in self.columns],
+                            [self.timestamps[i] for i in idx],
+                            None if rows is None else [rows[i] for i in idx])
 
     def slice(self, start: int, stop: int) -> "TupleBatch":
-        """Contiguous row range [start, stop) — zero-copy for array
-        columns (the child views the parent's buffers)."""
-        rows = self._rows[start:stop] if self._rows is not None else None
-        traces: TypingTuple[Any, ...] = ()
-        if rows:
-            traces = tuple(t.trace for t in rows if t.trace is not None)
-        return TupleBatch(self.schema, self.store.slice(start, stop),
-                          self.timestamps[start:stop],
-                          done=self.done, queries=self.queries, rows=rows,
-                          traces=traces)
+        """Contiguous row range [start, stop)."""
+        rows = self._rows
+        return self._derive([col[start:stop] for col in self.columns],
+                            self.timestamps[start:stop],
+                            None if rows is None else rows[start:stop])
 
-    def partition(self, mask: Any) -> \
+    def _select(self, mask: Sequence[Any]) -> "TupleBatch":
+        """The rows where ``mask`` is true, in order."""
+        compress = itertools.compress
+        rows = self._rows
+        return self._derive([list(compress(col, mask)) for col in self.columns],
+                            list(compress(self.timestamps, mask)),
+                            None if rows is None else list(compress(rows, mask)))
+
+    def partition(self, mask: Sequence[Any]) -> \
             "TypingTuple[TupleBatch, TupleBatch]":
-        """Split into (pass, fail) batches under a selection vector.
-
-        ``mask`` may be a python bool list or a numpy bool array (the
-        output of a ufunc kernel); array masks partition array-backed
-        columns without a python loop."""
-        if columnar.mask_all(mask):
+        """Split into (pass, fail) batches under a selection vector (one
+        truthy/falsy entry per row)."""
+        if all(mask):
             return self, TupleBatch.from_tuples((), schema=self.schema)
-        if self._rows is None and columnar.is_array(mask):
-            # Column-backed batch under an array mask: there are no row
-            # objects or traces to carry over, so the split needs no
-            # per-row index lists — columns compress through numpy and
-            # timestamps through itertools at C speed.
-            inv = columnar.mask_invert(mask)
-            ts = self.timestamps
-            return (TupleBatch(self.schema, self.store.select(mask),
-                               list(itertools.compress(ts, mask.tolist())),
-                               done=self.done, queries=self.queries),
-                    TupleBatch(self.schema, self.store.select(inv),
-                               list(itertools.compress(ts, inv.tolist())),
-                               done=self.done, queries=self.queries))
-        mlist = columnar.mask_to_list(mask)
-        passed = [i for i, ok in enumerate(mlist) if ok]
-        failed = [i for i, ok in enumerate(mlist) if not ok]
-        if columnar.is_array(mask):
-            return (self._subset(passed, self.store.select(mask)),
-                    self._subset(failed,
-                                 self.store.select(columnar.mask_invert(mask))))
-        return (self._subset(passed, self.store.take(passed)),
-                self._subset(failed, self.store.take(failed)))
+        return self._select(mask), self._select([not ok for ok in mask])
 
     def __repr__(self) -> str:
         return (f"TupleBatch<{'|'.join(sorted(self.schema.sources))}>"

@@ -17,7 +17,6 @@ import math
 import random
 from typing import Iterable, Iterator, List, Optional, Sequence
 
-from repro.core import columnar
 from repro.core.tuples import Schema, Tuple, TupleBatch
 
 #: Schema used by the paper's running example (Section 4.1): one row per
@@ -194,12 +193,8 @@ class DriftingSelectivityGenerator:
     def take_batches(self, n: int, batch_size: int) -> List[TupleBatch]:
         """Columnar ingress: the same stream as :meth:`take` (identical
         value sequence under the same seed) packed straight into
-        column-backed batches — no per-row Tuple objects are minted.
-
-        Whole columns are promoted to arrays once and each batch holds
-        zero-copy slices of them, so downstream ufunc kernels never pay
-        a list-to-array conversion.  Without numpy the batches carry
-        plain list slices and the engine's per-element fallback runs.
+        column-backed batches (list slices of the two columns); no
+        per-row Tuple objects are minted.
         """
         rng = random.Random(self.seed)
         a_col: List[int] = []
@@ -210,12 +205,8 @@ class DriftingSelectivityGenerator:
             b_pass = self.low_pass if flipped else self.high_pass
             a_col.append(1 if rng.random() < a_pass else 0)
             b_col.append(1 if rng.random() < b_pass else 0)
-        cols = []
-        for c in (a_col, b_col):
-            arr = columnar.as_array(c)
-            cols.append(arr if arr is not None else c)
         return [TupleBatch(self.schema,
-                           [c[s:min(s + batch_size, n)] for c in cols],
+                           [a_col[s:s + batch_size], b_col[s:s + batch_size]],
                            list(range(s, min(s + batch_size, n))))
                 for s in range(0, n, batch_size)]
 

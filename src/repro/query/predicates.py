@@ -13,7 +13,6 @@ import operator
 from typing import (Any, Callable, Dict, FrozenSet, List, Optional, Sequence,
                     Set, Tuple as TypingTuple, TYPE_CHECKING)
 
-from repro.core import columnar
 from repro.core.tuples import Tuple
 from repro.errors import QueryError
 from repro.monitor import telemetry
@@ -21,11 +20,9 @@ from repro.monitor import telemetry
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.tuples import TupleBatch
 
-#: A compiled predicate kernel: batch in, selection vector out.  The
-#: vector is a python bool list (fallback path) or a numpy bool array
-#: (ufunc path); consumers go through ``repro.core.columnar`` mask
-#: helpers, which accept either.
-Kernel = Callable[["TupleBatch"], Any]
+#: A compiled predicate kernel: batch in, selection vector (one python
+#: bool per row) out.
+Kernel = Callable[["TupleBatch"], List[bool]]
 
 #: A predicate bound to column positions (see :meth:`Predicate.bind`):
 #: a row's bare value tuple in, verdict out.
@@ -256,19 +253,11 @@ class Comparison(Predicate):
         value = self.value
         column = self.column
 
-        def kernel(batch: "TupleBatch") -> Any:
+        def kernel(batch: "TupleBatch") -> List[bool]:
             schema = batch.schema
             if not schema.has_column(column):
                 return [False] * len(batch)
-            idx = schema.index_of(column)
-            arr = batch.store.array(idx)
-            if arr is not None:
-                # ufunc fast path: promoted columns hold no None, so the
-                # null guard of the list path is vacuous here.
-                mask = columnar.compare_array(fn, arr, value)
-                if mask is not None:
-                    return mask
-            col = batch.store.values(idx)
+            col = batch.columns[schema.index_of(column)]
             try:
                 return [v is not None and fn(v, value) for v in col]
             except TypeError:
@@ -374,20 +363,12 @@ class ColumnComparison(Predicate):
         left = self.left
         right = self.right
 
-        def kernel(batch: "TupleBatch") -> Any:
+        def kernel(batch: "TupleBatch") -> List[bool]:
             schema = batch.schema
             if not (schema.has_column(left) and schema.has_column(right)):
                 return [False] * len(batch)
-            lidx = schema.index_of(left)
-            ridx = schema.index_of(right)
-            larr = batch.store.array(lidx)
-            rarr = batch.store.array(ridx) if larr is not None else None
-            if larr is not None and rarr is not None:
-                mask = columnar.compare_array(fn, larr, rarr)
-                if mask is not None:
-                    return mask
-            lcol = batch.store.values(lidx)
-            rcol = batch.store.values(ridx)
+            lcol = batch.columns[schema.index_of(left)]
+            rcol = batch.columns[schema.index_of(right)]
             try:
                 return [l is not None and r is not None and fn(l, r)
                         for l, r in zip(lcol, rcol)]
@@ -459,12 +440,12 @@ class And(Predicate):
     def _compile_kernel(self) -> Kernel:
         kernels = [p._compile_kernel() for p in self.parts]
 
-        def kernel(batch: "TupleBatch") -> Any:
+        def kernel(batch: "TupleBatch") -> List[bool]:
             if not kernels:
                 return [True] * len(batch)
             mask = kernels[0](batch)
             for k in kernels[1:]:
-                mask = columnar.mask_and(mask, k(batch))
+                mask = [a and b for a, b in zip(mask, k(batch))]
             return mask
 
         return kernel
@@ -512,12 +493,12 @@ class Or(Predicate):
     def _compile_kernel(self) -> Kernel:
         kernels = [p._compile_kernel() for p in self.parts]
 
-        def kernel(batch: "TupleBatch") -> Any:
+        def kernel(batch: "TupleBatch") -> List[bool]:
             if not kernels:
                 return [False] * len(batch)
             mask = kernels[0](batch)
             for k in kernels[1:]:
-                mask = columnar.mask_or(mask, k(batch))
+                mask = [a or b for a, b in zip(mask, k(batch))]
             return mask
 
         return kernel
@@ -561,8 +542,8 @@ class Not(Predicate):
     def _compile_kernel(self) -> Kernel:
         inner = self.part._compile_kernel()
 
-        def kernel(batch: "TupleBatch") -> Any:
-            return columnar.mask_invert(inner(batch))
+        def kernel(batch: "TupleBatch") -> List[bool]:
+            return [not ok for ok in inner(batch)]
 
         return kernel
 
@@ -605,7 +586,8 @@ class FusedChain:
     def __len__(self) -> int:
         return len(self.kernels)
 
-    def __call__(self, batch: "TupleBatch") -> "TypingTuple[Any, List[Any]]":
+    def __call__(self, batch: "TupleBatch") -> \
+            "TypingTuple[List[bool], List[List[bool]]]":
         n = len(batch)
         totals = KERNEL_TOTALS
         totals.evals += len(self.kernels)
@@ -615,7 +597,7 @@ class FusedChain:
             return [True] * n, masks
         alive = masks[0]
         for m in masks[1:]:
-            alive = columnar.mask_and(alive, m)
+            alive = [a and b for a, b in zip(alive, m)]
         return alive, masks
 
 

@@ -1,6 +1,6 @@
-"""Columnar execution layer: promotion rules, the lineage-aliasing
-audit, kernel equivalence, fused predicate chains, and the plan
-freezer's freeze/thaw state machine."""
+"""Batch execution: the lineage-aliasing audit, batch subsetting,
+kernel equivalence, fused predicate chains, and the plan freezer's
+freeze/thaw state machine."""
 
 import os
 import subprocess
@@ -8,11 +8,7 @@ import sys
 
 import pytest
 
-from repro.core import columnar
-from repro.core.columnar import (ColumnStore, as_array, ewma_update,
-                                 have_numpy, mask_compress, mask_to_list,
-                                 numpy_disabled)
-from repro.core.eddy import Eddy, FilterOperator
+from repro.core.eddy import Eddy, EddyOperator, FilterOperator
 from repro.core.routing import BatchingDirective, FixedPolicy
 from repro.core.tuples import Schema, TupleBatch
 from repro.monitor import introspect
@@ -20,9 +16,6 @@ from repro.monitor.introspect import explain_eddy, render_explain
 from repro.monitor.stats import StabilityCounter
 from repro.query.predicates import (And, Comparison, Not, Or,
                                     compile_fused)
-
-needs_numpy = pytest.mark.skipif(not have_numpy(),
-                                 reason="numpy fast paths inactive")
 
 S = Schema.of("s", "a", "b", "c")
 
@@ -32,101 +25,49 @@ def batch_of(rows):
         [S.make(*r, timestamp=i) for i, r in enumerate(rows)])
 
 
-# ------------------------------------------------------- promotion rules
+# ------------------------------------------------------- batch subsetting
 
-@needs_numpy
-class TestPromotion:
-    def test_homogeneous_numerics_promote(self):
-        for values in ([1, 2, 3], [1.5, 2.5], [True, False],
-                       [1, 2.5, True]):
-            arr = as_array(values)
-            assert arr is not None
-            assert arr.tolist() == values
+class TestBatchSubsets:
+    def test_take_partition_slice_agree(self):
+        for retain_rows in (True, False):
+            self._check_subsets(retain_rows)
 
-    def test_all_str_promotes_but_mixes_do_not(self):
-        assert as_array(["x", "y"]) is not None
-        assert as_array(["x", 1]) is None
-        assert as_array([1, "x"]) is None
+    def _check_subsets(self, retain_rows):
+        rows = [S.make(*r, timestamp=10 + i) for i, r in enumerate(
+            [(1, "w", None), (2, "x", 1), (3, "y", None), (4, "z", 2)])]
+        batch = TupleBatch.from_tuples(rows, retain_rows=retain_rows)
+        taken = batch.take([1, 3])
+        assert taken.columns == [[2, 4], ["x", "z"], [1, 2]]
+        assert taken.timestamps == [11, 13]
+        passed, failed = batch.partition([False, True, False, True])
+        assert passed.columns == taken.columns
+        assert passed.timestamps == taken.timestamps
+        assert failed.columns == [[1, 3], ["w", "y"], [None, None]]
+        assert failed.timestamps == [10, 12]
+        sliced = batch.slice(1, 3)
+        assert sliced.columns == [[2, 3], ["x", "y"], [1, None]]
+        assert sliced.timestamps == [11, 12]
+        # Every child owns its column lists: none is the parent's.
+        for child in (taken, passed, failed, sliced):
+            assert all(c is not p
+                       for c, p in zip(child.columns, batch.columns))
+            assert (child._rows is None) == (not retain_rows)
 
-    def test_none_and_nonscalar_block_promotion(self):
-        assert as_array([1, None, 3]) is None
-        assert as_array([(1, 2), (3, 4)]) is None
-        assert as_array([{"k": 1}]) is None
-        assert as_array([]) is None
-
-    def test_huge_ints_stay_lists(self):
-        assert as_array([1, 2 ** 200]) is None
-
-    def test_promoted_arrays_are_read_only(self):
-        arr = as_array([1, 2, 3])
-        import numpy as np
-        with pytest.raises(ValueError):
-            arr[0] = 99
-        assert isinstance(arr, np.ndarray)
-
-    def test_numpy_disabled_forces_fallback(self):
-        with numpy_disabled():
-            assert not have_numpy()
-            assert as_array([1, 2, 3]) is None
-        assert have_numpy()
-
-
-# --------------------------------------------------------- column store
-
-class TestColumnStore:
-    def test_values_returns_python_scalars(self):
-        store = ColumnStore([[1, 2], [0.5, 1.5]])
-        arr = store.array(0)
-        if have_numpy():
-            assert arr is not None
-        for v in store.values(0):
-            assert type(v) is int
-        r = store.row(1)
-        assert r == (2, 1.5)
-        assert type(r[0]) is int and type(r[1]) is float
-
-    def test_unpromotable_column_cached_as_false(self):
-        store = ColumnStore([[1, None]])
-        assert store.array(0) is None
-        assert store.array(0) is None     # cached miss, no re-promotion
-        assert store.values(0) == [1, None]
-
-    def test_take_select_slice_agree(self):
-        store = ColumnStore([[1, 2, 3, 4], ["w", "x", "y", "z"],
-                             [None, 1, None, 2]])
-        taken = store.take([1, 3])
-        assert taken.as_lists() == [[2, 4], ["x", "z"], [1, 2]]
-        selected = store.select([False, True, False, True])
-        assert selected.as_lists() == taken.as_lists()
-        sliced = store.slice(1, 3)
-        assert sliced.as_lists() == [[2, 3], ["x", "y"], [1, None]]
+    def test_all_pass_partition_returns_the_batch(self):
+        batch = batch_of([(1, "x", 0), (2, "y", 0)])
+        passed, failed = batch.partition([True, True])
+        assert passed is batch and len(failed) == 0
 
 
 # ------------------------------------------------- lineage-aliasing audit
 
 class TestAliasingAudit:
-    """slice/take/partition hand out views that may share buffers with
-    the parent; nothing reachable from a child may write through to a
-    sibling."""
-
-    @needs_numpy
-    def test_slices_share_buffers_read_only(self):
-        import numpy as np
-        batch = batch_of([(i, i * 2, i * 3) for i in range(8)])
-        arr = batch.column_array("a")
-        left, right = batch.slice(0, 4), batch.slice(2, 8)
-        larr, rarr = left.column_array("a"), right.column_array("a")
-        # Zero-copy: the slices view the parent's buffer...
-        assert np.shares_memory(larr, arr)
-        assert np.shares_memory(larr, rarr)
-        # ...and numpy itself refuses writes through any of them.
-        for a in (arr, larr, rarr):
-            with pytest.raises(ValueError):
-                a[0] = 99
+    """slice/take/partition hand out children over the parent's rows;
+    nothing reachable from a child may write through to a sibling."""
 
     def test_materializing_a_slice_leaves_siblings_intact(self):
-        # Column-backed batch (no row backing): slices share column
-        # buffers but must materialize INDEPENDENT row objects.
+        # Column-backed batch (no row backing): slices over the same
+        # values must materialize INDEPENDENT row objects.
         # (Row-backed batches share rows on purpose — that is lineage.)
         batch = TupleBatch(S, [[i for i in range(8)],
                                [i * 2 for i in range(8)],
@@ -136,7 +77,7 @@ class TestAliasingAudit:
         rows = left.materialize()
         rows[2].done = 0xFF
         rows[2].dead = True
-        # The sibling slice materializes its own rows from the shared
+        # The sibling slice materializes its own rows from its own
         # columns; the mutated row must not leak across.
         sib = right.materialize()
         assert sib[0].done == 0
@@ -178,26 +119,6 @@ class TestAliasingAudit:
         assert [f.values for f in fresh] == [r.values for r in rows]
         assert all(f.done == 0b10 for f in fresh)
 
-    @needs_numpy
-    def test_partition_array_fast_path_matches_row_backed(self):
-        """Column-backed + array mask takes the no-index fast path; it
-        must agree with the row-backed split on values, timestamps, and
-        lineage."""
-        import numpy as np
-        rows = [S.make(i, i * 2, i * 3, timestamp=i + 100)
-                for i in range(9)]
-        mask = np.asarray([i % 3 == 0 for i in range(9)])
-        col = TupleBatch.from_tuples(rows, retain_rows=False)
-        col.done, col.queries = 0b11, 0b1
-        ref = TupleBatch.from_tuples(rows)
-        ref.done, ref.queries = 0b11, 0b1
-        for got, want in zip(col.partition(mask), ref.partition(mask)):
-            assert got._rows is None
-            assert [t.values for t in got.materialize()] == \
-                [t.values for t in want.materialize()]
-            assert got.timestamps == want.timestamps
-            assert (got.done, got.queries) == (want.done, want.queries)
-
 
 # ----------------------------------------------------- columnar ingress
 
@@ -217,21 +138,6 @@ class TestColumnarIngress:
         assert [ts for b in batches for ts in b.timestamps] == \
             [t.timestamp for t in rows]
 
-    @needs_numpy
-    def test_take_batches_columns_are_zero_copy_array_views(self):
-        import numpy as np
-        batches = self._gen().take_batches(100, 32)
-        arrs = [b.column_array("a") for b in batches]
-        assert all(a is not None for a in arrs)
-        # Consecutive batches view one promoted parent column.
-        assert np.shares_memory(arrs[0].base, arrs[1].base)
-
-    def test_take_batches_without_numpy_carries_lists(self):
-        with numpy_disabled():
-            batches = self._gen().take_batches(100, 32)
-            assert all(b.column_array("a") is None for b in batches)
-            assert isinstance(batches[0].column("a"), list)
-
 
 # --------------------------------------------------- kernel equivalence
 
@@ -249,20 +155,17 @@ class TestKernelEquivalence:
         Or(Comparison("a", "<", 0), Comparison("b", "==", "x")),
         Not(Comparison("a", ">=", 2)),
     ])
-    def test_kernel_matches_per_tuple_with_and_without_numpy(self, pred):
+    def test_kernel_matches_per_tuple(self, pred):
         batch = batch_of(MIXED_ROWS)
         expected = [pred.matches(t) for t in batch.materialize()]
-        assert mask_to_list(pred.compile()(batch)) == expected
-        with numpy_disabled():
-            fb = batch_of(MIXED_ROWS)
-            assert mask_to_list(pred.compile()(fb)) == expected
+        assert pred.compile()(batch) == expected
 
     def test_none_bearing_column_takes_fallback(self):
         batch = batch_of(MIXED_ROWS)
-        assert batch.column_array("c") is None or not have_numpy()
         pred = Comparison("c", "==", 3)
-        got = mask_to_list(pred.compile()(batch))
+        got = pred.compile()(batch)
         assert got == [pred.matches(t) for t in batch.materialize()]
+        assert got == [False, True, False, False, False]
 
 
 # ----------------------------------------------------------- fused chains
@@ -275,20 +178,19 @@ class TestFusedChain:
         alive, masks = compile_fused(preds)(batch)
         expected_alive = [all(p.matches(t) for p in preds)
                           for t in batch.materialize()]
-        assert mask_to_list(alive) == expected_alive
+        assert alive == expected_alive
         assert len(masks) == 3
         for p, m in zip(preds, masks):
-            assert mask_to_list(m) == [p.matches(t)
-                                       for t in batch.materialize()]
+            assert m == [p.matches(t) for t in batch.materialize()]
 
     def test_stagewise_outcomes_match_unfused_counters(self):
-        """mask_compress(prior, m) is exactly the outcome sequence the
-        unfused path would observe at that stage."""
+        """Stage 1's mask at the rows stage 0 passed is exactly the
+        outcome sequence the unfused path would observe at stage 1."""
         preds = [Comparison("a", ">", 0), Comparison("a", "<", 2)]
         batch = batch_of([(i % 3, "x", 0) for i in range(9)])
         _alive, masks = compile_fused(preds)(batch)
-        stage0 = mask_to_list(masks[0])
-        stage1 = mask_to_list(mask_compress(masks[0], masks[1]))
+        stage0 = masks[0]
+        stage1 = [m for m, ok in zip(masks[1], stage0) if ok]
         # Unfused: stage 1 only sees stage-0 survivors.
         rows = [t for t in batch.materialize() if preds[0].matches(t)]
         assert stage1 == [preds[1].matches(t) for t in rows]
@@ -297,28 +199,31 @@ class TestFusedChain:
     def test_empty_chain_passes_everything(self):
         batch = batch_of(MIXED_ROWS)
         alive, masks = compile_fused([])(batch)
-        assert mask_to_list(alive) == [True] * len(batch)
+        assert alive == [True] * len(batch)
         assert masks == []
 
 
-# ------------------------------------------------------------ ewma_update
+# ------------------------------------------------- selectivity bookkeeping
 
 class TestEwmaUpdate:
     @pytest.mark.parametrize("outcomes", [
         [], [True], [False, True, True, False] * 8,
     ])
     def test_closed_form_matches_sequential(self, outcomes):
-        alpha, e0 = 0.02, 0.7
-        seq = e0
+        """_observe_batch is _observe once per element, and its EWMA is
+        the closed form e_n = (1-a)^n e_0 + a * sum_j (1-a)^(n-1-j) b_j."""
+        one, many = EddyOperator("one"), EddyOperator("many")
+        for op in (one, many):
+            op._ewma_selectivity = 0.7
         for b in outcomes:
-            seq += alpha * ((1.0 if b else 0.0) - seq)
-        assert ewma_update(e0, alpha, list(outcomes)) == pytest.approx(
-            seq, abs=1e-12)
-        if have_numpy():
-            import numpy as np
-            arr = np.asarray(outcomes, dtype=bool)
-            assert ewma_update(e0, alpha, arr) == pytest.approx(
-                seq, abs=1e-12)
+            one._observe(b)
+        many._observe_batch(outcomes)
+        assert (many.seen, many.passed_count, many._ewma_selectivity) == \
+            (one.seen, one.passed_count, one._ewma_selectivity)
+        a, n = many._ewma_alpha, len(outcomes)
+        closed = (1 - a) ** n * 0.7 + a * sum(
+            (1 - a) ** (n - 1 - j) for j, b in enumerate(outcomes) if b)
+        assert many._ewma_selectivity == pytest.approx(closed, abs=1e-12)
 
     def test_stability_counter_streaks(self):
         c = StabilityCounter()
@@ -470,27 +375,18 @@ class TestPlanFreezer:
         assert _push(eddy, [(1, 1)] * 8) == 8
 
 
-# ------------------------------------------------- the no-numpy CI leg
+# ----------------------------------------------------------- import graph
 
-def test_engine_runs_with_numpy_forced_off():
-    """REPRO_NO_NUMPY=1 must flip the whole engine to the pure-python
-    fallback at import time; a representative tier-1 subset runs in a
-    subprocess under that gate."""
-    env = dict(os.environ, REPRO_NO_NUMPY="1",
-               PYTHONPATH=os.pathsep.join(
-                   filter(None, ["src", os.environ.get("PYTHONPATH", "")])))
+def test_import_graph_stays_pure_python():
+    """The package and its client door import no array library: batch
+    columns are plain lists, so nothing in the import graph needs one."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, ["src", os.environ.get("PYTHONPATH", "")])))
     probe = subprocess.run(
         [sys.executable, "-c",
-         "from repro.core import columnar; "
-         "assert not columnar.have_numpy(); "
-         "assert columnar.as_array([1, 2, 3]) is None; print('ok')"],
+         "import sys, repro; from repro.client import connect; "
+         "assert 'numpy' not in sys.modules, 'numpy imported'; "
+         "print('ok')"],
         capture_output=True, text=True, env=env,
         cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     assert probe.returncode == 0 and "ok" in probe.stdout, probe.stderr
-    gate = subprocess.run(
-        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-         "tests/test_tuples.py", "tests/test_predicates.py",
-         "tests/test_eddy.py"],
-        capture_output=True, text=True, env=env,
-        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-    assert gate.returncode == 0, gate.stdout + gate.stderr

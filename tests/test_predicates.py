@@ -196,10 +196,7 @@ class TestCompiledKernels:
         return TupleBatch.from_tuples(rows_)
 
     def _parity(self, pred, rows_):
-        from repro.core.columnar import mask_to_list
-        # Kernels return a bool list OR a numpy bool array; both must
-        # agree with matches() row by row.
-        got = mask_to_list(pred.compile()(self._batch(rows_)))
+        got = pred.compile()(self._batch(rows_))
         want = [pred.matches(t) for t in rows_]
         assert got == want
         return got

@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.report import PlanCheckWarning
-from repro.core.columnar import numpy_disabled
 from repro.core.eddy import Eddy, FilterOperator, SteMOperator
 from repro.core.engine import TelegraphCQServer
 from repro.core.routing import BatchingDirective, FixedPolicy
@@ -240,23 +239,21 @@ def test_columnar_fallback_and_frozen_paths_agree(s_data, t_data,
                                                   filter_specs, with_join,
                                                   batch_size):
     """Property: for any random filter/join pipeline, ALL execution
-    paths — per-tuple, vectorized with numpy disabled (pure-python
-    ColumnStore fallback), and vectorized with plan freezing engaging
-    and thawing mid-stream — produce the identical result multiset and
-    identical data-plane counters."""
+    paths — per-tuple, vectorized, and vectorized with plan freezing
+    engaging and thawing mid-stream — produce the identical result
+    multiset and identical data-plane counters."""
     if not with_join:
         filter_specs = [(("a",) + spec[1:]) for spec in filter_specs]
     per_tuple, counters_pt = _run_pipeline(
         s_data, t_data, filter_specs, with_join, batch_size,
         vectorized=False)
-    with numpy_disabled():
-        fallback, counters_fb = _run_pipeline(
-            s_data, t_data, filter_specs, with_join, batch_size,
-            vectorized=True)
+    vectorized, counters_vec = _run_pipeline(
+        s_data, t_data, filter_specs, with_join, batch_size,
+        vectorized=True)
     frozen, counters_fz, freezer = _run_pipeline_frozen(
         s_data, t_data, filter_specs, with_join, batch_size)
-    assert values_of(fallback) == values_of(per_tuple)
-    assert counters_fb == counters_pt
+    assert values_of(vectorized) == values_of(per_tuple)
+    assert counters_vec == counters_pt
     assert values_of(frozen) == values_of(per_tuple)
     assert counters_fz == counters_pt
     # The mid-stream thaw must leave no frozen residue unaccounted.

@@ -376,31 +376,32 @@ class TestCliStats:
 # overhead (tier-1 guard for the benchmark's claim)
 # ---------------------------------------------------------------------------
 
-def _timed_eddy_run(n=4000, repeats=3):
-    best = float("inf")
-    for _ in range(repeats):
-        rows = DriftingSelectivityGenerator(seed=3, flip_at=n // 4,
-                                            low_pass=0.1,
-                                            high_pass=0.9).take(n)
-        ops = [FilterOperator(PRED_A, name="fa"),
-               FilterOperator(PRED_B, name="fb")]
-        eddy = Eddy(ops, output_sources={"drift"},
-                    policy=LotteryPolicy(seed=1))
-        start = time.perf_counter()
-        for t in rows:
-            eddy.process(t, 0)
-        best = min(best, time.perf_counter() - start)
-    return best
+def _timed_eddy_run(n=4000):
+    rows = DriftingSelectivityGenerator(seed=3, flip_at=n // 4,
+                                        low_pass=0.1,
+                                        high_pass=0.9).take(n)
+    ops = [FilterOperator(PRED_A, name="fa"),
+           FilterOperator(PRED_B, name="fb")]
+    eddy = Eddy(ops, output_sources={"drift"},
+                policy=LotteryPolicy(seed=1))
+    start = time.perf_counter()
+    for t in rows:
+        eddy.process(t, 0)
+    return time.perf_counter() - start
 
 
 def test_telemetry_overhead_under_15_percent():
+    # Off and on runs alternate, best of 5 each, so host drift during
+    # the test lands on both sides instead of on whichever ran last.
     reg = get_registry()
-    reg.disable()
-    try:
-        t_off = _timed_eddy_run()
-    finally:
-        reg.enable()
-    t_on = _timed_eddy_run()
+    t_off = t_on = float("inf")
+    for _ in range(5):
+        reg.disable()
+        try:
+            t_off = min(t_off, _timed_eddy_run())
+        finally:
+            reg.enable()
+        t_on = min(t_on, _timed_eddy_run())
     reg.snapshot()
     assert t_on < t_off * 1.15, (
         f"telemetry-on {t_on:.4f}s vs off {t_off:.4f}s "
