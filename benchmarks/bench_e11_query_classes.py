@@ -16,6 +16,8 @@ Checked:
 
 import pytest
 
+from repro.analysis.plan_check import DEFAULT_LINEAGE_CAPACITY
+from repro.analysis.report import PlanCheckWarning
 from repro.client import LocalConnection
 from repro.core.tuples import Schema
 from repro.ingress.generators import (CLOSING_STOCK_PRICES,
@@ -26,18 +28,29 @@ from repro.ingress.generators import (CLOSING_STOCK_PRICES,
 from benchmarks.conftest import print_table
 
 
+def submit_class(srv, make_sql, n):
+    """``n`` queries into one footprint class; the admissions past the
+    advisory lineage capacity are admitted with one TCQ205 warning."""
+    first = min(n, DEFAULT_LINEAGE_CAPACITY)
+    cursors = [srv.submit(make_sql(i)) for i in range(first)]
+    if n > first:
+        with pytest.warns(PlanCheckWarning, match="TCQ205"):
+            cursors += [srv.submit(make_sql(i)) for i in range(first, n)]
+    return cursors
+
+
 def build_server(n_per_class):
     srv = LocalConnection().server
     srv.create_stream(CLOSING_STOCK_PRICES)
     srv.create_stream(SENSOR_READINGS)
-    stock_cursors = [
-        srv.submit("SELECT * FROM ClosingStockPrices "
-                   f"WHERE closingPrice > {30 + i % 40}")
-        for i in range(n_per_class)]
-    sensor_cursors = [
-        srv.submit(f"SELECT * FROM SensorReadings WHERE temperature > "
-                   f"{15 + i % 20}")
-        for i in range(n_per_class)]
+    stock_cursors = submit_class(
+        srv, lambda i: ("SELECT * FROM ClosingStockPrices "
+                        f"WHERE closingPrice > {30 + i % 40}"),
+        n_per_class)
+    sensor_cursors = submit_class(
+        srv, lambda i: ("SELECT * FROM SensorReadings WHERE temperature > "
+                        f"{15 + i % 20}"),
+        n_per_class)
     return srv, stock_cursors, sensor_cursors
 
 
@@ -78,8 +91,9 @@ def test_e11_shape():
 def test_e11_bridging_join_merges_classes():
     srv, _s, _e = build_server(10)
     assert srv.stats()["cacq_engines"] == 2
-    srv.submit("SELECT * FROM ClosingStockPrices, SensorReadings "
-               "WHERE ClosingStockPrices.timestamp = SensorReadings.ts")
+    with pytest.warns(PlanCheckWarning, match="TCQ204"):
+        srv.submit("SELECT * FROM ClosingStockPrices, SensorReadings "
+                   "WHERE ClosingStockPrices.timestamp = SensorReadings.ts")
     assert srv.stats()["cacq_engines"] == 1
     push_data(srv, n_days=5)        # everything still delivers
     assert srv.stats()["ingested"] > 0

@@ -62,7 +62,7 @@ are context managers (``close()`` cancels the underlying query / shuts
 the engine down).
 """
 
-from repro.core.adaptivity import AdaptivityController, ControlledEddy
+from repro.core.adaptivity import AdaptivityController
 from repro.core.cacq import CACQEngine, ContinuousQuery
 from repro.core.eddy import Eddy, EddyOperator, FilterOperator, SteMOperator
 from repro.core.engine import ClientProxy, Cursor, TelegraphCQServer
@@ -110,9 +110,8 @@ from repro.query.dataflow_script import DataflowScript, parse_script
 from repro.query.parser import parse, parse_predicate
 from repro.query.predicates import (And, ColumnComparison, Comparison, Not,
                                     Or, Predicate)
-from repro.sched import (AdaptiveQuantumController, BusyFirstPolicy,
-                         DeficitRoundRobinPolicy, FunctionUnit,
-                         PressureAwarePolicy, QuiescenceDetector,
+from repro.sched import (BusyFirstPolicy, DeficitRoundRobinPolicy,
+                         FunctionUnit, PressureAwarePolicy, QuiescenceDetector,
                          RoundRobinPolicy, Schedulable, Scheduler,
                          SchedulerStall, SchedulingPolicy, StepResult,
                          make_policy)
@@ -146,10 +145,9 @@ __all__ = [
     "BroadcastReader", "BroadcastSchedule", "BufferPool", "PeriodicQuery",
     "SimulatedWebForm", "SpillStore", "SpillingQueryStore",
     "SpooledStream", "SubEddyOperator", "TessWrapper", "expected_wait",
-    "nested_filter_scope", "ControlledEddy", "CACQPartitionState",
+    "nested_filter_scope", "CACQPartitionState",
     "ParallelCACQ", "MetricRegistry", "SeriesSample", "TelemetrySnapshot",
-    "get_registry", "set_registry",
-    "AdaptiveQuantumController", "BusyFirstPolicy",
+    "get_registry", "set_registry", "BusyFirstPolicy",
     "DeficitRoundRobinPolicy", "FunctionUnit", "PressureAwarePolicy",
     "QuiescenceDetector", "RoundRobinPolicy", "Schedulable", "Scheduler",
     "SchedulerStall", "SchedulingPolicy", "StepResult", "make_policy",

@@ -17,8 +17,8 @@ Precision choices, deliberately conservative in both directions:
   TOTALS objects are excluded: they are the sanctioned aggregation
   idiom, published through registry collectors.
 * TCQ705 resolves imports before flagging, so project-local classes
-  that merely share a name with telemetry kinds (``TallyCounter``,
-  ``StabilityCounter``) stay out of scope.
+  that merely share a name with telemetry kinds (``TallyCounter``)
+  stay out of scope.
 """
 
 from __future__ import annotations

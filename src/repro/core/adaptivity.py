@@ -14,9 +14,11 @@ operator's windowed selectivity every ``check_every`` tuples, measures
 the drift since the previous sample, and turns the batching knob —
 multiplicatively shrinking the batch (more adaptivity) when drift
 exceeds ``drift_threshold``, and growing it (less overhead) while
-things stay quiet.  The controller mutates the eddy's
-:class:`~repro.core.routing.BatchingDirective` in place and invalidates
+things stay quiet.  The controller swaps the eddy's
+:class:`~repro.core.routing.BatchingDirective` for one with the new
+batch size (``fix_sequence`` and ``vectorize`` kept) and invalidates
 the cached routing decisions, so the change takes effect immediately.
+It is the only code that turns the §4.3 knobs.
 """
 
 from __future__ import annotations
@@ -72,12 +74,6 @@ class AdaptivityController:
         self._last_sample = sample
         if drift is None:
             return None
-        freezer = getattr(self.eddy, "freezer", None)
-        if freezer is not None:
-            # The controller already computed the §4.3 drift signal on
-            # its own cadence — push it to the freezer rather than
-            # letting frozen classes wait for their next check window.
-            freezer.note_drift(drift)
         current = self.eddy.batching.batch_size
         if drift > self.drift_threshold:
             target = max(self.min_batch, current // self.grow_factor)
@@ -113,20 +109,3 @@ class AdaptivityController:
             "current_batch": self.current_batch,
             "history": list(self.adjustments),
         }
-
-
-class ControlledEddy:
-    """Convenience wrapper: an eddy plus its controller, driven like a
-    plain eddy (``process`` keeps the controller informed)."""
-
-    def __init__(self, eddy: Eddy, **controller_kwargs):
-        self.eddy = eddy
-        self.controller = AdaptivityController(eddy, **controller_kwargs)
-
-    def process(self, t, port: int = 0):
-        out = self.eddy.process(t, port)
-        self.controller.after_tuple()
-        return out
-
-    def __getattr__(self, name):
-        return getattr(self.eddy, name)

@@ -315,9 +315,6 @@ class Eddy(Module):
         # Routing flight recorder (disabled by default): consulted at
         # every policy.choose call site, one bool test when off.
         self._recorder = introspect.RECORDER
-        #: Optional PlanFreezer (see :meth:`enable_freezing`); ``None``
-        #: keeps the routing loop free of freeze bookkeeping.
-        self.freezer = None
 
     # -- the routing loop ---------------------------------------------------
     def process(self, item: Tuple, port: int) -> Iterable[Tuple]:
@@ -382,24 +379,9 @@ class Eddy(Module):
         n = len(batch)
         if not n:
             return results
-        fz = self.freezer
-        freeze_key = None
-        if fz is not None:
-            # Footprint-class key; captured before routing mutates the
-            # batch's done bitmap.
-            freeze_key = (batch.done, batch.sources)
-            pipe = fz.frozen.get(freeze_key)
-            if pipe is not None:
-                self.tuples_routed += n
-                self.batches_routed += 1
-                pipe.run(self, batch, results)
-                fz.after_frozen_batch(freeze_key, n)
-                return results
         self.tuples_routed += n
         self.batches_routed += 1
         pending_rows: List[Tuple] = []
-        applied: List[str] = []
-        completed = False
         current: Optional[TupleBatch] = batch
         depth = 0
         while current is not None and len(current):
@@ -411,10 +393,6 @@ class Eddy(Module):
             rep = current.representative()
             eligible = self._eligible(rep)
             if not eligible:
-                # Reaching emission eligibility is what makes the route
-                # freeze-worthy: a batch that died mid-route observed a
-                # truncated operator sequence.
-                completed = True
                 self._emit_batch(current, results)
                 break
             # One fresh policy consultation per batch per hop: the batch
@@ -434,8 +412,6 @@ class Eddy(Module):
                 for tr in current.traces:
                     tr.hop("eddy", self._telemetry_id, op.name)
             current.mark_done(op.bit)
-            if fz is not None:
-                applied.append(op.name)
             self.policy.on_route(op)
             current, outputs = op.handle_batch(current)
             self.policy.on_return(op, len(outputs))
@@ -451,8 +427,6 @@ class Eddy(Module):
             # other vectorized-path decision.
             self._route_worklist(pending_rows, results,
                                  fresh_decisions=True)
-        if fz is not None and applied:
-            fz.observe_route(freeze_key, applied, completed)
         return results
 
     def _emit_batch(self, batch: TupleBatch, results: List) -> None:
@@ -652,42 +626,21 @@ class Eddy(Module):
             self._emitted.clear()
         self.emit(punctuation)
 
-    # -- scheduler hooks -----------------------------------------------------
+    # -- §4.3 knobs (turned by AdaptivityController) -------------------------
     def selectivity_sample(self) -> Dict[str, float]:
         """Per-operator windowed selectivities — the §4.3 drift signal
-        consumed by the adaptive quantum controllers."""
+        :class:`~repro.core.adaptivity.AdaptivityController` reads."""
         return {op.name: op.observed_selectivity()
                 for op in self.operators}
 
     def apply_quantum(self, batch_size: int) -> None:
-        """Adopt a scheduler-chosen batch size, preserving the other
+        """Adopt a controller-chosen batch size, preserving the other
         :class:`BatchingDirective` knobs, and drop cached routing
         decisions sized for the old batch."""
         self.batching = BatchingDirective(
             batch_size, fix_sequence=self.batching.fix_sequence,
             vectorize=self.batching.vectorize)
         self._route_cache.clear()
-
-    def enable_freezing(self, **kwargs):
-        """Attach a :class:`~repro.core.freeze.PlanFreezer` (§4.3
-        "adapting adaptivity": stop paying per-hop routing overhead once
-        a footprint class's route has provably settled).
-
-        Keyword arguments are forwarded to the freezer constructor
-        (``stable_routes``, ``drift_threshold``, ``check_every``).
-        Idempotent only in the sense that calling it again replaces the
-        freezer (and thereby thaws everything)."""
-        # Imported here, not at module top: freeze.py imports operator
-        # classes from this module.
-        from repro.core.freeze import PlanFreezer
-        self.freezer = PlanFreezer(self, **kwargs)
-        return self.freezer
-
-    def disable_freezing(self) -> None:
-        """Drop the freezer; every class returns to adaptive routing."""
-        if self.freezer is not None:
-            self.freezer.thaw_all(reason="freezing disabled")
-            self.freezer = None
 
     def evict_stems_before(self, timestamp: int) -> int:
         """Window expiry across every connected SteM."""

@@ -5,8 +5,8 @@ A Fjord owns the wiring (``connect``) and delegates the run loop
 (``step`` / ``run`` / ``run_until_finished``) to a
 :class:`repro.sched.Scheduler` hosting its modules — round-robin by
 default, bit-compatible with the historical hand-rolled loop, but any
-:mod:`repro.sched.policy` (deficit round robin, pressure-aware) and the
-§4.3 adaptive quantum controller plug in via the constructor.
+:mod:`repro.sched.policy` (deficit round robin, pressure-aware) plugs
+in via the constructor.
 
 A Fjord is itself a :class:`~repro.sched.protocol.Schedulable`
 (``run_once`` / ``ready`` / ``pressure`` / ``finished``), which is how
@@ -22,7 +22,6 @@ from typing import Any, Dict, List, Optional, Type
 from repro.errors import PlanError
 from repro.fjords.module import Module, StepResult
 from repro.fjords.queues import FjordQueue, PushQueue
-from repro.sched.quantum import AdaptiveQuantumController
 from repro.sched.scheduler import Scheduler, SchedulerStall
 
 
@@ -31,8 +30,6 @@ class Fjord:
 
     def __init__(self, name: str = "fjord", default_capacity: int = 0,
                  policy: Any = "round_robin",
-                 quantum_controller: Optional[AdaptiveQuantumController]
-                 = None,
                  sched_telemetry: bool = False):
         self.name = name
         self.default_capacity = default_capacity
@@ -40,7 +37,6 @@ class Fjord:
         self.queues: List[FjordQueue] = []
         self._names: Dict[str, Module] = {}
         self._policy = policy
-        self._quantum_controller = quantum_controller
         self._sched_telemetry = sched_telemetry
         self._scheduler: Optional[Scheduler] = None
 
@@ -103,7 +99,6 @@ class Fjord:
         if self._scheduler is None:
             sched = Scheduler(policy=self._policy,
                               name=f"fjord:{self.name}",
-                              quantum_controller=self._quantum_controller,
                               telemetry=self._sched_telemetry)
             for m in self.modules:
                 sched.add(m)

@@ -169,22 +169,11 @@ def explain_eddy(eddy: Any, analyze: bool = False,
         "cost": float(op.cost_estimate()),
     } for op in eddy.operators]
 
-    freezer = getattr(eddy, "freezer", None)
-    if freezer is not None and freezer.frozen:
-        # A frozen class IS the plan: the pinned order beats any
-        # statistical reconstruction.  Reverts automatically on thaw
-        # (frozen empties and the tiers below take over again).
-        orderings = [{"order": list(p.order), "frequency": 1.0,
-                      "count": freezer.frozen_batches}
-                     for p in freezer.frozen.values()]
-        source = "frozen"
-    else:
-        orderings, source = _orderings_from_traces(site, tracer)
-        if not orderings:
-            orderings, source = _orderings_from_recorder(
-                eddy, site, recorder)
-        if not orderings:
-            orderings, source = _estimated_ordering(eddy)
+    orderings, source = _orderings_from_traces(site, tracer)
+    if not orderings:
+        orderings, source = _orderings_from_recorder(eddy, site, recorder)
+    if not orderings:
+        orderings, source = _estimated_ordering(eddy)
 
     directive = eddy.batching
     report: Dict[str, Any] = {
@@ -203,8 +192,6 @@ def explain_eddy(eddy: Any, analyze: bool = False,
         "decisions_recorded": sum(1 for d in recorder.recent()
                                   if d.eddy == site),
     }
-    if freezer is not None:
-        report["freeze"] = freezer.describe()
     if analyze:
         lats = [tr.latency() for tr in tracer.recent()
                 if any(h.site == site for h in tr.hops)]
@@ -341,22 +328,6 @@ def render_explain(report: Dict[str, Any]) -> str:
     if report.get("decisions_recorded"):
         lines.append(f"  flight recorder: "
                      f"{report['decisions_recorded']} decisions captured")
-    freeze = report.get("freeze")
-    if freeze:
-        lines.append(
-            f"  plan freezer: {freeze['active']} class(es) frozen, "
-            f"{freeze['freezes']} freezes / {freeze['thaws']} thaws, "
-            f"{freeze['frozen_rows']} rows on frozen pipelines")
-        for p in freeze.get("pipelines", []):
-            route = " -> ".join(p["order"])
-            fused = p.get("fused_segments") or []
-            fused_text = ("; fused: " + ", ".join(
-                "+".join(seg) for seg in fused)) if fused else ""
-            lines.append(f"    frozen {{{', '.join(p['class']['sources'])}}}"
-                         f": {route}{fused_text}")
-        for t in freeze.get("recent_thaws", [])[-3:]:
-            lines.append(f"    thawed {' -> '.join(t['order'])}"
-                         f"  ({t['reason']})")
     if report.get("notes"):
         for note in report["notes"]:
             lines.append(f"  note: {note}")

@@ -62,43 +62,12 @@ def sample_drift(old: Dict[str, float], new: Dict[str, float]) -> float:
     samples: the max absolute per-operator delta over the operators
     present in both.
 
-    This is the §4.3 "rate of change" signal shared by the eddy-local
-    :class:`~repro.core.adaptivity.AdaptivityController` and the
-    scheduler-level
-    :class:`~repro.sched.quantum.AdaptiveQuantumController`.
+    This is the §4.3 "rate of change" signal
+    :class:`~repro.core.adaptivity.AdaptivityController` acts on.
     """
     deltas = [abs(new[name] - value)
               for name, value in old.items() if name in new]
     return max(deltas, default=0.0)
-
-
-class StabilityCounter:
-    """Consecutive-identical-observation streak counter.
-
-    The :class:`~repro.core.freeze.PlanFreezer` feeds it the operator
-    route each batch of a footprint class actually took; the streak
-    length is the "how settled is this plan?" evidence that gates
-    freezing (the complement of :func:`sample_drift`, which gates
-    thawing)."""
-
-    __slots__ = ("last", "streak")
-
-    def __init__(self) -> None:
-        self.last: Optional[object] = None
-        self.streak = 0
-
-    def observe(self, value: object) -> int:
-        """Record one observation; returns the current streak length."""
-        if value == self.last:
-            self.streak += 1
-        else:
-            self.last = value
-            self.streak = 1
-        return self.streak
-
-    def reset(self) -> None:
-        self.last = None
-        self.streak = 0
 
 
 class RateEstimator:

@@ -562,50 +562,6 @@ class Not(Predicate):
         return f"NOT {self.part!r}"
 
 
-class FusedChain:
-    """A filter *chain* compiled into one fused kernel.
-
-    When the plan freezer pins a stable route, consecutive filters
-    collapse into a single pass: every stage's mask is computed over the
-    full batch width and combined into one selection vector, so the
-    batch is partitioned exactly once instead of once per filter.
-
-    Calling returns ``(alive, masks)``: the combined vector plus the
-    per-stage full-width masks.  The caller recovers exact per-operator
-    ``seen``/``passed`` counts by restricting stage *i*'s mask to the
-    rows still alive after stages ``0..i-1`` — keeping data-plane
-    counter parity with the unfused adaptive path.
-    """
-
-    __slots__ = ("predicates", "kernels")
-
-    def __init__(self, predicates: Sequence[Predicate]):
-        self.predicates = tuple(predicates)
-        self.kernels = [p._compile_kernel() for p in self.predicates]
-
-    def __len__(self) -> int:
-        return len(self.kernels)
-
-    def __call__(self, batch: "TupleBatch") -> \
-            "TypingTuple[List[bool], List[List[bool]]]":
-        n = len(batch)
-        totals = KERNEL_TOTALS
-        totals.evals += len(self.kernels)
-        totals.rows += n * len(self.kernels)
-        masks = [k(batch) for k in self.kernels]
-        if not masks:
-            return [True] * n, masks
-        alive = masks[0]
-        for m in masks[1:]:
-            alive = [a and b for a, b in zip(alive, m)]
-        return alive, masks
-
-
-def compile_fused(predicates: Sequence[Predicate]) -> FusedChain:
-    """Fuse an ordered predicate chain into a single batch kernel."""
-    return FusedChain(predicates)
-
-
 def rewrite_columns(predicate: Predicate, resolve) -> Predicate:
     """Rebuild a predicate with every column name mapped through
     ``resolve`` (used to qualify parsed predicates against a FROM list).

@@ -19,14 +19,10 @@ on one tiny surface:
   must never be scheduled again;
 * ``name`` — stable identity for telemetry and policy state.
 
-Optional extensions, discovered by duck typing (helpers below):
+Optional extension, discovered by duck typing (helper below):
 
 * ``pressure()`` — occupancy of the unit's *downstream* queues in
-  [0, 1]; 1.0 means backpressured (the pressure-aware policy skips it);
-* ``selectivity_sample()`` — a ``{operator: selectivity}`` dict for the
-  §4.3 adaptive-quantum controller, or None;
-* ``apply_quantum(n)`` — push an adapted quantum into the unit's own
-  batching machinery (eddies rewrite their ``BatchingDirective``).
+  [0, 1]; 1.0 means backpressured (the pressure-aware policy skips it).
 
 The protocol is structural: :class:`~repro.fjords.module.Module`,
 :class:`~repro.fjords.fjord.Fjord`,
@@ -37,7 +33,7 @@ anything in this package.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Optional
 
 
 class StepResult:
@@ -99,14 +95,6 @@ def unit_pressure(unit: Any) -> float:
     if probe is None:
         return 0.0
     return float(probe())
-
-
-def unit_selectivity_sample(unit: Any) -> Optional[Dict[str, float]]:
-    """The §4.3 selectivity sample, or None for units without one."""
-    probe = getattr(unit, "selectivity_sample", None)
-    if probe is None:
-        return None
-    return probe()
 
 
 class Schedulable:

@@ -10,12 +10,8 @@ pluggable :class:`~repro.sched.policy.SchedulingPolicy`, with:
   :class:`~repro.sched.protocol.StepResult`;
 * one quiescence/stall protocol — :class:`QuiescenceDetector` decides
   "no progress" and "will never finish" the same way everywhere;
-* optional §4.3 adaptive quanta — an
-  :class:`~repro.sched.quantum.AdaptiveQuantumController` sizes each
-  unit's batch from its selectivity drift and pushes the result into
-  units that accept ``apply_quantum``;
 * scheduler telemetry — per-policy decision counts, ready-set
-  occupancy, starvation ages, and quantum trajectories, published
+  occupancy and starvation ages, published
   through the process registry as ``tcq_sched_*`` series.
 """
 
@@ -29,9 +25,7 @@ from repro.monitor.telemetry import get_registry
 import repro.monitor.tracing as tracing
 from repro.sched.policy import SchedulingPolicy, make_policy
 from repro.sched.protocol import (StepResult, coerce_step_result,
-                                  unit_pressure, unit_ready,
-                                  unit_selectivity_sample)
-from repro.sched.quantum import AdaptiveQuantumController
+                                  unit_pressure, unit_ready)
 
 _SCHED_IDS = itertools.count()
 
@@ -82,9 +76,8 @@ class QuiescenceDetector:
 class UnitRecord:
     """The scheduler's per-unit bookkeeping, visible to policies."""
 
-    __slots__ = ("unit", "name", "weight", "query_class", "adaptive",
-                 "last_worked", "last_run_pass", "runs", "busy_runs",
-                 "worst_starvation")
+    __slots__ = ("unit", "name", "weight", "query_class", "last_worked",
+                 "last_run_pass", "runs", "busy_runs", "worst_starvation")
 
     def __init__(self, unit: Any, name: str, weight: float,
                  query_class: Any, added_at_pass: int):
@@ -92,8 +85,6 @@ class UnitRecord:
         self.name = name
         self.weight = weight
         self.query_class = query_class
-        #: does the unit publish selectivity samples for quantum control?
-        self.adaptive = hasattr(unit, "selectivity_sample")
         #: never-run units count as "worked" (matches the historical
         #: busy_first default) so fresh units are not deprioritised.
         self.last_worked = True
@@ -117,12 +108,9 @@ class Scheduler:
 
     def __init__(self, policy: Any = "round_robin",
                  name: str = "",
-                 quantum_controller: Optional[AdaptiveQuantumController]
-                 = None,
                  telemetry: bool = True):
         self.policy: SchedulingPolicy = make_policy(policy)
         self.name = name or f"sched#{next(_SCHED_IDS)}"
-        self.quantum_controller = quantum_controller
         self._records: List[UnitRecord] = []
         self._by_name: Dict[str, UnitRecord] = {}
         self.passes = 0
@@ -155,8 +143,6 @@ class Scheduler:
         forget = getattr(self.policy, "forget", None)
         if forget is not None:
             forget(name)
-        if self.quantum_controller is not None:
-            self.quantum_controller.forget(name)
 
     def __contains__(self, name: str) -> bool:
         return name in self._by_name
@@ -215,9 +201,6 @@ class Scheduler:
     def _run_unit(self, rec: UnitRecord, quantum: Optional[int]) \
             -> StepResult:
         q = self.policy.quantum_for(rec, quantum, self)
-        ctrl = self.quantum_controller
-        if ctrl is not None and rec.adaptive:
-            q = ctrl.quantum_for(rec.name, q)
         starvation = self.passes - rec.last_run_pass - 1
         if starvation > rec.worst_starvation:
             rec.worst_starvation = starvation
@@ -229,13 +212,6 @@ class Scheduler:
             rec.busy_runs += 1
         self.count_decision("run")
         self.policy.on_result(rec, result, self)
-        if ctrl is not None and rec.adaptive:
-            sample = unit_selectivity_sample(rec.unit)
-            new_quantum = ctrl.after_run(rec.name, sample)
-            if new_quantum is not None:
-                apply = getattr(rec.unit, "apply_quantum", None)
-                if apply is not None:
-                    apply(new_quantum)
         return result
 
     # -- drive loops --------------------------------------------------------
@@ -332,17 +308,6 @@ class Scheduler:
                   "Worst run-to-run gap any unit has experienced",
                   ("sched",), collected=True).labels(self.name) \
             .set(self.worst_starvation())
-        if self.quantum_controller is not None:
-            quanta = reg.gauge(
-                "tcq_sched_quantum",
-                "Current adaptive quantum per unit (§4.3 trajectory)",
-                ("sched", "unit"), collected=True)
-            for unit, q in self.quantum_controller.current_quanta().items():
-                quanta.labels(self.name, unit).set(q)
-            reg.counter("tcq_sched_quantum_adjustments_total",
-                        "Adaptive quantum changes", ("sched",),
-                        collected=True).labels(self.name).set_total(
-                self.quantum_controller.adjustments)
 
     def __repr__(self) -> str:
         return (f"Scheduler({self.name}, policy={self.policy.name}, "

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.adaptivity import AdaptivityController, ControlledEddy
+from repro.core.adaptivity import AdaptivityController
 from repro.core.eddy import Eddy, FilterOperator
 from repro.core.routing import BatchingDirective, LotteryPolicy
 from repro.core.tuples import Schema
@@ -13,12 +13,12 @@ from repro.query.predicates import Comparison
 S = Schema.of("drift", "a", "b")
 
 
-def make_eddy(batch=1):
+def make_eddy(batch=1, **knobs):
     ops = [FilterOperator(Comparison("a", "==", 1), name="fa"),
            FilterOperator(Comparison("b", "==", 1), name="fb")]
     return Eddy(ops, output_sources={"drift"},
                 policy=LotteryPolicy(seed=1),
-                batching=BatchingDirective(batch))
+                batching=BatchingDirective(batch, **knobs))
 
 
 class TestController:
@@ -79,6 +79,35 @@ class TestController:
         controller.after_tuple()
         assert eddy._route_cache == {}
 
+    def test_adjustment_keeps_fix_sequence_and_vectorize(self):
+        """Turning the batching knob leaves the other two §4.3 knobs
+        where the plan set them, shrinking and growing alike."""
+        eddy = make_eddy(batch=8, fix_sequence=True, vectorize=True)
+        controller = AdaptivityController(eddy, check_every=1,
+                                          drift_threshold=0.2)
+        controller.after_tuple()      # first check only samples
+        eddy.operators[0]._ewma_selectivity = 0.0   # drift 1.0: shrink
+        assert controller.after_tuple() == 2
+        assert (eddy.batching.fix_sequence, eddy.batching.vectorize) == \
+            (True, True)
+        assert controller.after_tuple() == 8          # no drift: grow
+        assert (eddy.batching.batch_size, eddy.batching.fix_sequence,
+                eddy.batching.vectorize) == (8, True, True)
+
+    def test_drives_like_a_plain_eddy_with_identical_answers(self):
+        rows = DriftingSelectivityGenerator(seed=5, flip_at=700).take(2000)
+        plain = make_eddy(batch=1)
+        plain_out = sum(len(plain.process(t, 0)) for t in rows)
+        rows2 = DriftingSelectivityGenerator(seed=5, flip_at=700).take(2000)
+        eddy = make_eddy(batch=1)
+        controller = AdaptivityController(eddy, check_every=100)
+        auto_out = 0
+        for t in rows2:
+            auto_out += len(eddy.process(t, 0))
+            controller.after_tuple()
+        assert auto_out == plain_out
+        assert controller.checks > 0
+
     def test_validation(self):
         eddy = make_eddy()
         with pytest.raises(PlanError):
@@ -95,20 +124,3 @@ class TestController:
         stats = controller.stats()
         assert stats["checks"] == 1
         assert stats["current_batch"] == eddy.batching.batch_size
-
-
-class TestControlledEddy:
-    def test_drives_like_a_plain_eddy_with_identical_answers(self):
-        rows = DriftingSelectivityGenerator(seed=5, flip_at=700).take(2000)
-        plain = make_eddy(batch=1)
-        plain_out = sum(len(plain.process(t, 0)) for t in rows)
-        rows2 = DriftingSelectivityGenerator(seed=5, flip_at=700).take(2000)
-        controlled = ControlledEddy(make_eddy(batch=1), check_every=100)
-        auto_out = sum(len(controlled.process(t)) for t in rows2)
-        assert auto_out == plain_out
-        assert controlled.controller.checks > 0
-
-    def test_attribute_passthrough(self):
-        controlled = ControlledEddy(make_eddy())
-        assert controlled.tuples_routed == 0
-        assert controlled.operators

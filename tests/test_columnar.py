@@ -1,6 +1,5 @@
 """Batch execution: the lineage-aliasing audit, batch subsetting,
-kernel equivalence, fused predicate chains, and the plan freezer's
-freeze/thaw state machine."""
+kernel equivalence and batched selectivity bookkeeping."""
 
 import os
 import subprocess
@@ -8,14 +7,9 @@ import sys
 
 import pytest
 
-from repro.core.eddy import Eddy, EddyOperator, FilterOperator
-from repro.core.routing import BatchingDirective, FixedPolicy
+from repro.core.eddy import EddyOperator
 from repro.core.tuples import Schema, TupleBatch
-from repro.monitor import introspect
-from repro.monitor.introspect import explain_eddy, render_explain
-from repro.monitor.stats import StabilityCounter
-from repro.query.predicates import (And, Comparison, Not, Or,
-                                    compile_fused)
+from repro.query.predicates import And, Comparison, Not, Or
 
 S = Schema.of("s", "a", "b", "c")
 
@@ -168,41 +162,6 @@ class TestKernelEquivalence:
         assert got == [False, True, False, False, False]
 
 
-# ----------------------------------------------------------- fused chains
-
-class TestFusedChain:
-    def test_fused_equals_sequential(self):
-        preds = [Comparison("a", ">", 0), Comparison("b", "==", "y"),
-                 Comparison("a", "<", 100)]
-        batch = batch_of(MIXED_ROWS)
-        alive, masks = compile_fused(preds)(batch)
-        expected_alive = [all(p.matches(t) for p in preds)
-                          for t in batch.materialize()]
-        assert alive == expected_alive
-        assert len(masks) == 3
-        for p, m in zip(preds, masks):
-            assert m == [p.matches(t) for t in batch.materialize()]
-
-    def test_stagewise_outcomes_match_unfused_counters(self):
-        """Stage 1's mask at the rows stage 0 passed is exactly the
-        outcome sequence the unfused path would observe at stage 1."""
-        preds = [Comparison("a", ">", 0), Comparison("a", "<", 2)]
-        batch = batch_of([(i % 3, "x", 0) for i in range(9)])
-        _alive, masks = compile_fused(preds)(batch)
-        stage0 = masks[0]
-        stage1 = [m for m, ok in zip(masks[1], stage0) if ok]
-        # Unfused: stage 1 only sees stage-0 survivors.
-        rows = [t for t in batch.materialize() if preds[0].matches(t)]
-        assert stage1 == [preds[1].matches(t) for t in rows]
-        assert len(stage1) == sum(stage0)
-
-    def test_empty_chain_passes_everything(self):
-        batch = batch_of(MIXED_ROWS)
-        alive, masks = compile_fused([])(batch)
-        assert alive == [True] * len(batch)
-        assert masks == []
-
-
 # ------------------------------------------------- selectivity bookkeeping
 
 class TestEwmaUpdate:
@@ -224,155 +183,6 @@ class TestEwmaUpdate:
         closed = (1 - a) ** n * 0.7 + a * sum(
             (1 - a) ** (n - 1 - j) for j, b in enumerate(outcomes) if b)
         assert many._ewma_selectivity == pytest.approx(closed, abs=1e-12)
-
-    def test_stability_counter_streaks(self):
-        c = StabilityCounter()
-        assert c.observe(("fa", "fb")) == 1
-        assert c.observe(("fa", "fb")) == 2
-        assert c.observe(("fb", "fa")) == 1
-        c.reset()
-        assert c.observe(("fb", "fa")) == 1
-
-
-# ------------------------------------------------------------ plan freezer
-
-D = Schema.of("d", "a", "b")
-
-
-def _freezer_rig(stable_routes=3, **kw):
-    ops = [FilterOperator(Comparison("a", "==", 1), name="fa"),
-           FilterOperator(Comparison("b", "==", 1), name="fb")]
-    eddy = Eddy(ops, output_sources={"d"},
-                policy=FixedPolicy(["fa", "fb"]),
-                batching=BatchingDirective(8, vectorize=True))
-    freezer = eddy.enable_freezing(stable_routes=stable_routes, **kw)
-    return eddy, ops, freezer
-
-
-def _push(eddy, rows):
-    out = 0
-    batch = TupleBatch.from_tuples(
-        [D.make(*r, timestamp=i) for i, r in enumerate(rows)])
-    for item in eddy.process_batch(batch, 0):
-        out += len(item) if isinstance(item, TupleBatch) else 1
-    return out
-
-
-class TestPlanFreezer:
-    def test_freezes_after_stable_streak_and_runs_frozen(self):
-        eddy, ops, fz = _freezer_rig(stable_routes=3, check_every=10_000)
-        for _ in range(3):
-            _push(eddy, [(1, 1)] * 8)
-        assert fz.freezes == 1 and fz.frozen
-        assert fz.frozen_batches == 0
-        before = eddy.routing_decisions
-        out = _push(eddy, [(1, 1)] * 8)
-        assert out == 8
-        assert fz.frozen_batches == 1 and fz.frozen_rows == 8
-        # The frozen fast path bypasses the policy entirely.
-        assert eddy.routing_decisions == before
-
-    def test_incomplete_routes_never_freeze(self):
-        """A batch that dies mid-route saw a truncated operator list;
-        it must not count toward the freeze streak."""
-        eddy, ops, fz = _freezer_rig(stable_routes=2)
-        for _ in range(10):
-            _push(eddy, [(0, 0)] * 8)     # every row dies at fa
-        assert fz.freezes == 0 and not fz.frozen
-
-    def test_thaws_on_selectivity_drift(self):
-        eddy, ops, fz = _freezer_rig(stable_routes=2, check_every=64,
-                                     drift_threshold=0.15)
-        for _ in range(4):
-            _push(eddy, [(1, 1)] * 8)
-        assert fz.frozen
-        # Flip the distribution: fa's pass rate collapses; the frozen
-        # path keeps observing, so drift crosses the threshold.
-        for _ in range(80):
-            if not fz.frozen:
-                break
-            _push(eddy, [(0, 1)] * 8)
-        assert fz.thaws == 1 and not fz.frozen
-        assert "drift" in fz.thaw_log[0]["reason"]
-        # Streak evidence restarts from scratch after a thaw.
-        assert fz._streaks[(0, frozenset({"d"}))].streak == 0
-
-    def test_thaws_on_flight_recorder_route_change(self):
-        eddy, ops, fz = _freezer_rig(stable_routes=2, check_every=8,
-                                     drift_threshold=10.0)
-        for _ in range(2):
-            _push(eddy, [(1, 1)] * 8)
-        key = (0, frozenset({"d"}))
-        assert key in fz.frozen
-        rec = introspect.RECORDER
-        rec.configure(enabled=True)
-        try:
-            # A recorded decision contradicting the pinned order: the
-            # policy now picks fb where the frozen route runs fa first.
-            rec.record(eddy._telemetry_id, eddy.policy, ops[1], ops)
-            _push(eddy, [(1, 1)] * 8)
-        finally:
-            rec.configure(enabled=False)
-            rec.clear()
-        assert not fz.frozen and fz.thaws == 1
-        assert "route-change" in fz.thaw_log[0]["reason"]
-
-    def test_frozen_results_and_counters_match_adaptive(self):
-        rows = ([(1, 1)] * 5 + [(0, 1)] * 2 + [(1, 0)] * 1) * 12
-        ref_eddy, ref_ops, _ref_fz = _freezer_rig(stable_routes=10 ** 6)
-        ref_out = sum(_push(ref_eddy, rows[i:i + 8])
-                      for i in range(0, len(rows), 8))
-        eddy, ops, fz = _freezer_rig(stable_routes=2, check_every=10 ** 6)
-        out = sum(_push(eddy, rows[i:i + 8])
-                  for i in range(0, len(rows), 8))
-        assert fz.frozen_batches > 0
-        assert out == ref_out
-        for a, b in zip(ref_ops, ops):
-            assert (a.seen, a.passed_count) == (b.seen, b.passed_count)
-            assert a._ewma_selectivity == pytest.approx(
-                b._ewma_selectivity, abs=1e-9)
-
-    def test_explain_reports_frozen_and_reverts_after_thaw(self):
-        eddy, ops, fz = _freezer_rig(stable_routes=2, check_every=10 ** 6)
-        for _ in range(3):
-            _push(eddy, [(1, 1)] * 8)
-        report = explain_eddy(eddy)
-        assert report["ordering_source"] == "frozen"
-        assert report["orderings"][0]["order"] == ["fa", "fb"]
-        assert report["freeze"]["active"] == 1
-        text = render_explain(report)
-        assert "source=frozen" in text and "plan freezer" in text
-        assert "fused: fa+fb" in text
-        fz.thaw_all(reason="test")
-        after = explain_eddy(eddy)
-        assert after["ordering_source"] != "frozen"
-        assert after["freeze"]["active"] == 0
-        assert "thawed fa -> fb" in render_explain(after)
-
-    def test_freeze_telemetry_counters_published(self):
-        from repro.monitor.telemetry import get_registry
-        eddy, ops, fz = _freezer_rig(stable_routes=2, check_every=10 ** 6)
-        for _ in range(4):
-            _push(eddy, [(1, 1)] * 8)
-        snap = get_registry().snapshot()
-        fzid = fz._telemetry_id
-        assert snap.value("tcq_freeze_engaged_total", freezer=fzid) == 1
-        assert snap.value("tcq_freeze_thaws_total", freezer=fzid) == 0
-        assert snap.value("tcq_freeze_frozen_batches_total",
-                          freezer=fzid) >= 1
-        assert snap.value("tcq_freeze_frozen_rows_total",
-                          freezer=fzid) >= 8
-        assert snap.value("tcq_freeze_active", freezer=fzid) == 1
-
-    def test_disable_freezing_thaws_everything(self):
-        eddy, ops, fz = _freezer_rig(stable_routes=2, check_every=10 ** 6)
-        for _ in range(3):
-            _push(eddy, [(1, 1)] * 8)
-        assert fz.frozen
-        eddy.disable_freezing()
-        assert eddy.freezer is None and not fz.frozen
-        # And the eddy keeps running adaptively.
-        assert _push(eddy, [(1, 1)] * 8) == 8
 
 
 # ----------------------------------------------------------- import graph

@@ -202,64 +202,6 @@ def test_vectorized_pipeline_equals_per_tuple(s_data, t_data, filter_specs,
     assert counters_vec == counters_pt
 
 
-def _run_pipeline_frozen(s_data, t_data, filter_specs, with_join,
-                         batch_size):
-    """The vectorized path with plan freezing on aggressive settings
-    (freeze after 2 stable batches), force-thawed halfway through so a
-    single run exercises adaptive -> frozen -> thawed -> re-frozen."""
-    ops, footprint, order = _build_pipeline(filter_specs, with_join)
-    eddy = Eddy(ops, output_sources=footprint, policy=FixedPolicy(order),
-                batching=BatchingDirective(batch_size, vectorize=True))
-    freezer = eddy.enable_freezing(stable_routes=2, check_every=100_000)
-    rows = _make_rows(s_data, t_data, with_join)
-    batches = []
-    for schema in (_VS, _VT):
-        group = [t for t in rows if t.schema is schema]
-        batches.extend(TupleBatch.from_tuples(group[i:i + batch_size])
-                       for i in range(0, len(group), batch_size))
-    results = []
-    for i, batch in enumerate(batches):
-        if i == len(batches) // 2:
-            freezer.thaw_all(reason="mid-stream thaw (test)")
-        results.extend(eddy.process_batch(batch, 0))
-    return _flatten(results), _data_plane_counters(eddy, ops), freezer
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 8)),
-                max_size=30),
-       st.lists(st.tuples(st.integers(0, 5), st.integers(0, 8)),
-                max_size=30),
-       st.lists(st.tuples(st.sampled_from(["a", "b"]),
-                          st.sampled_from(_V_OPS), st.integers(0, 5)),
-                min_size=1, max_size=4),
-       st.booleans(),
-       st.sampled_from([1, 3, 16, 64]))
-def test_columnar_fallback_and_frozen_paths_agree(s_data, t_data,
-                                                  filter_specs, with_join,
-                                                  batch_size):
-    """Property: for any random filter/join pipeline, ALL execution
-    paths — per-tuple, vectorized, and vectorized with plan freezing
-    engaging and thawing mid-stream — produce the identical result
-    multiset and identical data-plane counters."""
-    if not with_join:
-        filter_specs = [(("a",) + spec[1:]) for spec in filter_specs]
-    per_tuple, counters_pt = _run_pipeline(
-        s_data, t_data, filter_specs, with_join, batch_size,
-        vectorized=False)
-    vectorized, counters_vec = _run_pipeline(
-        s_data, t_data, filter_specs, with_join, batch_size,
-        vectorized=True)
-    frozen, counters_fz, freezer = _run_pipeline_frozen(
-        s_data, t_data, filter_specs, with_join, batch_size)
-    assert values_of(vectorized) == values_of(per_tuple)
-    assert counters_vec == counters_pt
-    assert values_of(frozen) == values_of(per_tuple)
-    assert counters_fz == counters_pt
-    # The mid-stream thaw must leave no frozen residue unaccounted.
-    assert freezer.freezes >= freezer.thaws
-
-
 # Three-way join: SteM probes emit *composite* tuples that re-enter the
 # routing loop, which in the batch path runs through the per-tuple
 # composite fall-back inside ``process_batch``.  That fall-back must

@@ -1,7 +1,7 @@
 """Tests for repro.sched: the unified scheduler core — the Schedulable
-protocol, the four shipped policies, the quiescence/stall protocol, the
-§4.3 adaptive quantum controller, and a hypothesis fairness property
-(no ready unit starves beyond a policy-derived bound)."""
+protocol, the four shipped policies, the quiescence/stall protocol, and
+a hypothesis fairness property (no ready unit starves beyond a
+policy-derived bound)."""
 
 import math
 
@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ExecutionError, PlanError
-from repro.sched import (AdaptiveQuantumController, BusyFirstPolicy,
-                         DeficitRoundRobinPolicy, FunctionUnit, POLICIES,
-                         PressureAwarePolicy, QuiescenceDetector,
-                         RoundRobinPolicy, Scheduler, SchedulerStall,
-                         StepResult, coerce_step_result, drive, make_policy)
+from repro.errors import ExecutionError
+from repro.sched import (BusyFirstPolicy, DeficitRoundRobinPolicy,
+                         FunctionUnit, POLICIES, PressureAwarePolicy,
+                         QuiescenceDetector, RoundRobinPolicy, Scheduler,
+                         SchedulerStall, StepResult, coerce_step_result,
+                         drive, make_policy)
 
 
 class Worker:
@@ -349,81 +349,6 @@ class TestPolicies:
             assert make_policy(name).name == name
         rr = RoundRobinPolicy()
         assert make_policy(rr) is rr
-
-
-class TestAdaptiveQuantumController:
-    def test_grow_when_stable(self):
-        ctrl = AdaptiveQuantumController(start_quantum=16, check_every=1)
-        assert ctrl.quantum_for("u") == 16
-        ctrl.after_run("u", {"op": 0.5})          # first sample: no drift yet
-        new = ctrl.after_run("u", {"op": 0.5})    # zero drift -> grow
-        assert new == 32
-        assert ctrl.quantum_for("u") == 32
-
-    def test_shrink_on_drift(self):
-        ctrl = AdaptiveQuantumController(start_quantum=64, check_every=1,
-                                         drift_threshold=0.15)
-        ctrl.after_run("u", {"op": 0.1})
-        new = ctrl.after_run("u", {"op": 0.9})    # drift 0.8 -> shrink
-        assert new == 32
-
-    def test_dead_band_holds(self):
-        ctrl = AdaptiveQuantumController(start_quantum=64, check_every=1,
-                                         drift_threshold=0.2)
-        ctrl.after_run("u", {"op": 0.5})
-        # drift 0.15 lies between 0.2*0.5 and 0.2: hold.
-        assert ctrl.after_run("u", {"op": 0.65}) is None
-        assert ctrl.quantum_for("u") == 64
-
-    def test_clamped_to_bounds(self):
-        ctrl = AdaptiveQuantumController(start_quantum=2, min_quantum=2,
-                                         max_quantum=4, check_every=1)
-        ctrl.after_run("u", {"op": 0.5})
-        assert ctrl.after_run("u", {"op": 0.5}) == 4
-        assert ctrl.after_run("u", {"op": 0.5}) is None    # at max: hold
-        assert ctrl.quantum_for("u") == 4
-
-    def test_check_every_batches_checks(self):
-        ctrl = AdaptiveQuantumController(check_every=3)
-        ctrl.quantum_for("u")
-        assert ctrl.after_run("u", {"op": 0.5}) is None
-        assert ctrl.after_run("u", {"op": 0.5}) is None
-        ctrl.after_run("u", {"op": 0.5})
-        assert ctrl.checks == 1
-
-    def test_rejects_bad_config(self):
-        with pytest.raises(PlanError):
-            AdaptiveQuantumController(min_quantum=0)
-        with pytest.raises(PlanError):
-            AdaptiveQuantumController(start_quantum=1024)
-        with pytest.raises(PlanError):
-            AdaptiveQuantumController(grow_factor=1)
-
-    def test_scheduler_pushes_quantum_into_unit(self):
-        class AdaptiveWorker(Worker):
-            def __init__(self):
-                super().__init__("adaptive", work=1000)
-                self.applied = []
-
-            def selectivity_sample(self):
-                return {"op": 0.5}
-
-            def apply_quantum(self, n):
-                self.applied.append(n)
-
-        ctrl = AdaptiveQuantumController(start_quantum=8, check_every=2)
-        sched = Scheduler(quantum_controller=ctrl, telemetry=False)
-        unit = AdaptiveWorker()
-        sched.add(unit)
-        for _ in range(6):
-            sched.pass_once()
-        # Stable selectivities: the quantum doubled twice and each new
-        # value was pushed into the unit and used on the next run.
-        assert unit.applied == [16, 32]
-        assert 16 in unit.quanta_seen
-        sched.pass_once()
-        assert unit.quanta_seen[-1] == 32
-        assert ctrl.trajectory("adaptive")
 
 
 WEIGHTS = (0.25, 0.5, 1.0, 2.0)
