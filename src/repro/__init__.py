@@ -110,11 +110,8 @@ from repro.query.dataflow_script import DataflowScript, parse_script
 from repro.query.parser import parse, parse_predicate
 from repro.query.predicates import (And, ColumnComparison, Comparison, Not,
                                     Or, Predicate)
-from repro.sched import (BusyFirstPolicy, DeficitRoundRobinPolicy,
-                         FunctionUnit, PressureAwarePolicy, QuiescenceDetector,
-                         RoundRobinPolicy, Schedulable, Scheduler,
-                         SchedulerStall, SchedulingPolicy, StepResult,
-                         make_policy)
+from repro.sched import (FunctionUnit, Schedulable, Scheduler,
+                         SchedulerStall, StepResult)
 
 __version__ = "1.0.0"
 
@@ -147,8 +144,6 @@ __all__ = [
     "SpooledStream", "SubEddyOperator", "TessWrapper", "expected_wait",
     "nested_filter_scope", "CACQPartitionState",
     "ParallelCACQ", "MetricRegistry", "SeriesSample", "TelemetrySnapshot",
-    "get_registry", "set_registry", "BusyFirstPolicy",
-    "DeficitRoundRobinPolicy", "FunctionUnit", "PressureAwarePolicy",
-    "QuiescenceDetector", "RoundRobinPolicy", "Schedulable", "Scheduler",
-    "SchedulerStall", "SchedulingPolicy", "StepResult", "make_policy",
+    "get_registry", "set_registry", "FunctionUnit", "Schedulable",
+    "Scheduler", "SchedulerStall", "StepResult",
 ]

@@ -20,7 +20,7 @@ cross-module class map first, then per-file rules) and emits ``TCQ3xx``
 * ``TCQ303`` clock discipline — no ``time.time`` / ``time.monotonic`` /
   ``time.perf_counter`` outside ``monitor/clock.py``;
 * ``TCQ304`` Schedulable conformance — a class defining ``run_once``
-  must provide ``ready`` and ``finished`` (directly or inherited);
+  must provide ``finished`` (directly or inherited);
 * ``TCQ305`` bounded-ring discipline — a class documented as *bounded*
   must not grow a list attribute by append alone;
 * ``TCQ401`` one front door — ``TelegraphCQServer`` may only be
@@ -315,17 +315,14 @@ def _rule_schedulable(tree: ast.Module, file: str, lines: Sequence[str],
                  if isinstance(i, (ast.FunctionDef, ast.AsyncFunctionDef))}
         if "run_once" not in names:
             continue
-        missing = [m for m in ("ready", "finished")
-                   if not hierarchy.defines_member(node.name, m)]
-        if not missing:
+        if hierarchy.defines_member(node.name, "finished"):
             continue
         if _is_exempt(lines, node.lineno, "TCQ304"):
             continue
         diags.append(Diagnostic(
             "TCQ304",
-            f"{node.name} defines run_once but not "
-            f"{' or '.join(missing)}; schedulers will fall back to "
-            f"polling it forever",
+            f"{node.name} defines run_once but not finished; schedulers "
+            f"will poll it forever",
             file=file, line=node.lineno,
             hint="satisfy the Schedulable protocol (sched/protocol.py), "
                  "or mark the class '# tcqcheck: allow-not-schedulable'"))

@@ -235,8 +235,8 @@ class _WindowedQueryState:
     """Incremental execution state for one windowed query DU.
 
     Satisfies the :class:`repro.sched.protocol.Schedulable` protocol
-    (``run_once`` / ``ready`` / ``finished``) so the executor can host
-    it directly inside a scheduler-controlled EO.
+    (``run_once`` / ``finished``) so the executor can host it directly
+    inside a scheduler-controlled EO.
     """
 
     def __init__(self, plan: WindowedPlan, spec_iter, cursor: Cursor,
@@ -257,15 +257,6 @@ class _WindowedQueryState:
     @property
     def finished(self) -> bool:
         return self.done
-
-    def ready(self) -> bool:
-        """Cheap hint: the next pending window (if known) is evaluable
-        only once every stream clock passed its right edge."""
-        if self.done:
-            return False
-        if self.pending is None:
-            return True                # must poll the spec iterator
-        return self._ready(self.pending[1])
 
     def run_once(self, quantum: Optional[int] = None) -> "StepResult":
         worked = self.step(16 if quantum is None else quantum)
@@ -424,8 +415,7 @@ class TelegraphCQServer:
         return entry.schema
 
     def _admit(self, stream: str, batch: Rows) -> Dict[str, int]:
-        with self._telemetry.trace("ingress", stream=stream):
-            pushed = self.ingress[stream].admit(batch)
+        pushed = self.ingress[stream].admit(batch)
         return {"pushed": pushed, "shed": len(batch) - pushed}
 
     def _route_batch(self, stream: str, batch: Rows) -> None:
@@ -656,8 +646,7 @@ class TelegraphCQServer:
         cursor._windowed_state = state
         du = DispatchUnit(
             state.name, DispatchUnit.MODE_SINGLE_EDDY,
-            step=state.run_once, is_finished=lambda: state.done,
-            ready=state.ready, query_class=cursor.client)
+            step=state.run_once, is_finished=lambda: state.done)
         self.executor.enqueue_plan(compiled.footprint, du)
 
     def _window_rows(self, obj: str, lo: int, hi: int) -> Rows:

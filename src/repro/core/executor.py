@@ -13,7 +13,8 @@ overhead".  The design points reproduced here:
   protocol.
 * **Dispatch Units (DUs)** — non-preemptive work abstractions following
   the Fjords model: ``run_once`` does a bounded quantum and returns a
-  :class:`~repro.sched.protocol.StepResult`.  A DU can host (mode 1) a
+  :class:`~repro.sched.protocol.StepResult`; a DU that reports
+  finished leaves its EO at the end of that pass.  A DU can host (mode 1) a
   traditional one-shot plan, (mode 2) a single-eddy dataflow, or
   (mode 3) a shared continuous-query eddy — the three modes the paper
   lists.
@@ -33,7 +34,7 @@ from typing import (Any, Callable, Deque, Dict, FrozenSet, Iterable, List,
 from repro.errors import ExecutionError
 from repro.fjords.fjord import Fjord
 from repro.monitor.telemetry import get_registry
-from repro.sched.protocol import StepResult, coerce_step_result, unit_ready
+from repro.sched.protocol import StepResult, coerce_step_result
 from repro.sched.scheduler import Scheduler, drive
 
 
@@ -42,9 +43,7 @@ class DispatchUnit:
 
     ``step`` may return a bool (legacy) or a
     :class:`~repro.sched.protocol.StepResult`; ``run_once`` always
-    returns a StepResult.  The optional hints — ``ready`` and
-    ``pressure`` — and the ``weight`` / ``query_class`` labels are what
-    any :class:`~repro.sched.Scheduler` policy reads of a unit.
+    returns a StepResult.
     """
 
     #: paper's three DU modes.
@@ -54,18 +53,11 @@ class DispatchUnit:
 
     def __init__(self, name: str, mode: int,
                  step: Callable[[int], Any],
-                 is_finished: Callable[[], bool] = lambda: False,
-                 ready: Optional[Callable[[], bool]] = None,
-                 pressure: Optional[Callable[[], float]] = None,
-                 weight: float = 1.0, query_class: Any = None):
+                 is_finished: Callable[[], bool] = lambda: False):
         self.name = name
         self.mode = mode
         self._step = step
         self._is_finished = is_finished
-        self._ready = ready
-        self._pressure = pressure
-        self.weight = weight
-        self.query_class = query_class
         self.quanta = 0
         self.busy_quanta = 0
 
@@ -81,27 +73,12 @@ class DispatchUnit:
     def finished(self) -> bool:
         return self._is_finished()
 
-    # -- scheduler hints ---------------------------------------------------
-    def ready(self) -> bool:
-        if self._ready is None:
-            return True
-        return bool(self._ready())
-
-    def pressure(self) -> float:
-        if self._pressure is None:
-            return 0.0
-        return float(self._pressure())
-
     @classmethod
     def from_fjord(cls, fjord: Fjord, mode: int = MODE_SINGLE_EDDY,
-                   name: str = "", weight: float = 1.0,
-                   query_class: Any = None) -> "DispatchUnit":
+                   name: str = "") -> "DispatchUnit":
         return cls(name or fjord.name, mode,
                    step=fjord.step,
-                   is_finished=lambda: fjord.finished,
-                   ready=fjord.ready,
-                   pressure=fjord.pressure,
-                   weight=weight, query_class=query_class)
+                   is_finished=lambda: fjord.finished)
 
     def __repr__(self) -> str:
         return f"DispatchUnit({self.name}, mode={self.mode})"
@@ -114,18 +91,25 @@ class ExecutionObject:
     def __init__(self, eo_id: int):
         self.eo_id = eo_id
         self.name = f"eo{eo_id}"
-        self.scheduler = Scheduler(policy="round_robin", name=self.name)
+        self.scheduler = Scheduler(name=self.name)
+        #: quanta run by DUs that have since finished and left.
+        self.retired_quanta = 0
 
     def add(self, du: DispatchUnit) -> None:
-        self.scheduler.add(du, weight=getattr(du, "weight", 1.0),
-                           query_class=getattr(du, "query_class", None))
+        self.scheduler.add(du)
 
     def remove(self, name: str) -> None:
         self.scheduler.remove(name)
 
     def step(self, batch: int = 16) -> StepResult:
-        """One policy-driven pass over the DUs."""
-        return self.scheduler.pass_once(batch)
+        """One pass over the DUs; a DU finished by the end of it leaves
+        the EO, and its quanta fold into :attr:`retired_quanta`."""
+        result = self.scheduler.pass_once(batch)
+        for du in self.scheduler.units:
+            if du.finished:
+                self.scheduler.remove(du.name)
+                self.retired_quanta += du.quanta
+        return result
 
     # -- Schedulable (the executor's top-level scheduler hosts EOs) --------
     def run_once(self, quantum: Optional[int] = None) -> StepResult:
@@ -136,10 +120,6 @@ class ExecutionObject:
         # An EO is never *finished*: new DUs fold in at any time.  Its
         # quiescence shows up as IDLE passes instead.
         return False
-
-    def ready(self) -> bool:
-        return any(not du.finished and unit_ready(du)
-                   for du in self.dispatch_units)
 
     # -- introspection -----------------------------------------------------
     @property
@@ -231,7 +211,7 @@ class Executor:
         #: the QPQueue: (footprint, DU) pairs awaiting fold-in.
         self._plan_queue: Deque[TypingTuple[FrozenSet[str], DispatchUnit]] = \
             deque()
-        self._eo_sched = Scheduler(policy="round_robin", name="executor")
+        self._eo_sched = Scheduler(name="executor")
         self.steps = 0
         self.plans_folded = 0
         self._telemetry = get_registry()
@@ -278,6 +258,7 @@ class Executor:
             self._eo_sched.remove(merged.name)
             for du in merged.dispatch_units:
                 self._eos[root].add(du)
+            self._eos[root].retired_quanta += merged.retired_quanta
         return self._eos[root]
 
     def step(self, batch: int = 16) -> StepResult:
@@ -308,7 +289,8 @@ class Executor:
                              "Scheduler passes per EO", ("eo",),
                              collected=True)
         quanta = reg.counter("tcq_executor_du_quanta_total",
-                             "Quanta run per DU", ("eo", "du"),
+                             "Quanta run per DU (finished DUs fold "
+                             "into du=retired)", ("eo", "du"),
                              collected=True)
         busy = reg.gauge("tcq_executor_du_busy_ratio",
                          "Fraction of a DU's quanta that made progress",
@@ -319,6 +301,9 @@ class Executor:
                 quanta.labels(str(root), du.name).set_total(du.quanta)
                 busy.labels(str(root), du.name).set(
                     du.busy_quanta / du.quanta if du.quanta else 0.0)
+            if eo.retired_quanta:
+                quanta.labels(str(root), "retired") \
+                    .set_total(eo.retired_quanta)
 
     # -- introspection -------------------------------------------------------
     @property

@@ -2,14 +2,12 @@
 the unified scheduler core.
 
 A Fjord owns the wiring (``connect``) and delegates the run loop
-(``step`` / ``run`` / ``run_until_finished``) to a
-:class:`repro.sched.Scheduler` hosting its modules — round-robin by
-default, bit-compatible with the historical hand-rolled loop, but any
-:mod:`repro.sched.policy` (deficit round robin, pressure-aware) plugs
-in via the constructor.
+(``step`` / ``run`` / ``run_until_finished``) to a round-robin
+:class:`repro.sched.Scheduler` hosting its modules, bit-compatible with
+the historical hand-rolled loop.
 
 A Fjord is itself a :class:`~repro.sched.protocol.Schedulable`
-(``run_once`` / ``ready`` / ``pressure`` / ``finished``), which is how
+(``run_once`` / ``finished``), which is how
 the multi-query executor in :mod:`repro.core.executor` hosts many Fjords
 as Dispatch Units inside scheduler-controlled EOs — the single-plan
 analogue of the TelegraphCQ Execution Object.
@@ -17,7 +15,7 @@ analogue of the TelegraphCQ Execution Object.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Type
+from typing import Dict, List, Optional, Type
 
 from repro.errors import PlanError
 from repro.fjords.module import Module, StepResult
@@ -28,16 +26,12 @@ from repro.sched.scheduler import Scheduler, SchedulerStall
 class Fjord:
     """A runnable dataflow graph."""
 
-    def __init__(self, name: str = "fjord", default_capacity: int = 0,
-                 policy: Any = "round_robin",
-                 sched_telemetry: bool = False):
+    def __init__(self, name: str = "fjord", default_capacity: int = 0):
         self.name = name
         self.default_capacity = default_capacity
         self.modules: List[Module] = []
         self.queues: List[FjordQueue] = []
         self._names: Dict[str, Module] = {}
-        self._policy = policy
-        self._sched_telemetry = sched_telemetry
         self._scheduler: Optional[Scheduler] = None
 
     # -- construction ------------------------------------------------------
@@ -97,9 +91,7 @@ class Fjord:
         """The Fjord's scheduler over its modules (built on first use;
         modules registered later join it automatically)."""
         if self._scheduler is None:
-            sched = Scheduler(policy=self._policy,
-                              name=f"fjord:{self.name}",
-                              telemetry=self._sched_telemetry)
+            sched = Scheduler(name=f"fjord:{self.name}", telemetry=False)
             for m in self.modules:
                 sched.add(m)
             self._scheduler = sched
@@ -120,22 +112,6 @@ class Fjord:
     @property
     def finished(self) -> bool:
         return all(m.finished for m in self.modules)
-
-    def ready(self) -> bool:
-        """Cheap hint: any live module with consumable input or a live
-        source that must be polled."""
-        return any(not m.finished and m.ready() for m in self.modules)
-
-    def pressure(self) -> float:
-        """Occupancy of the Fjord's bounded queues (its own internal
-        backpressure surface, seen from an enclosing scheduler)."""
-        worst = 0.0
-        for q in self.queues:
-            if q.capacity:
-                frac = q.fill_fraction()
-                if frac > worst:
-                    worst = frac
-        return worst
 
     def run(self, max_steps: int = 1_000_000,
             batch: Optional[int] = None) -> int:

@@ -11,10 +11,9 @@ A module:
   most a bounded amount of input, emit results, and return a
   :class:`StepResult` telling the scheduler whether useful work happened.
 
-Together with the ``ready()`` / ``pressure()`` hints below, every module
-satisfies the unified :class:`repro.sched.protocol.Schedulable`
-protocol, so any module can be hosted directly by a
-:class:`repro.sched.Scheduler` under any policy.
+With ``run_once``, ``finished`` and ``name``, every module satisfies the
+unified :class:`repro.sched.protocol.Schedulable` protocol, so any module
+can be hosted directly by a :class:`repro.sched.Scheduler`.
 
 Modules are agnostic to push vs pull: they always use the non-blocking
 queue API, and the queue flavour decides whether a pop pumps upstream.
@@ -80,29 +79,6 @@ class Module:
         for i, q in enumerate(self.outputs):
             if q is None:
                 raise PlanError(f"{self.name}: output port {i} is unbound")
-
-    # -- scheduler hints ---------------------------------------------------
-    def ready(self) -> bool:
-        """Cheap Schedulable hint: is there input to consume right now?
-
-        Policies that poll regardless (round-robin) ignore this; the
-        pressure-aware policy and the idle detector use it to avoid
-        burning quanta on provably idle modules.
-        """
-        return any(q is not None and q.has_ready_data()
-                   for q in self.inputs)
-
-    def pressure(self) -> float:
-        """Downstream occupancy in [0, 1]: the max fill fraction of the
-        module's *bounded* output queues (unbounded queues exert no
-        backpressure).  1.0 means a push would be refused or dropped."""
-        worst = 0.0
-        for q in self.outputs:
-            if q is not None and q.capacity:
-                frac = q.fill_fraction()
-                if frac > worst:
-                    worst = frac
-        return worst
 
     # -- emission helpers --------------------------------------------------
     def emit(self, item: Any, port: int = 0) -> bool:
@@ -228,12 +204,6 @@ class SourceModule(Module):
     def _emit_each(self, batch: List[Any]) -> None:
         for item in batch:
             self.emit(item)
-
-    def ready(self) -> bool:
-        # A source must be polled while live: only it knows whether the
-        # outside world has data (a quiet push source still returns
-        # IDLE, which the quiescence detector handles).
-        return not self.finished
 
     def generate(self, batch: int) -> Iterable[Any]:
         raise NotImplementedError

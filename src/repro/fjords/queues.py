@@ -233,12 +233,6 @@ class FjordQueue:
     def peek(self) -> Any:
         return self._items[0] if self._items else EMPTY
 
-    def has_ready_data(self) -> bool:
-        """Cheap scheduler hint: could a pop return data *right now*
-        without running anything else?  Pull queues override (their pump
-        can manufacture data on demand)."""
-        return bool(self._items)
-
     def __len__(self) -> int:
         return len(self._items)
 
@@ -246,7 +240,7 @@ class FjordQueue:
         # A queue is truthy whether or not it holds data: without this,
         # ``__len__`` would make an empty queue falsy and ``if q`` /
         # ``q or default`` would read "no queue attached".  Ask for data
-        # with ``len(q)``, ``has_ready_data()`` or ``q._items``.
+        # with ``len(q)`` or ``q._items``.
         return True
 
     @property
@@ -314,11 +308,6 @@ class PullQueue(FjordQueue):
                 return []
             return [first] + super().pop_many(max_items - 1)
         return super().pop_many(max_items)
-
-    def has_ready_data(self) -> bool:
-        # An attached pump may produce on demand, so the consumer must
-        # be considered runnable even while the buffer is empty.
-        return bool(self._items) or self.producer is not None
 
 
 class ExchangeQueue(PullQueue):

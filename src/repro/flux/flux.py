@@ -483,8 +483,7 @@ class Flux:
             f"{self._telemetry_id}:drain",
             step=lambda _quantum: bool(self.tick()),
             is_finished=lambda: not self.unacked_total())
-        sched = Scheduler(policy="round_robin",
-                          name=f"{self._telemetry_id}:drain",
+        sched = Scheduler(name=f"{self._telemetry_id}:drain",
                           telemetry=False)
         sched.add(unit)
         try:
@@ -500,9 +499,7 @@ class FluxPump(Schedulable):
     Wraps a :class:`Flux` (and optionally a feed of arriving batches)
     so the cluster data plane runs *beside* the engine, the network
     pump, and every other :class:`~repro.sched.Schedulable` under one
-    scheduler — one ``run_once`` is one Flux epoch.  ``ready()`` is the
-    cheap hint the pressure-aware policy needs: there is work whenever
-    input remains or acknowledgements are outstanding.
+    scheduler — one ``run_once`` is one Flux epoch.
     """
 
     def __init__(self, flux: Flux,
@@ -517,9 +514,6 @@ class FluxPump(Schedulable):
     @property
     def finished(self) -> bool:
         return self._feed_done and not self.flux.unacked_total()
-
-    def ready(self) -> bool:
-        return not self._feed_done or bool(self.flux.unacked_total())
 
     def run_once(self, quantum: Optional[int] = None) -> StepResult:
         batch: Optional[List[Tuple]] = None

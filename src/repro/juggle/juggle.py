@@ -74,11 +74,6 @@ class Juggle(Module):
     def _priority(self, t: Tuple) -> float:
         return self.preferences.get(self.classify(t), 0.0)
 
-    def ready(self) -> bool:
-        """Unlike a plain module, Juggle has work whenever its buffer
-        holds tuples — it can emit without consuming."""
-        return bool(self._heap) or super().ready()
-
     def run_once(self, batch: Optional[int] = None) -> StepResult:
         if self.finished:
             return StepResult.DONE

@@ -3,11 +3,11 @@
 Five layers:
 
 * :mod:`repro.monitor.stats` — per-component online estimators
-  (selectivity, rate, latency);
+  (selectivity, rate, drift);
 * :mod:`repro.monitor.qos` — the load-shedding QoS controller;
 * :mod:`repro.monitor.telemetry` — the process-wide metrics registry
-  and trace-span facility every subsystem publishes through, with JSON
-  and Prometheus exporters;
+  every subsystem publishes through, with JSON and Prometheus
+  exporters;
 * :mod:`repro.monitor.tracing` — sampled end-to-end tuple traces
   (ingress→egress hop records, latency watermarks, JSONL/Chrome
   exporters);
@@ -16,12 +16,11 @@ Five layers:
 """
 
 from repro.monitor.qos import LoadShedder
-from repro.monitor.stats import (EngineMonitor, LatencyTracker,
-                                 RateEstimator, SelectivityTracker)
+from repro.monitor.stats import RateEstimator, SelectivityTracker
 from repro.monitor.telemetry import (Counter, Gauge, Histogram,
                                      MetricFamily, MetricRegistry,
                                      SeriesSample, TelemetrySnapshot,
-                                     TraceSpan, get_registry,
+                                     get_registry,
                                      register_global_collector,
                                      set_registry)
 from repro.monitor.tracing import (Hop, TraceContext, Tracer,
@@ -32,11 +31,11 @@ from repro.monitor.introspect import (FlightRecorder, RoutingDecision,
                                       render_explain)
 
 __all__ = [
-    "Counter", "EngineMonitor", "FlightRecorder", "Gauge", "Histogram",
-    "Hop", "LatencyTracker", "LoadShedder", "MetricFamily",
+    "Counter", "FlightRecorder", "Gauge", "Histogram",
+    "Hop", "LoadShedder", "MetricFamily",
     "MetricRegistry", "RateEstimator", "RoutingDecision",
     "SelectivityTracker", "SeriesSample", "TelemetrySnapshot",
-    "TraceContext", "TraceSpan", "Tracer", "configure_tracing",
+    "TraceContext", "Tracer", "configure_tracing",
     "explain_eddy", "get_flight_recorder", "get_registry", "get_tracer",
     "latency_by_query", "register_global_collector", "render_explain",
     "set_registry",

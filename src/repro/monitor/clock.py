@@ -1,11 +1,11 @@
 """The single monotonic clock source for all observability layers.
 
-Telemetry trace spans (:mod:`repro.monitor.telemetry`) and end-to-end
-tuple traces (:mod:`repro.monitor.tracing`) must be mutually comparable
-— a span's window should bracket the hop timestamps of tuples processed
-inside it.  That only holds if both read the *same* clock, so both
-import :func:`now` from here instead of picking a ``time`` function
-independently.
+End-to-end tuple traces (:mod:`repro.monitor.tracing`), the routing
+flight recorder, Flux recovery timings and the network service's
+liveness checks must be mutually comparable — a hop timestamp means the
+same instant everywhere.  That only holds if they all read the *same*
+clock, so they import :func:`now` from here instead of picking a
+``time`` function independently.
 
 ``perf_counter`` is monotonic and the highest-resolution clock the
 stdlib offers; its epoch is arbitrary, so exporters that need wall time

@@ -8,14 +8,14 @@ know is *observed online*.  This module centralises the estimators:
   operator;
 * :class:`RateEstimator` — arrival/service rates over a sliding window
   of ticks (drives overload detection);
-* :class:`LatencyTracker` — per-tuple latency quantiles via a reservoir.
+* :func:`sample_drift` — selectivity drift between two samples (the
+  §4.3 rate-of-change signal).
 """
 
 from __future__ import annotations
 
-import random
 from collections import deque
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict
 
 
 class SelectivityTracker:
@@ -86,78 +86,3 @@ class RateEstimator:
 
     def peak(self) -> int:
         return max(self._events, default=0)
-
-
-class LatencyTracker:
-    """Reservoir-sampled latency distribution."""
-
-    def __init__(self, reservoir: int = 1024, seed: int = 0):
-        self.reservoir_size = reservoir
-        self._samples: List[float] = []
-        self._seen = 0
-        self._rng = random.Random(seed)
-
-    def observe(self, latency: float) -> None:
-        self._seen += 1
-        if len(self._samples) < self.reservoir_size:
-            self._samples.append(latency)
-            return
-        j = self._rng.randrange(self._seen)
-        if j < self.reservoir_size:
-            self._samples[j] = latency
-
-    def quantile(self, q: float) -> Optional[float]:
-        if not self._samples:
-            return None
-        ordered = sorted(self._samples)
-        idx = min(len(ordered) - 1, int(q * len(ordered)))
-        return ordered[idx]
-
-    def mean(self) -> Optional[float]:
-        if not self._samples:
-            return None
-        return sum(self._samples) / len(self._samples)
-
-    @property
-    def count(self) -> int:
-        return self._seen
-
-
-class EngineMonitor:
-    """Aggregates the per-component estimators for one engine instance,
-    and renders a flat snapshot for logging and the QoS controller."""
-
-    def __init__(self) -> None:
-        self.selectivities: Dict[str, SelectivityTracker] = {}
-        self.arrival = RateEstimator()
-        self.service = RateEstimator()
-        self.latency = LatencyTracker()
-        self.dropped = 0
-
-    def selectivity(self, operator: str) -> SelectivityTracker:
-        tracker = self.selectivities.get(operator)
-        if tracker is None:
-            tracker = SelectivityTracker()
-            self.selectivities[operator] = tracker
-        return tracker
-
-    def overload_factor(self) -> float:
-        """arrival rate / service rate; > 1 means falling behind."""
-        service = self.service.rate()
-        if service <= 0:
-            return 0.0 if self.arrival.rate() <= 0 else float("inf")
-        return self.arrival.rate() / service
-
-    def snapshot(self) -> Dict[str, object]:
-        return {
-            "arrival_rate": self.arrival.rate(),
-            "service_rate": self.service.rate(),
-            "overload": self.overload_factor(),
-            "latency_p50": self.latency.quantile(0.5),
-            "latency_p95": self.latency.quantile(0.95),
-            "dropped": self.dropped,
-            "selectivities": {
-                name: tracker.windowed_rate
-                for name, tracker in self.selectivities.items()
-            },
-        }

@@ -30,11 +30,6 @@ one of ``eddy``, ``stem``, ``executor``, ``fjords``, ``qos``, ``flux``,
 ``storage``, ``ingress``, ``egress``, ``cacq``, ``server``,
 ``telemetry``.
 
-A sampled per-tuple **trace span** facility rides along: call
-:meth:`MetricRegistry.trace` around a unit of work; every Nth call
-(``trace_sample_every``) records a timed span into a bounded ring
-buffer readable via :meth:`MetricRegistry.recent_traces`.
-
 Snapshots (:class:`TelemetrySnapshot`) are typed, order-stable, and
 round-trip through both exporters: :meth:`TelemetrySnapshot.to_json` /
 :meth:`TelemetrySnapshot.from_json` and
@@ -44,17 +39,13 @@ round-trip through both exporters: :meth:`TelemetrySnapshot.to_json` /
 
 from __future__ import annotations
 
-import itertools
 import json
 import re
-import threading
 import weakref
-from collections import deque
-from typing import (Any, Callable, Deque, Dict, Iterable, List, Optional,
+from typing import (Any, Callable, Dict, List, Optional,
                     Sequence, Tuple as TypingTuple)
 
 from repro.errors import TelemetryError
-from repro.monitor.clock import now as _now
 
 
 #: Default histogram bucket upper bounds (seconds-ish scale); +Inf is
@@ -259,51 +250,6 @@ class MetricFamily:
                 f"{len(self._children)} series)")
 
 
-class TraceSpan:
-    """One sampled, timed unit of work."""
-
-    __slots__ = ("name", "labels", "started_at", "duration", "_recorder")
-
-    def __init__(self, name: str, labels: Dict[str, str],
-                 recorder: Optional["MetricRegistry"]):
-        self.name = name
-        self.labels = labels
-        # Shared clock (repro.monitor.clock) so span windows and tuple
-        # trace hops are directly comparable.
-        self.started_at = _now()
-        self.duration: Optional[float] = None
-        self._recorder = recorder
-
-    def __enter__(self) -> "TraceSpan":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.end()
-
-    def end(self) -> None:
-        if self.duration is None:
-            self.duration = _now() - self.started_at
-            if self._recorder is not None:
-                self._recorder._record_span(self)
-
-
-class _NoopSpan:
-    """The unsampled case: zero bookkeeping."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NoopSpan":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        pass
-
-    def end(self) -> None:
-        pass
-
-
-_NOOP_SPAN = _NoopSpan()
-
 #: Collectors every registry runs at snapshot time, regardless of which
 #: registry instance is current — used by module-scoped state (fjord
 #: queue totals, spill I/O totals) that cannot bind a registry at
@@ -318,30 +264,13 @@ def register_global_collector(
 
 
 class MetricRegistry:
-    """The process-wide registry: declare families, take snapshots.
+    """The process-wide registry: declare families, take snapshots."""
 
-    ``trace_sample_every`` of 0 disables trace sampling entirely;
-    ``N`` records every Nth :meth:`trace` call.
-    """
-
-    def __init__(self, trace_sample_every: int = 0,
-                 trace_capacity: int = 256,
-                 max_series_per_family: int = 128):
+    def __init__(self, max_series_per_family: int = 128):
         self.enabled = True
-        self.trace_sample_every = trace_sample_every
-        self.trace_capacity = trace_capacity
         self.max_series_per_family = max_series_per_family
         self._families: Dict[str, MetricFamily] = {}
         self._collectors: List[weakref.ReferenceType] = []
-        # Span ring + sample counter are touched from Flux worker
-        # threads: the deque bounds memory and appends atomically, the
-        # itertools counter increments atomically under CPython, and the
-        # recorded-spans total is guarded by a lock on the (rare)
-        # sampled path only.
-        self._spans: Deque[TraceSpan] = deque(maxlen=trace_capacity)
-        self._trace_counter = itertools.count(1)
-        self._spans_recorded = 0
-        self._span_lock = threading.Lock()
         self.snapshots_taken = 0
         self.dropped_by_family: Dict[str, int] = {}
 
@@ -403,30 +332,6 @@ class MetricRegistry:
         self.dropped_by_family[family] = \
             self.dropped_by_family.get(family, 0) + 1
 
-    # -- tracing ------------------------------------------------------------
-    def trace(self, name: str, **labels: Any):
-        """A context-managed span, sampled every Nth call.
-
-        Thread-safe: the sample counter is an :func:`itertools.count`
-        (atomic increment under CPython), so concurrent callers cannot
-        lose or double-record a tick the way ``self._n += 1`` could.
-        """
-        if not self.enabled or not self.trace_sample_every:
-            return _NOOP_SPAN
-        if next(self._trace_counter) % self.trace_sample_every:
-            return _NOOP_SPAN
-        return TraceSpan(name, {k: str(v) for k, v in labels.items()}, self)
-
-    def _record_span(self, span: TraceSpan) -> None:
-        # deque(maxlen) bounds memory and appends atomically; only the
-        # running total needs the lock, and only sampled spans get here.
-        self._spans.append(span)
-        with self._span_lock:
-            self._spans_recorded += 1
-
-    def recent_traces(self) -> List[TraceSpan]:
-        return list(self._spans)
-
     # -- on/off -------------------------------------------------------------
     def disable(self) -> None:
         self.enabled = False
@@ -477,17 +382,11 @@ class MetricRegistry:
         # over a copy so the dict is free to grow underneath.
         for family, n in list(self.dropped_by_family.items()):
             dropped.labels(family).set_total(n)
-        self.counter("tcq_telemetry_trace_spans_total",
-                     "Trace spans recorded").set_total(
-            self._spans_recorded)
 
     def reset(self) -> None:
-        """Forget every family, collector, and span (tests)."""
+        """Forget every family and collector (tests)."""
         self._families.clear()
         self._collectors.clear()
-        self._spans.clear()
-        self._trace_counter = itertools.count(1)
-        self._spans_recorded = 0
         self.snapshots_taken = 0
         self.dropped_by_family.clear()
 

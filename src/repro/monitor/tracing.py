@@ -26,8 +26,8 @@ On finish, each trace feeds the **latency watermarks**: per-query
 ingress→egress histograms plus per-hop-kind time attribution, published
 through the current :class:`~repro.monitor.telemetry.MetricRegistry` as
 the ``tcq_trace_*`` family.  Timestamps come from
-:mod:`repro.monitor.clock`, the same clock telemetry spans use, so spans
-and hops are directly comparable.
+:mod:`repro.monitor.clock`, the same clock the flight recorder uses, so
+hops and routing decisions are directly comparable.
 """
 
 from __future__ import annotations

@@ -87,9 +87,9 @@ class NetworkPump:
 
     ``run_once(quantum)`` dispatches up to ``quantum`` buffered request
     frames, then delivers streaming rows within each cursor's credit,
-    then runs the eviction scan.  ``ready()`` is the cheap hint the
-    pressure-aware policy needs: frames waiting, or a creditable cursor
-    with buffered rows.
+    then runs the eviction scan.  ``ready()`` tells the idle drive loop
+    whether to pass again before parking: frames waiting, or a
+    creditable cursor with buffered rows.
     """
 
     def __init__(self, service: "TelegraphCQService"):
@@ -140,7 +140,6 @@ class TelegraphCQService:
                  max_write_buffer: int = 1 << 20,
                  idle_timeout: Optional[float] = None,
                  idle_poll: float = 0.005,
-                 policy: str = "round_robin",
                  shedder: Optional[LoadShedder] = None):
         # The unified client API is the only door to an engine; the
         # service fronts a LocalConnection rather than building its own
@@ -169,7 +168,7 @@ class TelegraphCQService:
         # a wire row is shed, stored and counted at one door.
         self.server.shed_with(self.shedder)
         self.pump = NetworkPump(self)
-        self.scheduler = Scheduler(policy=policy, name="net")
+        self.scheduler = Scheduler(name="net")
         self.scheduler.add(FunctionUnit(
             "engine", step=lambda q: self.server.step(16 if q is None else q)))
         self.scheduler.add(self.pump)

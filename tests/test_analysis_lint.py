@@ -131,11 +131,19 @@ def test_run_once_without_protocol_flagged():
     assert codes(src) == ["TCQ304"]
 
 
+def test_run_once_with_ready_but_no_finished_flagged():
+    src = textwrap.dedent("""\
+        class Half:
+            def run_once(self, quantum=None): ...
+            def ready(self): ...
+    """)
+    assert codes(src) == ["TCQ304"]
+
+
 def test_run_once_with_methods_ok():
     src = textwrap.dedent("""\
         class Full:
             def run_once(self, quantum=None): ...
-            def ready(self): ...
             @property
             def finished(self): ...
     """)
@@ -147,7 +155,6 @@ def test_run_once_with_instance_attr_ok():
         class Full:
             def __init__(self):
                 self.finished = False
-            def ready(self): ...
             def run_once(self, quantum=None): ...
     """)
     assert codes(src) == []
@@ -160,7 +167,6 @@ def test_run_once_inherited_protocol_ok():
     """)
     extra = {"protocol.py": textwrap.dedent("""\
         class Schedulable:
-            def ready(self): ...
             @property
             def finished(self): ...
     """)}

@@ -1,8 +1,12 @@
 """Tests for the Executor: EOs, DUs, footprint classes, dynamic plan
 fold-in, and EO merging when a query bridges classes."""
 
+import gc
+import weakref
+
 import pytest
 
+from repro.client import connect
 from repro.core.executor import (DispatchUnit, ExecutionObject, Executor,
                                  FootprintClasses)
 from repro.errors import ExecutionError
@@ -218,3 +222,56 @@ class TestExecutor:
         stats = ex.stats()
         assert stats["eos"] == 1
         assert stats["dus"] == 1
+
+
+class TestFinishedDUsLeave:
+    """A windowed query's DU leaves its EO once the query is cancelled
+    or its for-loop runs out, so the executor stops holding the query's
+    state (its plan and per-binding SteMs)."""
+
+    WINDOWED = ("SELECT AVG(v) FROM s "
+                "for (t = 2; t <= 4; t += 2) { WindowIs(s, t - 1, t); }")
+
+    def test_cancelled_query_is_released(self):
+        conn = connect()
+        conn.create_stream("s", "v")
+        cur = conn.submit(self.WINDOWED)
+        conn.step()
+        assert conn.server.executor.stats()["dus"] == 1
+        state = weakref.ref(cur._windowed_state)
+        conn.cancel(cur)
+        conn.step()
+        assert conn.server.executor.stats()["dus"] == 0
+        del cur
+        gc.collect()
+        assert state() is None
+
+    def test_query_whose_loop_runs_out_is_released(self):
+        conn = connect()
+        conn.create_stream("s", "v")
+        cur = conn.submit(self.WINDOWED)
+        state = weakref.ref(cur._windowed_state)
+        conn.push_rows("s", [(float(i),) for i in range(1, 6)],
+                       timestamp=1)
+        conn.step(3)
+        assert conn.server.executor.stats()["dus"] == 0
+        assert [t for t, _rows in cur.fetch_windows()] == [2, 4]
+        cur.close()
+        del cur
+        gc.collect()
+        assert state() is None
+
+    def test_retired_quanta_keep_counting(self):
+        conn = connect()
+        conn.create_stream("s", "v")
+        cur = conn.submit(self.WINDOWED)
+        conn.step()
+        conn.push_rows("s", [(float(i),) for i in range(1, 6)],
+                       timestamp=1)
+        conn.step(3)
+        snap = conn.telemetry()
+        quanta = [s for s in snap.samples
+                  if s.name == "tcq_executor_du_quanta_total"]
+        assert [s.labels["du"] for s in quanta] == ["retired"]
+        assert quanta[0].value == 2      # one idle, one that fired both
+        cur.close()

@@ -259,7 +259,7 @@ class TestFluxPump:
                     state_factory=group_factory, replication=1)
         batches = [data[i:i + 40] for i in range(0, len(data), 40)]
         pump = FluxPump(flux, feed=batches)
-        sched = Scheduler(policy="round_robin", telemetry=False)
+        sched = Scheduler(telemetry=False)
         sched.add(pump)
         sched.run_until_finished(max_passes=50_000)
         assert pump.finished
@@ -272,12 +272,12 @@ class TestFluxPump:
                     state_factory=group_factory)
         flux.route(make_data(50))
         pump = FluxPump(flux)
-        assert pump.ready()
-        sched = Scheduler(policy="round_robin", telemetry=False)
+        assert not pump.finished        # acks are outstanding
+        sched = Scheduler(telemetry=False)
         sched.add(pump)
         sched.run_until_finished(max_passes=10_000)
         assert flux.unacked_total() == 0
-        assert not pump.ready()
+        assert pump.finished
 
     def test_recovery_time_is_recorded(self):
         backend = sim_backend(3)

@@ -6,8 +6,7 @@ import pytest
 from repro.core.tuples import Schema
 from repro.errors import QosError
 from repro.monitor.qos import LoadShedder
-from repro.monitor.stats import (EngineMonitor, LatencyTracker,
-                                 RateEstimator, SelectivityTracker)
+from repro.monitor.stats import RateEstimator, SelectivityTracker
 
 S = Schema.of("S", "cls", "v")
 
@@ -46,47 +45,6 @@ class TestRateEstimator:
         est.tick(0)
         est.tick(0)
         assert est.rate() == 0.0
-
-
-class TestLatencyTracker:
-    def test_quantiles(self):
-        tr = LatencyTracker()
-        for v in range(1, 101):
-            tr.observe(float(v))
-        assert tr.quantile(0.5) == pytest.approx(51, abs=2)
-        assert tr.quantile(0.95) == pytest.approx(96, abs=2)
-        assert tr.mean() == pytest.approx(50.5)
-
-    def test_reservoir_bounds_memory(self):
-        tr = LatencyTracker(reservoir=16)
-        for v in range(10_000):
-            tr.observe(float(v))
-        assert len(tr._samples) == 16
-        assert tr.count == 10_000
-
-    def test_empty(self):
-        tr = LatencyTracker()
-        assert tr.quantile(0.5) is None
-        assert tr.mean() is None
-
-
-class TestEngineMonitor:
-    def test_overload_factor(self):
-        mon = EngineMonitor()
-        mon.arrival.tick(100)
-        mon.service.tick(50)
-        assert mon.overload_factor() == 2.0
-
-    def test_overload_with_zero_service(self):
-        mon = EngineMonitor()
-        mon.arrival.tick(10)
-        assert mon.overload_factor() == float("inf")
-
-    def test_snapshot_shape(self):
-        mon = EngineMonitor()
-        mon.selectivity("f1").observe(True)
-        snap = mon.snapshot()
-        assert "f1" in snap["selectivities"]
 
 
 class TestLoadShedder:

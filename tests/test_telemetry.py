@@ -120,34 +120,6 @@ class TestLabelCardinality:
         assert snap.get("tcq_test_gwide", k="b") is None
 
 
-class TestTracing:
-    def test_sampling_every_nth(self):
-        reg = MetricRegistry(trace_sample_every=3)
-        for i in range(9):
-            with reg.trace("unit", n=i):
-                pass
-        spans = reg.recent_traces()
-        assert len(spans) == 3
-        assert all(s.duration is not None and s.duration >= 0
-                   for s in spans)
-
-    def test_disabled_sampling_records_nothing(self):
-        reg = MetricRegistry(trace_sample_every=0)
-        for _ in range(10):
-            with reg.trace("unit"):
-                pass
-        assert reg.recent_traces() == []
-
-    def test_ring_buffer_is_bounded(self):
-        reg = MetricRegistry(trace_sample_every=1, trace_capacity=5)
-        for i in range(20):
-            with reg.trace("unit", n=i):
-                pass
-        spans = reg.recent_traces()
-        assert len(spans) == 5
-        assert spans[-1].labels["n"] == "19"
-
-
 def test_set_registry_swaps_and_restores():
     fresh = MetricRegistry()
     previous = set_registry(fresh)
