@@ -16,7 +16,9 @@ Run:  python examples/cluster_failover.py
 
 import random
 
-from repro import Cluster, Flux, GroupCountState, Schema
+from repro.core.tuples import Schema
+from repro.flux.cluster import Cluster, GroupCountState
+from repro.flux.flux import Flux
 
 PACKETS = Schema.of("pkts", "src")
 N_TUPLES = 8000

@@ -15,7 +15,8 @@ Run:  python examples/deep_web_join.py
 
 import random
 
-from repro import RendezvousBuffer, Schema
+from repro.core.stem import RendezvousBuffer
+from repro.core.tuples import Schema
 from repro.ingress.tess import SimulatedWebForm, TessWrapper
 
 CATALOG = Schema.of("catalog", "author", "title", "price")

@@ -15,10 +15,13 @@ ahead of routine rows.  This is Section 4.3's QoS story end to end.
 Run:  python examples/network_monitor.py
 """
 
-from repro import CACQEngine, Comparison, Juggle, LoadShedder
+from repro.core.cacq import CACQEngine
 from repro.core.tuples import Punctuation
 from repro.fjords.queues import PushQueue
 from repro.ingress.generators import PacketStreamGenerator
+from repro.juggle.juggle import Juggle
+from repro.monitor.qos import LoadShedder
+from repro.query.predicates import Comparison
 
 N_PACKETS = 6000
 SERVICE_CAPACITY = 60          # tuples the engine can absorb per epoch

@@ -12,7 +12,7 @@ preference-driven delivery without touching the rest of the graph.
 Run:  python examples/scripted_dataflow.py
 """
 
-from repro import SourceModule
+from repro.fjords.module import SourceModule
 from repro.ingress.generators import SensorStreamGenerator
 from repro.query.dataflow_script import parse_script
 

@@ -11,7 +11,9 @@ they come back online.
 Run:  python examples/sensor_network.py
 """
 
-from repro import CACQEngine, Comparison, PSoup
+from repro.core.cacq import CACQEngine
+from repro.core.psoup import PSoup
+from repro.query.predicates import Comparison
 from repro.ingress.generators import SensorStreamGenerator
 
 N_TICKS = 300

@@ -29,25 +29,3 @@ tree; the tier-1 gate), ``--json`` (machine-readable findings),
 table), ``--query 'SELECT ...'`` (plan-check a query against an empty
 catalog), or any list of paths.
 """
-
-from repro.analysis.guard import GuardResult, guard_paths
-from repro.analysis.lint import EXEMPT_TAGS, lint_paths, lint_source
-from repro.analysis.plan_check import (AdmissionContext, check_admission,
-                                       check_compiled, check_fjord,
-                                       check_flow_graph, check_join_graph,
-                                       check_predicate, check_query,
-                                       check_spec, check_windows)
-from repro.analysis.report import (CODES, Diagnostic, DiagnosticReport,
-                                   ERROR, LINT, PlanCheckWarning, WARNING,
-                                   render_codes_table, severity_of)
-from repro.analysis.suppress import Suppressions, parse_suppressions
-
-__all__ = [
-    "AdmissionContext", "CODES", "Diagnostic", "DiagnosticReport",
-    "ERROR", "EXEMPT_TAGS", "GuardResult", "LINT", "PlanCheckWarning",
-    "Suppressions", "WARNING",
-    "check_admission", "check_compiled", "check_fjord", "check_flow_graph",
-    "check_join_graph", "check_predicate", "check_query", "check_spec",
-    "check_windows", "guard_paths", "lint_paths", "lint_source",
-    "parse_suppressions", "render_codes_table", "severity_of",
-]

@@ -19,20 +19,9 @@ Usage::
 
 from __future__ import annotations
 
-from .contexts import Contexts, infer_contexts
-from .model import ProjectModel, build_model, iter_module_files
+from .contexts import infer_contexts
+from .model import build_model
 from .rules import GuardResult, run_rules
-
-__all__ = [
-    "Contexts",
-    "GuardResult",
-    "ProjectModel",
-    "build_model",
-    "guard_paths",
-    "infer_contexts",
-    "iter_module_files",
-    "run_rules",
-]
 
 
 def guard_paths(paths) -> GuardResult:

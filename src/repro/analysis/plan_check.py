@@ -30,7 +30,7 @@ Everything returns :class:`~repro.analysis.report.Diagnostic` lists;
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from typing import (Any, Dict, FrozenSet, Iterable, List, Optional, Sequence,
                     Set, Tuple as TypingTuple)
 

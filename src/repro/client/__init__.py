@@ -22,7 +22,7 @@ only door.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional
 
 from repro.client.connection import (Connection, LocalConnection,
                                      NetworkConnection, NetworkCursor)

@@ -25,7 +25,7 @@ from repro.analysis.report import Diagnostic, DiagnosticReport
 from repro.core.tuples import Schema, Tuple
 from repro.errors import (ConnectionClosedError, ProtocolError,
                           error_from_wire)
-from repro.net.frames import (ERROR, MAX_FRAME, RESULT, STREAM_ROW,
+from repro.net.frames import (ERROR, MAX_FRAME, STREAM_ROW,
                               FrameDecoder, encode_frame, rows_from_wire,
                               windows_from_wire)
 

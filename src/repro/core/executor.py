@@ -7,10 +7,10 @@ overhead".  The design points reproduced here:
 
 * **Execution Objects (EOs)** — the units the OS would schedule (one
   system thread each).  Here they are cooperatively scheduled; each EO
-  hosts a round-robin :class:`repro.sched.Scheduler` over its DUs, and
-  the executor itself runs the EOs under a top-level scheduler — every
-  layer speaks the one :class:`~repro.sched.protocol.Schedulable`
-  protocol.
+  hosts a round-robin :class:`repro.sched.scheduler.Scheduler` over its
+  DUs, and the executor itself runs the EOs under a top-level scheduler
+  — every layer speaks the one
+  :class:`~repro.sched.protocol.Schedulable` protocol.
 * **Dispatch Units (DUs)** — non-preemptive work abstractions following
   the Fjords model: ``run_once`` does a bounded quantum and returns a
   :class:`~repro.sched.protocol.StepResult`; a DU that reports
@@ -32,7 +32,6 @@ from typing import (Any, Callable, Deque, Dict, FrozenSet, Iterable, List,
                     Optional, Set, Tuple as TypingTuple)
 
 from repro.errors import ExecutionError
-from repro.fjords.fjord import Fjord
 from repro.monitor.telemetry import get_registry
 from repro.sched.protocol import StepResult, coerce_step_result
 from repro.sched.scheduler import Scheduler, drive
@@ -72,13 +71,6 @@ class DispatchUnit:
     @property
     def finished(self) -> bool:
         return self._is_finished()
-
-    @classmethod
-    def from_fjord(cls, fjord: Fjord, mode: int = MODE_SINGLE_EDDY,
-                   name: str = "") -> "DispatchUnit":
-        return cls(name or fjord.name, mode,
-                   step=fjord.step,
-                   is_finished=lambda: fjord.finished)
 
     def __repr__(self) -> str:
         return f"DispatchUnit({self.name}, mode={self.mode})"
@@ -200,8 +192,9 @@ class Executor:
     New work arrives via :meth:`enqueue_plan` (from the FrontEnd) and is
     "dynamically folded into the running executor" at the start of the
     next step, as in the paper.  The EOs themselves run under a
-    top-level round-robin :class:`repro.sched.Scheduler`, so the whole
-    executor is one scheduler tree speaking StepResult end to end.
+    top-level round-robin :class:`repro.sched.scheduler.Scheduler`, so
+    the whole executor is one scheduler tree speaking StepResult end to
+    end.
     """
 
     def __init__(self) -> None:

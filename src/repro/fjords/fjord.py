@@ -3,8 +3,8 @@ the unified scheduler core.
 
 A Fjord owns the wiring (``connect``) and delegates the run loop
 (``step`` / ``run`` / ``run_until_finished``) to a round-robin
-:class:`repro.sched.Scheduler` hosting its modules, bit-compatible with
-the historical hand-rolled loop.
+:class:`repro.sched.scheduler.Scheduler` hosting its modules,
+bit-compatible with the historical hand-rolled loop.
 
 A Fjord is itself a :class:`~repro.sched.protocol.Schedulable`
 (``run_once`` / ``finished``), which is how

@@ -13,7 +13,7 @@ A module:
 
 With ``run_once``, ``finished`` and ``name``, every module satisfies the
 unified :class:`repro.sched.protocol.Schedulable` protocol, so any module
-can be hosted directly by a :class:`repro.sched.Scheduler`.
+can be hosted directly by a :class:`repro.sched.scheduler.Scheduler`.
 
 Modules are agnostic to push vs pull: they always use the non-blocking
 queue API, and the queue flavour decides whether a pop pumps upstream.

@@ -8,32 +8,3 @@ the deterministic :class:`SimulatedBackend` (tier-1), the in-process
 processes) and the :class:`MultiprocessBackend` (real spawned worker
 interpreters connected by framed pipes).
 """
-
-from repro.flux.backend import AckMap, ClusterBackend, PartitionHandoff, \
-    SimulatedBackend, as_backend
-from repro.flux.cluster import Cluster, GroupCountState, Machine, \
-    PartitionState
-from repro.flux.flux import Flux, FluxPump
-from repro.flux.parallel_cacq import CACQPartitionState, ParallelCACQ
-from repro.flux.procs import LoopbackBackend, MultiprocessBackend, \
-    WorkerCore, live_worker_pids
-
-__all__ = [
-    "AckMap",
-    "CACQPartitionState",
-    "Cluster",
-    "ClusterBackend",
-    "Flux",
-    "FluxPump",
-    "GroupCountState",
-    "LoopbackBackend",
-    "Machine",
-    "MultiprocessBackend",
-    "ParallelCACQ",
-    "PartitionHandoff",
-    "PartitionState",
-    "SimulatedBackend",
-    "WorkerCore",
-    "as_backend",
-    "live_worker_pids",
-]

@@ -50,8 +50,8 @@ from repro.flux.backend import ClusterBackend, PartitionHandoff, as_backend
 from repro.flux.cluster import Cluster, PartitionState
 from repro.monitor.clock import now
 from repro.monitor.telemetry import get_registry
-from repro.sched import FunctionUnit, Schedulable, Scheduler, \
-    SchedulerStall, StepResult
+from repro.sched.protocol import FunctionUnit, Schedulable, StepResult
+from repro.sched.scheduler import Scheduler, SchedulerStall
 
 _FLUX_IDS = itertools.count()
 
@@ -498,8 +498,8 @@ class FluxPump(Schedulable):
 
     Wraps a :class:`Flux` (and optionally a feed of arriving batches)
     so the cluster data plane runs *beside* the engine, the network
-    pump, and every other :class:`~repro.sched.Schedulable` under one
-    scheduler — one ``run_once`` is one Flux epoch.
+    pump, and every other :class:`~repro.sched.protocol.Schedulable`
+    under one scheduler — one ``run_once`` is one Flux epoch.
     """
 
     def __init__(self, flux: Flux,

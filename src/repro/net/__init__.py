@@ -9,14 +9,3 @@ to Telegraph can be done via TCP/IP sockets").
 * :mod:`repro.net.aioclient` — a minimal asyncio frame client for tests
   and benchmarks (the blocking client lives in :mod:`repro.client`).
 """
-
-from repro.net.frames import (ERROR, MAX_FRAME, PROTOCOL_VERSION,
-                              REQUEST_OPS, RESULT, STREAM_ROW,
-                              FrameDecoder, encode_frame)
-from repro.net.service import NetworkPump, TelegraphCQService
-
-__all__ = [
-    "ERROR", "MAX_FRAME", "PROTOCOL_VERSION", "REQUEST_OPS", "RESULT",
-    "STREAM_ROW", "FrameDecoder", "encode_frame", "NetworkPump",
-    "TelegraphCQService",
-]

@@ -3,7 +3,7 @@
 The blocking :class:`repro.client.NetworkConnection` is the supported
 application API; this module is the *driver-side* counterpart used where
 hundreds of concurrent connections must live in one thread — the
-multi-client leakage test and ``benchmarks/bench_net_throughput.py``.
+multi-client leakage test.
 It speaks exactly the :mod:`repro.net.frames` protocol: requests get
 incrementing ids, responses are matched back by id, and unsolicited
 STREAM-ROW frames accumulate per cursor.
@@ -16,8 +16,8 @@ import itertools
 from typing import Any, Dict, List, Optional
 
 from repro.errors import ConnectionClosedError, error_from_wire
-from repro.net.frames import (ERROR, MAX_FRAME, RESULT, STREAM_ROW,
-                              FrameDecoder, encode_frame)
+from repro.net.frames import (ERROR, MAX_FRAME, STREAM_ROW, FrameDecoder,
+                              encode_frame)
 
 
 class AsyncFrameClient:

@@ -8,7 +8,8 @@ framed wire protocol of :mod:`repro.net.frames` to many concurrent
 connections, plus an HTTP admin plane (:mod:`repro.net.admin`).
 
 **The network pump is just another scheduler citizen.**  All engine work
-happens inside one :class:`repro.sched.Scheduler` hosting two units:
+happens inside one :class:`repro.sched.scheduler.Scheduler` hosting two
+units:
 
 * ``engine`` — the wrapped :class:`~repro.core.engine.TelegraphCQServer`
   (already a Schedulable via ``step``);

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple as TypingTuple
 
-from repro.core.tuples import Schema, Tuple
+from repro.core.tuples import Schema
 from repro.errors import QueryError
 
 

@@ -6,12 +6,3 @@ quiescence/stall protocol.  Every run loop in the system — Fjords,
 Execution Objects, the Executor, the server facade, Flux drains —
 routes through here.
 """
-
-from repro.sched.protocol import (FunctionUnit, Schedulable, StepResult,
-                                  coerce_step_result)
-from repro.sched.scheduler import Scheduler, SchedulerStall, drive
-
-__all__ = [
-    "FunctionUnit", "Schedulable", "Scheduler", "SchedulerStall",
-    "StepResult", "coerce_step_result", "drive",
-]

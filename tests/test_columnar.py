@@ -1,10 +1,6 @@
 """Batch execution: the lineage-aliasing audit, batch subsetting,
 kernel equivalence and batched selectivity bookkeeping."""
 
-import os
-import subprocess
-import sys
-
 import pytest
 
 from repro.core.eddy import EddyOperator
@@ -183,20 +179,3 @@ class TestEwmaUpdate:
         closed = (1 - a) ** n * 0.7 + a * sum(
             (1 - a) ** (n - 1 - j) for j, b in enumerate(outcomes) if b)
         assert many._ewma_selectivity == pytest.approx(closed, abs=1e-12)
-
-
-# ----------------------------------------------------------- import graph
-
-def test_import_graph_stays_pure_python():
-    """The package and its client door import no array library: batch
-    columns are plain lists, so nothing in the import graph needs one."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, ["src", os.environ.get("PYTHONPATH", "")])))
-    probe = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, repro; from repro.client import connect; "
-         "assert 'numpy' not in sys.modules, 'numpy imported'; "
-         "print('ok')"],
-        capture_output=True, text=True, env=env,
-        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-    assert probe.returncode == 0 and "ok" in probe.stdout, probe.stderr

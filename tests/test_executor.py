@@ -40,19 +40,6 @@ class TestDispatchUnit:
         assert DispatchUnit.MODE_SINGLE_EDDY == 2
         assert DispatchUnit.MODE_SHARED_CQ == 3
 
-    def test_from_fjord(self):
-        from repro.core.tuples import Schema
-        from repro.fjords.fjord import Fjord
-        from repro.fjords.module import CollectingSink
-        from tests.conftest import ListFeed
-        S = Schema.of("S", "v")
-        f = Fjord()
-        f.connect(ListFeed([S.make(i) for i in range(5)]), CollectingSink())
-        du = DispatchUnit.from_fjord(f)
-        while not du.finished:
-            du.run_once()
-        assert du.finished
-
 
 class TestExecutionObject:
     def test_round_robin_runs_all(self):

@@ -27,7 +27,7 @@ from repro.flux.backend import ClusterBackend, PartitionHandoff, \
 from repro.flux.cluster import Cluster, GroupCountState
 from repro.flux.flux import Flux, FluxPump
 from repro.flux.procs import LoopbackBackend, WorkerCore
-from repro.sched import Scheduler
+from repro.sched.scheduler import Scheduler
 
 S = Schema.of("pkts", "key")
 

@@ -9,7 +9,9 @@ import time
 
 import pytest
 
-from repro.analysis.guard import build_model, guard_paths, infer_contexts
+from repro.analysis.guard import guard_paths
+from repro.analysis.guard.contexts import infer_contexts
+from repro.analysis.guard.model import build_model
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 CORPUS = os.path.join(HERE, "guard_corpus")

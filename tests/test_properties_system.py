@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from repro.analysis.report import PlanCheckWarning
 from repro.core.eddy import Eddy, FilterOperator, SteMOperator
 from repro.core.engine import TelegraphCQServer
-from repro.core.routing import BatchingDirective, FixedPolicy
+from repro.core.routing import BatchingDirective, FixedPolicy, LotteryPolicy
 from repro.core.stem import SteM
 from repro.core.tuples import Schema, TupleBatch
 from repro.flux.cluster import Cluster, GroupCountState
@@ -152,9 +152,10 @@ def _data_plane_counters(eddy, ops):
 
 
 def _run_pipeline(s_data, t_data, filter_specs, with_join, batch_size,
-                  vectorized):
+                  vectorized, policy=None):
     ops, footprint, order = _build_pipeline(filter_specs, with_join)
-    eddy = Eddy(ops, output_sources=footprint, policy=FixedPolicy(order),
+    eddy = Eddy(ops, output_sources=footprint,
+                policy=policy or FixedPolicy(order),
                 batching=BatchingDirective(batch_size,
                                            vectorize=vectorized))
     rows = _make_rows(s_data, t_data, with_join)
@@ -200,6 +201,21 @@ def test_vectorized_pipeline_equals_per_tuple(s_data, t_data, filter_specs,
         vectorized=True)
     assert values_of(vectorized) == values_of(per_tuple)
     assert counters_vec == counters_pt
+
+
+def test_vectorized_join_equals_per_tuple_under_lottery_routing():
+    """The same equality with an adaptive policy choosing the order: an
+    equijoin through two SteMs plus a filter, sparse keys, batch 64.
+    Only the answers must agree; the counters legitimately differ, since
+    the batch path consults the lottery once per batch."""
+    n = 750
+    s_data = [(i % 7, i % 997) for i in range(n)]
+    t_data = [(i % 5, i % 997) for i in range(n)]
+    runs = [_run_pipeline(s_data, t_data, [("a", ">", 1)], True, 64,
+                          vectorized,
+                          policy=LotteryPolicy(seed=2, explore=0.05))[0]
+            for vectorized in (False, True)]
+    assert runs[0] and values_of(runs[1]) == values_of(runs[0])
 
 
 # Three-way join: SteM probes emit *composite* tuples that re-enter the

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ExecutionError
-from repro.sched import (FunctionUnit, Scheduler, SchedulerStall,
-                         StepResult, coerce_step_result, drive)
+from repro.sched.protocol import FunctionUnit, StepResult, coerce_step_result
+from repro.sched.scheduler import Scheduler, SchedulerStall, drive
 
 
 class Worker:
