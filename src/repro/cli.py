@@ -46,7 +46,7 @@ import sys
 from typing import Any, Dict, List, Optional
 
 from repro.client import Connection, LocalConnection, connect
-from repro.core.tuples import Tuple
+from repro.core.tuples import Row
 from repro.errors import TelegraphError
 import repro.monitor.introspect as introspect
 import repro.monitor.tracing as tracing
@@ -64,7 +64,7 @@ def _parse_value(raw: str) -> Any:
     return raw
 
 
-def _format_rows(rows: List[Tuple], limit: int = 50) -> str:
+def _format_rows(rows: List[Row], limit: int = 50) -> str:
     if not rows:
         return "(no rows)"
     header = rows[0].schema.column_names()

@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import itertools
 import socket
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple as TypingTuple,
+                    Union)
 
 from repro.analysis.report import Diagnostic, DiagnosticReport
-from repro.core.tuples import Schema, Tuple
+from repro.core.tuples import Row, Schema, Tuple
 from repro.errors import (ConnectionClosedError, ProtocolError,
                           error_from_wire)
 from repro.net.frames import (ERROR, MAX_FRAME, STREAM_ROW,
@@ -99,7 +100,7 @@ class LocalConnection(Connection):
 
     # -- queries -----------------------------------------------------------
     def submit(self, query: str,
-               on_result: Optional[Callable[[Tuple], None]] = None,
+               on_result: Optional[Callable[[Row], None]] = None,
                env: Optional[Dict[str, int]] = None,
                allow_unsafe: bool = False, stream: bool = False,
                credit: int = 0) -> Any:
@@ -152,9 +153,9 @@ class LocalConnection(Connection):
 class NetworkCursor:
     """A client-side handle on one cursor living in the service.
 
-    Mirrors the engine cursor's read surface; rows come back as real
-    :class:`~repro.core.tuples.Tuple` objects (schemas interned per
-    connection).
+    Mirrors the engine cursor's read surface; rows come back as
+    :class:`~repro.core.tuples.Row` objects, as from a local cursor
+    (schemas interned per connection).
     """
 
     def __init__(self, conn: "NetworkConnection", cursor_id: int,
@@ -166,10 +167,10 @@ class NetworkCursor:
         self.diagnostics = diagnostics
         self.streaming = streaming
         self.closed = False
-        self._prefetched: List[Tuple] = []
+        self._prefetched: List[Row] = []
 
     # -- reads -------------------------------------------------------------
-    def fetch(self, limit: int = 0) -> List[Tuple]:
+    def fetch(self, limit: int = 0) -> List[Row]:
         """Drain buffered results: rows already streamed to this client
         plus whatever the service has buffered server-side."""
         out = self._prefetched if not limit else self._prefetched[:limit]
@@ -198,7 +199,7 @@ class NetworkCursor:
             out.extend(arrived)
         return out
 
-    def fetchall(self) -> List[Tuple]:
+    def fetchall(self) -> List[Row]:
         return self.fetch()
 
     def __iter__(self):
@@ -209,7 +210,7 @@ class NetworkCursor:
             for row in rows:
                 yield row
 
-    def fetch_windows(self) -> List[Any]:
+    def fetch_windows(self) -> List[TypingTuple[int, List[Row]]]:
         payload = self.conn._request("FETCH", cursor=self.cursor_id,
                                      windows=True)
         return windows_from_wire(payload.get("windows", ()),
@@ -328,7 +329,7 @@ class NetworkConnection(Connection):
             raise ConnectionClosedError("connection closed by peer")
         return self._decoder.feed(data)
 
-    def _drain_streamed(self, cursor_id: int, limit: int) -> List[Tuple]:
+    def _drain_streamed(self, cursor_id: int, limit: int) -> List[Row]:
         buf = self._streamed.get(cursor_id, [])
         take = buf if not limit else buf[:limit]
         self._streamed[cursor_id] = buf[len(take):]
@@ -382,7 +383,7 @@ class NetworkConnection(Connection):
 
     # -- queries -----------------------------------------------------------
     def submit(self, query: str,
-               on_result: Optional[Callable[[Tuple], None]] = None,
+               on_result: Optional[Callable[[Row], None]] = None,
                env: Optional[Dict[str, int]] = None,
                allow_unsafe: bool = False, stream: bool = False,
                credit: int = 0) -> NetworkCursor:

@@ -19,8 +19,10 @@ removed while data is flowing (the robustness requirement of Section
 There is one data path, :meth:`CACQEngine.push_batch`: a batch of one
 stream's rows meets each grouped filter once, on the rows' values (the
 batch's lineage is a column of masks, one per row), and the survivors
-then become tuples and build, deliver and probe one by one in arrival
-order.  A single tuple is a batch of one.
+then build, deliver and probe one by one in arrival order.  A survivor
+becomes a :class:`~repro.core.tuples.Tuple` only where a SteM stores it
+or a join probes with it; otherwise it is delivered as a
+:class:`~repro.core.tuples.Row`.  A single tuple is a batch of one.
 
 The engine is deliberately independent of the Fjord scheduler so it can
 be benchmarked head-to-head against the per-query and NiagaraCQ-style
@@ -39,7 +41,7 @@ from typing import (Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Se
 import repro.monitor.tracing as tracing
 from repro.core.grouped_filter import GroupedFilter
 from repro.core.stem import SteM
-from repro.core.tuples import Rows, Schema, Tuple
+from repro.core.tuples import Row, Rows, Schema, Tuple
 from repro.errors import QueryError
 from repro.monitor.telemetry import get_registry
 from repro.query.predicates import (ALWAYS_TRUE, ColumnComparison, Comparison,
@@ -71,7 +73,7 @@ class ContinuousQuery:
 
     def __init__(self, qid: int, footprint: FrozenSet[str],
                  predicate: Predicate,
-                 callback: Optional[Callable[[Tuple], None]] = None,
+                 callback: Optional[Callable[[Row], None]] = None,
                  name: str = ""):
         self.qid = qid
         self.bit = 1 << qid
@@ -83,7 +85,7 @@ class ContinuousQuery:
         self.residual = decomposed.residual_predicate()
         self.callback = callback
         self.name = name or f"q{qid}"
-        self.results: List[Tuple] = []
+        self.results: List[Row] = []
         #: results handed to ``callback`` (those in ``results`` are
         #: counted by the list's length).
         self._passed = 0
@@ -104,15 +106,15 @@ class ContinuousQuery:
     def delivered(self, count: int) -> None:
         self._passed = count - len(self.results)
 
-    def deliver(self, t: Tuple) -> None:
+    def deliver(self, row: Row) -> None:
         """The sink for a callback or a sampled row; the engine appends
         an untraced row for a query with no callback itself."""
         if self.callback is not None:
             self._passed += 1
-            self.callback(t)
+            self.callback(row)
             return
-        self.results.append(t)
-        tr = t.trace
+        self.results.append(row)
+        tr = row.trace
         if tr is not None and self.egress is not None:
             tr.hop("egress", self.egress)
             tracing.TRACER.finish(tr, self.egress)
@@ -201,7 +203,7 @@ class CACQEngine:
 
     # -- query management ------------------------------------------------------
     def add_query(self, streams: Sequence[str], predicate: Predicate,
-                  callback: Optional[Callable[[Tuple], None]] = None,
+                  callback: Optional[Callable[[Row], None]] = None,
                   name: str = "") -> ContinuousQuery:
         """Register a continuous query over ``streams`` and fold it into
         the running shared state — no pause, no replanning of other
@@ -303,9 +305,10 @@ class CACQEngine:
         arrival order, through the super-query; results go to each
         query's callback / results list.
 
-        The filters read the rows' values; a row becomes a
-        :class:`Tuple` at its turn, and only if some query still wants
-        it (a row that already is one is used itself).
+        The filters read the rows' values; a row some query still wants
+        becomes a :class:`Tuple` at its turn if the stream has a SteM to
+        build it into, and is delivered as a :class:`Row` otherwise (a
+        row that already is a tuple is used itself).
 
         Returns how many rows were consumed.  That is all of them unless
         a result callback admitted or cancelled a query: the change must
@@ -359,11 +362,12 @@ class CACQEngine:
             # comes, dropped ones included.
             work = sorted({i for i, t in built.items()
                            if t.trace is not None}.union(live))
-        # 2. per surviving row, in arrival order: the row becomes a
-        # tuple, builds into the home SteM so later arrivals find it,
-        # is delivered to selection-only queries and probes the partner
-        # SteMs; composite matches are routed on (deliver, probe further
-        # partners) before the next row.
+        # 2. per surviving row, in arrival order: on a stream with a home
+        # SteM the row becomes a tuple, builds into it so later arrivals
+        # find it, is delivered to selection-only queries and probes the
+        # partner SteMs; composite matches are routed on (deliver, probe
+        # further partners) before the next row.  Elsewhere the row is
+        # delivered as a value Row.
         schema, stamps = rows.schema, rows.stamps
         stem = self.stems.get(stream)
         joins = self._pair_factors      # live: a callback may add one
@@ -377,26 +381,35 @@ class CACQEngine:
             for i in work:
                 mask = masks[i]
                 t = built.get(i) if built else None
-                if t is None:       # a live row, built at its turn
-                    t = Tuple(schema, values[i], stamps[i], 0, mask)
+                if t is None and stem is None:
+                    # No SteM stores the row and no join probes with it
+                    # (a stream with no home SteM is in no join pair):
+                    # it is a result and nothing more.
+                    if mask & home:
+                        deliver(Row(schema, values[i], stamps[i]),
+                                mask & home)
                 else:
-                    if t.trace is not None:
-                        self._trace_filters(stream, t.trace, i, stages)
-                    if not mask:
-                        continue
-                    t.queries = mask
+                    if t is None:   # a live row, built at its turn
+                        t = Tuple(schema, values[i], stamps[i], 0, mask)
+                    else:
+                        if t.trace is not None:
+                            self._trace_filters(stream, t.trace, i, stages)
+                        if not mask:
+                            continue
+                        t.queries = mask
+                        if stem is not None:
+                            t.stamp_arrival()
                     if stem is not None:
-                        t.stamp_arrival()
-                if stem is not None:
-                    stem.build(t)
-                if home:
-                    deliver(t, home)
-                if joins:
-                    worklist = self._probe_partners(t)
-                    while worklist:
-                        match = worklist.pop()
-                        deliver(match, footprints.get(match.sources, 0))
-                        worklist.extend(self._probe_partners(match))
+                        stem.build(t)
+                    if mask & home:
+                        deliver(t, mask & home)
+                    if joins:
+                        worklist = self._probe_partners(t)
+                        while worklist:
+                            match = worklist.pop()
+                            deliver(match, match.queries
+                                    & footprints.get(match.sources, 0))
+                            worklist.extend(self._probe_partners(match))
                 if self.generation != generation:
                     consumed = i + 1
                     break
@@ -471,15 +484,14 @@ class CACQEngine:
                     matches.append(joined)
         return matches
 
-    def _deliver(self, t: Tuple, footprint_mask: int) -> None:
-        """Hand ``t`` to each query in its lineage whose footprint is
-        ``footprint_mask``'s and whose residual holds.  The two sinks: a
-        query with no callback gets an untraced row appended to its
-        list here; a callback or a sampled row goes through
+    def _deliver(self, row: Row, eligible: int) -> None:
+        """Hand ``row`` to each query in ``eligible`` (its lineage masked
+        to one footprint's queries) whose residual holds.  The two
+        sinks: a query with no callback gets an untraced row appended to
+        its list here; a callback or a sampled row goes through
         :meth:`ContinuousQuery.deliver`."""
-        eligible = t.queries & footprint_mask
         queries = self.queries
-        plain = t.trace is None
+        plain = row.trace is None
         n = 0
         try:
             while eligible:
@@ -489,12 +501,12 @@ class CACQEngine:
                 query = queries.get(low.bit_length() - 1)
                 if query is None:
                     continue
-                if query.residual is ALWAYS_TRUE or query.residual.matches(t):
+                if query.residual is ALWAYS_TRUE or query.residual.matches(row):
                     n += 1
                     if plain and query.callback is None:
-                        query.results.append(t)
+                        query.results.append(row)
                     else:
-                        query.deliver(t)
+                        query.deliver(row)
         finally:
             self.results_out += n
 

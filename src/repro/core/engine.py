@@ -32,7 +32,7 @@ from repro.analysis.plan_check import AdmissionContext, check_compiled
 from repro.analysis.report import Diagnostic, PlanCheckWarning
 from repro.core.cacq import CACQEngine, ContinuousQuery
 from repro.core.executor import DispatchUnit, Executor
-from repro.core.tuples import Rows, Schema, Tuple
+from repro.core.tuples import Row, Rows, Schema, Tuple
 from repro.core.windows import HistoricalStore
 from repro.errors import ExecutionError, PlanCheckError, QueryError
 from repro.fjords.queues import PushQueue
@@ -62,16 +62,19 @@ class Cursor:
     * **sequence of sets** — windowed cursors additionally expose
       :meth:`fetch_windows`, returning ``(loop_value, rows)`` pairs.
 
-    :meth:`fetch` / :meth:`fetchall` / iteration are the *only* read
-    surface — :class:`repro.client.NetworkCursor` exposes the identical
-    one, so code written against a local cursor runs unchanged against
-    the service.  Cursors are context managers; :meth:`close` (alias
-    :meth:`cancel`) stops the underlying continuous query or windowed
-    plan.
+    Every kind hands back :class:`~repro.core.tuples.Row` results
+    (values, schema and timestamp; a row that is stored or sampled comes
+    back as the :class:`~repro.core.tuples.Tuple` it is, which reads the
+    same).  :meth:`fetch` / :meth:`fetchall` / iteration are the *only*
+    read surface — :class:`repro.client.NetworkCursor` exposes the
+    identical one, so code written against a local cursor runs
+    unchanged against the service.  Cursors are context managers;
+    :meth:`close` (alias :meth:`cancel`) stops the underlying
+    continuous query or windowed plan.
     """
 
     def __init__(self, cursor_id: int, kind: str, client: str,
-                 on_result: Optional[Callable[[Tuple], None]] = None,
+                 on_result: Optional[Callable[[Row], None]] = None,
                  server: Optional["TelegraphCQServer"] = None):
         self.cursor_id = cursor_id
         self.kind = kind
@@ -81,8 +84,8 @@ class Cursor:
         #: a pull continuous cursor's buffer: its CACQ query appends
         #: results here, and they stay after a cancel or an engine
         #: merge.  Such a cursor never uses ``_out``.
-        self._results: List[Tuple] = []
-        self._windows: List[TypingTuple[int, List[Tuple]]] = []
+        self._results: List[Row] = []
+        self._windows: List[TypingTuple[int, List[Row]]] = []
         self.closed = False
         #: results delivered other than into ``_results``, plus those
         #: fetched out of it.
@@ -106,19 +109,19 @@ class Cursor:
         return self._delivered + len(self._results)
 
     # -- engine side -------------------------------------------------------
-    def _deliver(self, t: Tuple) -> None:
+    def _deliver(self, row: Row) -> None:
         self._delivered += 1
-        tr = t.trace
+        tr = row.trace
         if tr is not None:
             query = f"cursor{self.cursor_id}"
             tr.hop("egress", query)
             tracing.TRACER.finish(tr, query)
         if self.on_result is not None:
-            self.on_result(t)
+            self.on_result(row)
         else:
-            self._out.push(t)
+            self._out.push(row)
 
-    def _deliver_window(self, t: int, rows: List[Tuple]) -> None:
+    def _deliver_window(self, t: int, rows: List[Row]) -> None:
         self._delivered += len(rows)
         if tracing.TRACER.active:
             query = f"cursor{self.cursor_id}"
@@ -130,7 +133,7 @@ class Cursor:
                 self.on_result(row)
 
     # -- client side -------------------------------------------------------
-    def fetch(self, limit: int = 0) -> List[Tuple]:
+    def fetch(self, limit: int = 0) -> List[Row]:
         """Drain buffered results (all of them when ``limit`` is 0).
 
         Works for every cursor kind: windowed cursors flatten their
@@ -155,7 +158,7 @@ class Cursor:
             out.push_many(rows)
         return out.pop_many(limit or _NO_LIMIT)
 
-    def fetchall(self) -> List[Tuple]:
+    def fetchall(self) -> List[Row]:
         """Every buffered result (``fetch()`` with no limit)."""
         return self.fetch()
 
@@ -169,7 +172,7 @@ class Cursor:
             for row in rows:
                 yield row
 
-    def fetch_windows(self) -> List[TypingTuple[int, List[Tuple]]]:
+    def fetch_windows(self) -> List[TypingTuple[int, List[Row]]]:
         """The windowed sequence-of-sets computed so far."""
         out, self._windows = self._windows, []
         return out
@@ -382,8 +385,8 @@ class TelegraphCQServer:
         """The batch door: rows become validated, timestamped values
         here and nowhere else.  Row ``i`` is stamped ``timestamp + i``,
         or continues the stream's clock when no base is given.  A row
-        becomes a :class:`Tuple` only where something needs one (a query
-        keeps it, a window scans it, a trace samples it).
+        becomes a :class:`Tuple` only where something needs one (a SteM
+        stores it, a join probes with it, a trace samples it).
 
         All or nothing: an unknown or closed stream, a table name, a
         malformed row or a timestamp behind the stream's clock rejects
@@ -454,7 +457,7 @@ class TelegraphCQServer:
 
     # -- the FrontEnd role ---------------------------------------------------------
     def submit(self, query: Union[str, QuerySpec], client: str = "default",
-               on_result: Optional[Callable[[Tuple], None]] = None,
+               on_result: Optional[Callable[[Row], None]] = None,
                env: Optional[Dict[str, int]] = None,
                allow_unsafe: bool = False) -> Cursor:
         """Parse, optimize, verify, and fold the query into the running
@@ -503,7 +506,7 @@ class TelegraphCQServer:
                                 class_query_counts=counts)
 
     def _open_cursor(self, kind: str, client: str,
-                     on_result: Optional[Callable[[Tuple], None]]) -> Cursor:
+                     on_result: Optional[Callable[[Row], None]]) -> Cursor:
         cursor = Cursor(next(self._next_cursor), kind, client, on_result,
                         server=self)
         proxies = self._proxies.setdefault(client, [])

@@ -31,7 +31,7 @@ from collections import defaultdict, deque
 from typing import (Any, Callable, Deque, Dict, Iterable, List, Optional, Sequence, Set,
                     Tuple as TypingTuple)
 
-from repro.core.tuples import Schema, Tuple, TupleBatch
+from repro.core.tuples import Row, Schema, Tuple, TupleBatch
 from repro.errors import PlanError
 from repro.monitor.telemetry import get_registry
 from repro.query.predicates import ColumnComparison, Predicate
@@ -235,10 +235,10 @@ class SteM:
         accept = None
         if rest:
             def accept(p: Tuple, stored: Tuple) -> bool:
-                # The pair under the joined schema, without the lineage
-                # a match carries: only a kept pair is joined for real.
-                pair = Tuple(p.schema.join(stored.schema),
-                             p.values + stored.values)
+                # The pair under the joined schema, as a Row: only a
+                # kept pair is joined (with lineage) for real.
+                pair = Row(p.schema.join(stored.schema),
+                           p.values + stored.values)
                 return all(pred.matches(pair) for pred in rest)
         return [prober.concat(stored) for _p, stored in self.matching(
             (prober,), column, keys, accept, dedupe_by_arrival)]

@@ -10,9 +10,13 @@ the paper):
   in the tuple (CACQ tuple lineage).  A cleared bit means some predicate
   of that query rejected the tuple.
 
-A row that enters through the door stays a plain value tuple
-(:class:`Rows`) until something needs it as a :class:`Tuple` — a query
-that keeps it, a window that scans it, a trace that samples it.
+That state lives only while a tuple is routed.  A row that enters
+through the door stays a plain value tuple (:class:`Rows`) until
+something stores it or routes it on as a :class:`Tuple` — a SteM that
+builds it, a join that probes with it, a trace that samples it.  What
+leaves for the client is a :class:`Row`: schema, values and timestamp,
+with the read API (``row["col"]``, ``get``, ``as_dict``) a
+:class:`Tuple` inherits.
 
 Schemas are deliberately lightweight: a named, ordered list of columns.
 Joins concatenate schemas; the resulting *composite* tuple remembers the
@@ -208,7 +212,78 @@ class Schema:
         return f"Schema<{'|'.join(sorted(self.sources))}>({cols})"
 
 
-class Tuple:
+class Row:
+    """A result: a schema, its values and a timestamp, and nothing else.
+
+    This is what every cursor hands back.  It carries no id and no
+    lineage: routing state belongs to a :class:`Tuple` while the eddy
+    routes it, and is dead weight once a result leaves for the client.
+    The read API lives here, and a :class:`Tuple` inherits it.
+    """
+
+    __slots__ = ("schema", "values", "timestamp")
+
+    #: never sampled: a sampled row stays the :class:`Tuple` it was.
+    trace = None
+
+    def __init__(self, schema: Schema, values: TypingTuple[Any, ...],
+                 timestamp: Optional[int] = None):
+        self.schema = schema
+        self.values = values
+        self.timestamp = timestamp
+
+    def __getitem__(self, column: str) -> Any:
+        return self.values[self.schema.index_of(column)]
+
+    def get(self, column: str, default: Any = None) -> Any:
+        # Single dict probe on the hot path (predicate evaluation calls
+        # this once per tuple per factor); the qualified-name fallback
+        # only runs for names the schema does not hold directly.
+        idx = self.schema._index.get(column)
+        if idx is None:
+            idx = self.schema._qualified_fallback(column)
+            if idx is None:
+                return default
+        return self.values[idx]
+
+    @property
+    def sources(self) -> frozenset:
+        """The set of base streams this (possibly composite) row spans."""
+        return self.schema.sources
+
+    def as_dict(self) -> Dict[str, Any]:
+        return {c.name: v for c, v in zip(self.schema.columns, self.values)}
+
+    def __iter__(self) -> Iterator[Any]:
+        return iter(self.values)
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __eq__(self, other: object) -> bool:
+        """Value equality: same schema shape and same values.
+
+        Lineage and tid are deliberately excluded — two rows carrying
+        the same data are equal regardless of their routing history, so
+        a :class:`Row` and a :class:`Tuple` compare (and hash) alike.
+        """
+        if not isinstance(other, Row):
+            return NotImplemented
+        return (self.values == other.values
+                and self.schema.sources == other.schema.sources
+                and self.timestamp == other.timestamp)
+
+    def __hash__(self) -> int:
+        return hash((self.values, self.schema.sources, self.timestamp))
+
+    def __repr__(self) -> str:
+        pairs = ", ".join(
+            f"{c.name}={v!r}" for c, v in zip(self.schema.columns, self.values))
+        ts = f" @{self.timestamp}" if self.timestamp is not None else ""
+        return f"{type(self).__name__}({pairs}{ts})"
+
+
+class Tuple(Row):
     """A data tuple plus its routing lineage.
 
     Tuples are *logically* immutable in their values; the lineage fields
@@ -217,8 +292,8 @@ class Tuple:
     state with which it is associated".
     """
 
-    __slots__ = ("schema", "values", "timestamp", "done", "queries", "tid",
-                 "base_ids", "max_base", "dead", "trace")
+    __slots__ = ("done", "queries", "tid", "base_ids", "max_base", "dead",
+                 "trace")
 
     def __init__(self, schema: Schema, values: TypingTuple[Any, ...],
                  timestamp: Optional[int] = None, done: int = 0,
@@ -248,25 +323,6 @@ class Tuple:
         if self.base_ids is None:
             return frozenset((self.tid,))
         return self.base_ids
-
-    def __getitem__(self, column: str) -> Any:
-        return self.values[self.schema.index_of(column)]
-
-    def get(self, column: str, default: Any = None) -> Any:
-        # Single dict probe on the hot path (predicate evaluation calls
-        # this once per tuple per factor); the qualified-name fallback
-        # only runs for names the schema does not hold directly.
-        idx = self.schema._index.get(column)
-        if idx is None:
-            idx = self.schema._qualified_fallback(column)
-            if idx is None:
-                return default
-        return self.values[idx]
-
-    @property
-    def sources(self) -> frozenset:
-        """The set of base streams this (possibly composite) tuple spans."""
-        return self.schema.sources
 
     def stamp_arrival(self) -> None:
         """Re-date a base tuple built ahead of its turn: SteM probes
@@ -315,36 +371,6 @@ class Tuple:
         # side wins when both are sampled, keeping one linear story).
         out.trace = self.trace if self.trace is not None else other.trace
         return out
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {c.name: v for c, v in zip(self.schema.columns, self.values)}
-
-    def __iter__(self) -> Iterator[Any]:
-        return iter(self.values)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __eq__(self, other: object) -> bool:
-        """Value equality: same schema shape and same values.
-
-        Lineage and tid are deliberately excluded — two tuples carrying
-        the same data are equal regardless of their routing history.
-        """
-        if not isinstance(other, Tuple):
-            return NotImplemented
-        return (self.values == other.values
-                and self.schema.sources == other.schema.sources
-                and self.timestamp == other.timestamp)
-
-    def __hash__(self) -> int:
-        return hash((self.values, self.schema.sources, self.timestamp))
-
-    def __repr__(self) -> str:
-        pairs = ", ".join(
-            f"{c.name}={v!r}" for c, v in zip(self.schema.columns, self.values))
-        ts = f" @{self.timestamp}" if self.timestamp is not None else ""
-        return f"Tuple({pairs}{ts})"
 
 
 class Rows:

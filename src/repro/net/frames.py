@@ -26,10 +26,13 @@ frames in order.  Oversized frames are rejected *from the header* —
 before buffering the body — so a hostile or confused peer cannot balloon
 memory.
 
-Tuples cross the wire as ``{"c": columns, "v": values, "ts": timestamp,
-"s": schema name}``; :func:`tuple_from_wire` rebuilds a real
-:class:`~repro.core.tuples.Tuple` (schemas are interned per connection),
-so local and network cursors hand back the same object kind.
+Rows cross the wire as ``{"c": columns, "v": values, "ts": timestamp,
+"s": schema name}``.  :func:`rows_from_wire` and
+:func:`windows_from_wire` rebuild :class:`~repro.core.tuples.Row`
+results (schemas are interned per connection), so local and network
+cursors hand back the same object kind; :func:`tuple_from_wire` rebuilds
+a :class:`~repro.core.tuples.Tuple` for Flux's partition shipping, where
+the receiving state stores it.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ import json
 import struct
 from typing import Any, Dict, Iterable, List, Optional, Tuple as TypingTuple
 
-from repro.core.tuples import Schema, Tuple
+from repro.core.tuples import Row, Schema, Tuple
 from repro.errors import ProtocolError
 
 #: Wire-format revision; HELLO responses carry it.
@@ -127,14 +130,14 @@ class FrameDecoder:
 
 # -- tuple / window serialization ---------------------------------------------
 
-def tuple_to_wire(t: Tuple) -> Dict[str, Any]:
+def tuple_to_wire(t: Row) -> Dict[str, Any]:
     return {"s": t.schema.name, "c": list(t.schema.column_names()),
             "v": list(t.values), "ts": t.timestamp}
 
 
-def tuple_from_wire(payload: Dict[str, Any],
-                    schemas: Optional[Dict[Any, Schema]] = None) -> Tuple:
-    """Rebuild a Tuple; ``schemas`` interns one Schema per (name,
+def _schema_from_wire(payload: Dict[str, Any],
+                      schemas: Optional[Dict[Any, Schema]]) -> Schema:
+    """The row's schema; ``schemas`` interns one Schema per (name,
     columns) so a million rows do not allocate a million schemas."""
     key = (payload.get("s", ""), tuple(payload["c"]))
     schema = None if schemas is None else schemas.get(key)
@@ -142,25 +145,34 @@ def tuple_from_wire(payload: Dict[str, Any],
         schema = Schema.of(key[0], *key[1])
         if schemas is not None:
             schemas[key] = schema
-    return Tuple(schema, tuple(payload["v"]), timestamp=payload.get("ts"))
+    return schema
 
 
-def rows_to_wire(rows: Iterable[Tuple]) -> List[Dict[str, Any]]:
+def tuple_from_wire(payload: Dict[str, Any],
+                    schemas: Optional[Dict[Any, Schema]] = None) -> Tuple:
+    """Rebuild a Tuple, for a receiver that stores or routes it."""
+    return Tuple(_schema_from_wire(payload, schemas), tuple(payload["v"]),
+                 payload.get("ts"))
+
+
+def rows_to_wire(rows: Iterable[Row]) -> List[Dict[str, Any]]:
     return [tuple_to_wire(t) for t in rows]
 
 
 def rows_from_wire(rows: Iterable[Dict[str, Any]],
                    schemas: Optional[Dict[Any, Schema]] = None
-                   ) -> List[Tuple]:
-    return [tuple_from_wire(r, schemas) for r in rows]
+                   ) -> List[Row]:
+    """Rebuild result rows (no lineage: a client only reads them)."""
+    return [Row(_schema_from_wire(r, schemas), tuple(r["v"]), r.get("ts"))
+            for r in rows]
 
 
-def windows_to_wire(windows: Iterable[TypingTuple[int, List[Tuple]]]
+def windows_to_wire(windows: Iterable[TypingTuple[int, List[Row]]]
                     ) -> List[Dict[str, Any]]:
     return [{"t": t, "rows": rows_to_wire(rows)} for t, rows in windows]
 
 
 def windows_from_wire(payload: Iterable[Dict[str, Any]],
                       schemas: Optional[Dict[Any, Schema]] = None
-                      ) -> List[TypingTuple[int, List[Tuple]]]:
+                      ) -> List[TypingTuple[int, List[Row]]]:
     return [(w["t"], rows_from_wire(w["rows"], schemas)) for w in payload]

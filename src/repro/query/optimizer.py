@@ -25,7 +25,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple as Typin
 
 from repro.core.aggregates import make_aggregate
 from repro.core.stem import SteM
-from repro.core.tuples import Column, Rows, Schema, Tuple, joined_timestamp
+from repro.core.tuples import Column, Row, Rows, Schema, Tuple, joined_timestamp
 from repro.core.windows import ForLoopSpec, WindowIs
 from repro.errors import QueryError
 from repro.query.ast import ForLoopClause, QuerySpec
@@ -161,7 +161,8 @@ class WindowedPlan:
         self._schemas: Dict[str, Schema] = {}
         self._filters: Dict[str, Optional[Check]] = {}
         self._steps: List[_JoinStep] = []
-        self._star = False
+        #: ``SELECT *``: the joined schema its output rows carry.
+        self._star: Optional[Schema] = None
         self._project: Optional[TypingTuple[Callable, Schema]] = None
         self._aggregates: Optional[TypingTuple[Optional[Callable],
                                                List, Schema]] = None
@@ -227,7 +228,7 @@ class WindowedPlan:
 
     # -- per-window evaluation ----------------------------------------------------
     def window(self, bounds: Dict[str, TypingTuple[int, int]],
-               scan: Scan) -> List[Tuple]:
+               scan: Scan) -> List[Row]:
         """The next window: slide every binding's standing rows to its
         ``(lo, hi)`` in ``bounds``, then evaluate the body over them.
 
@@ -246,7 +247,7 @@ class WindowedPlan:
             self._last[binding] = (lo, hi)
         return self._output()
 
-    def evaluate(self, window_data: Dict[str, Sequence[Tuple]]) -> List[Tuple]:
+    def evaluate(self, window_data: Dict[str, Sequence[Tuple]]) -> List[Row]:
         """filters -> join -> aggregate/distinct/sort -> project over one
         window's tuples per binding, fed to the standing state from
         empty: a pure function of ``window_data``."""
@@ -348,8 +349,7 @@ class WindowedPlan:
                 out)
         elif len(self.select_items) == 1 and self.select_items[0].is_star \
                 and not self.select_items[0].alias:
-            self._star = True
-            out = joined
+            self._star = out = joined
         else:
             columns: List[TypingTuple[str, int]] = []   # (out name, position)
             for item in self.select_items:
@@ -377,30 +377,40 @@ class WindowedPlan:
             self._order = (pos, descending)
         self._steps, self._stems = steps, stems     # bound
 
-    def _output(self) -> List[Tuple]:
+    def _output(self) -> List[Row]:
         """The body over the standing rows.  The leading binding's rows
         probe each step's SteM in FROM order; only a pair that passes is
-        materialised: joined once for a further step or ``SELECT *``,
-        else projected or aggregated straight from the pair's values."""
+        read: joined into a tuple for a further step, else made one
+        output :class:`Row` straight from the pair's values (whole for
+        ``SELECT *``, projected or aggregated otherwise).  A
+        single-binding ``SELECT *`` delivers the stored tuples."""
         rows = self._stems[self._names[0]].contents()
         pairs: Optional[List[TypingTuple[Tuple, Tuple]]] = None
         for n, step in enumerate(self._steps, 1):
             pairs = step.join(rows)
             if n < len(self._steps):
                 rows = [left.concat(stored) for left, stored in pairs]
-        if self._star:
+        out: List[Row]
+        if self._star is not None:
+            # A pair with a sampled side is joined, so the result carries
+            # the trace its delivery closes.
+            schema = self._star
             out = rows if pairs is None else \
-                [left.concat(stored) for left, stored in pairs]
+                [Row(schema, left.values + stored.values,
+                     joined_timestamp(left, stored))
+                 if left.trace is None and stored.trace is None
+                 else left.concat(stored)
+                 for left, stored in pairs]
         elif self._aggregates is not None:
             out = self._aggregate(
                 [t.values for t in rows] if pairs is None else
                 [left.values + stored.values for left, stored in pairs])
         else:
             pick, schema = self._project
-            out = [Tuple(schema, pick(t.values), timestamp=t.timestamp)
+            out = [Row(schema, pick(t.values), t.timestamp)
                    for t in rows] if pairs is None else \
-                [Tuple(schema, pick(left.values + stored.values),
-                       timestamp=joined_timestamp(left, stored))
+                [Row(schema, pick(left.values + stored.values),
+                     joined_timestamp(left, stored))
                  for left, stored in pairs]
         if self.distinct:
             seen = set()
@@ -415,7 +425,7 @@ class WindowedPlan:
             out = sorted(out, key=lambda t: t.values[pos], reverse=descending)
         return out
 
-    def _aggregate(self, rows: List[Sequence[Any]]) -> List[Tuple]:
+    def _aggregate(self, rows: List[Sequence[Any]]) -> List[Row]:
         """One output row per group (first-seen order) of ``rows``'
         values; with no group columns, one row even for no rows."""
         key_of, specs, schema = self._aggregates
@@ -425,7 +435,7 @@ class WindowedPlan:
             groups = {}
             for values in rows:
                 groups.setdefault(key_of(values), []).append(values)
-        out: List[Tuple] = []
+        out: List[Row] = []
         for key, members in groups.items():
             results = []
             for name, pos in specs:
@@ -433,7 +443,7 @@ class WindowedPlan:
                 agg.add_many([1] * len(members) if pos is None
                              else [values[pos] for values in members])
                 results.append(agg.result())
-            out.append(Tuple(schema, key + tuple(results)))
+            out.append(Row(schema, key + tuple(results), None))
         return out
 
 

@@ -13,7 +13,7 @@ import operator
 from typing import (Any, Callable, Dict, FrozenSet, List, Optional, Sequence,
                     Set, Tuple as TypingTuple, TYPE_CHECKING)
 
-from repro.core.tuples import Tuple
+from repro.core.tuples import Row
 from repro.errors import QueryError
 from repro.monitor import telemetry
 
@@ -97,7 +97,7 @@ class Predicate:
     """Base class.  Predicates are immutable and hashable so grouped
     filters and the optimizer can dedupe them."""
 
-    def matches(self, t: Tuple) -> bool:
+    def matches(self, t: Row) -> bool:
         raise NotImplementedError
 
     def columns(self) -> Set[str]:
@@ -163,7 +163,7 @@ class Predicate:
 class TruePredicate(Predicate):
     """Always matches; the empty WHERE clause."""
 
-    def matches(self, t: Tuple) -> bool:
+    def matches(self, t: Row) -> bool:
         return True
 
     def columns(self) -> Set[str]:
@@ -215,7 +215,7 @@ class Comparison(Predicate):
         # compiled batch kernel — dispatches through this bound callable.
         self._fn = OPS[self.op]
 
-    def matches(self, t: Tuple) -> bool:
+    def matches(self, t: Row) -> bool:
         actual = t.get(self.column, _MISSING)
         if actual is _MISSING or actual is None:
             return False
@@ -322,7 +322,7 @@ class ColumnComparison(Predicate):
         self.span = span
         self._fn = OPS[op]
 
-    def matches(self, t: Tuple) -> bool:
+    def matches(self, t: Row) -> bool:
         lhs = t.get(self.left)
         rhs = t.get(self.right)
         if lhs is None or rhs is None:
@@ -416,7 +416,7 @@ class And(Predicate):
                 flat.append(p)
         self.parts = tuple(flat)
 
-    def matches(self, t: Tuple) -> bool:
+    def matches(self, t: Row) -> bool:
         return all(p.matches(t) for p in self.parts)
 
     def columns(self) -> Set[str]:
@@ -477,7 +477,7 @@ class Or(Predicate):
                 flat.append(p)
         self.parts = tuple(flat)
 
-    def matches(self, t: Tuple) -> bool:
+    def matches(self, t: Row) -> bool:
         return any(p.matches(t) for p in self.parts)
 
     def bind(self, locate: Locate) -> Check:
@@ -532,7 +532,7 @@ class Not(Predicate):
             return  # __new__ already returned the normalised form
         self.part = part
 
-    def matches(self, t: Tuple) -> bool:
+    def matches(self, t: Row) -> bool:
         return not self.part.matches(t)
 
     def bind(self, locate: Locate) -> Check:

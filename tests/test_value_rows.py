@@ -1,14 +1,17 @@
-"""Rows stay values until a query keeps one.
+"""Rows stay values until something stores them.
 
 The door's batch, the historical store and CACQ's filter phase work on
-value tuples; a base row becomes a :class:`~repro.core.tuples.Tuple`
-only where a survivor, a windowed scan, a sampled row or a pre-built row
-needs one.  These guards count what is built (through the tuple id
-counter, no clocks) and check that a row which does exist as a tuple is
-one object everywhere it goes.
+value tuples, and every cursor hands back a value
+:class:`~repro.core.tuples.Row`; a base row becomes a
+:class:`~repro.core.tuples.Tuple` only where a SteM stores it, a join
+probes with it, a sampled row or a pre-built row needs one.  These
+guards count what is built (through the tuple id counter, no clocks)
+and check that a row which does exist as a tuple is one object
+everywhere it goes.
 """
 
 import gc
+from functools import partial
 
 import pytest
 
@@ -26,7 +29,17 @@ def firehose_rows(n):
             for i in range(n)]
 
 
+def tuple_ids_drawn(action):
+    """How many :class:`Tuple` ids ``action()`` draws (one per tuple
+    built; the probe itself takes one more)."""
+    before = next(tuples._tuple_ids)
+    action()
+    return next(tuples._tuple_ids) - before - 1
+
+
 def test_a_base_tuple_is_built_only_for_a_row_some_query_keeps():
+    """On a selection-only stream no query stores a row, so none is
+    built: every kept row is delivered as a value Row."""
     rows = firehose_rows(256)
     kept = [r for r in rows
             if any(a < r[1] < b and r[2] > 20 for a, b in BANDS)]
@@ -38,16 +51,76 @@ def test_a_base_tuple_is_built_only_for_a_row_some_query_keeps():
         cursors = [conn.submit(f"SELECT * FROM trades WHERE price > {a} "
                                f"AND price < {b} AND vol > 20")
                    for a, b in BANDS]
-        before = next(tuples._tuple_ids)
-        conn.push_rows("trades", rows)
-        ids = next(tuples._tuple_ids) - before - 1
+        ids = tuple_ids_drawn(lambda: conn.push_rows("trades", rows))
         results = [t for cursor in cursors for t in cursor.fetch()]
-    # One id per kept row (its tuple, delivered as itself) and none for
-    # a dropped one.  ``stamp_arrival`` takes one id per pre-built row
-    # built into a home SteM; these rows are neither pre-built nor is
-    # there a SteM on a selection-only stream, so it takes none.
-    assert ids == len(kept)
-    assert sorted(t.values[-1] for t in results) == [r[-1] for r in kept]
+    assert ids == 0
+    assert {type(t) for t in results} == {tuples.Row}
+    assert sorted(t.values for t in results) == sorted(kept)
+    assert sorted(t.timestamp for t in results) == \
+        [i + 1 for i, r in enumerate(rows) if r in kept]
+
+
+WINDOWED_EQUIJOIN = (
+    "SELECT {select} FROM a, b WHERE a.k = b.k AND a.v > 1 "
+    "for (t = 4; t <= {last}; t++) {{ WindowIs(a, t - 3, t); "
+    "WindowIs(b, t - 3, t); }}")
+
+
+def feed_windowed_equijoin(conn, last):
+    for ts in range(1, last + 2):
+        conn.push_rows("a", [(ts % 3, ts), (ts % 2, -ts)], timestamp=2 * ts)
+        conn.push_rows("b", [(ts % 3, ts)], timestamp=ts)
+    conn.run()
+
+
+@pytest.mark.parametrize("select", ["a.v, b.w", "*"])
+def test_a_windowed_join_builds_only_the_rows_its_steMs_store(select):
+    """Tuple ids = rows built into the plan's window SteMs, for 5
+    windows as for 37: output rows (projected or ``*``) draw none."""
+    built, outputs = {}, {}
+    for last in (8, 40):
+        with connect() as conn:
+            conn.create_stream("a", "k", "v")
+            conn.create_stream("b", "k", "w")
+            cursor = conn.submit(WINDOWED_EQUIJOIN.format(select=select,
+                                                          last=last))
+            ids = tuple_ids_drawn(partial(feed_windowed_equijoin, conn, last))
+            stems = cursor._windowed_state.plan._stems.values()
+            windows = cursor.fetch_windows()
+        assert len(windows) == last - 3
+        assert ids == sum(stem.builds for stem in stems)
+        rows = [row for _t, window in windows for row in window]
+        assert {type(row) for row in rows} == {tuples.Row}
+        built[last], outputs[last] = ids, len(rows)
+    assert outputs[40] > 4 * outputs[8] > 0
+    # The ids follow the rows stored, not the rows delivered.
+    assert built[40] < 2 * outputs[40]
+
+
+def test_a_cacq_equijoin_builds_its_steM_rows_and_composite_matches():
+    """A stream with a home SteM builds each kept row into it, and each
+    probe match is a composite tuple: those two, and nothing else."""
+    with connect() as conn:
+        conn.create_stream("a", "k", "v")
+        conn.create_stream("b", "k", "w")
+        join = conn.submit("SELECT * FROM a, b WHERE a.k = b.k")
+        local = conn.submit("SELECT * FROM a WHERE v > 10")
+
+        def drive():
+            for ts in range(1, 41):
+                conn.push_rows("a", [(ts % 5, ts)])
+                conn.push_rows("b", [(ts % 4, ts)])
+
+        ids = tuple_ids_drawn(drive)
+        engine = join._engine
+        builds = sum(stem.builds for stem in engine.stems.values())
+        matches = sum(stem.matches_out for stem in engine.stems.values())
+        joined, selected = join.fetch(), local.fetch()
+    assert builds == 80 and matches > 0
+    assert ids == builds + matches
+    assert len(joined) == matches
+    assert all(t["a.k"] == t["b.k"] for t in joined)
+    assert [t["v"] for t in selected] == list(range(11, 41))
 
 
 def test_the_store_holds_no_collector_tracked_object_for_an_untraced_row():
