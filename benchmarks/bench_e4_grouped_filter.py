@@ -10,11 +10,13 @@ probe *time* grows far slower, and the two always return identical
 query sets.  ``test_e4_query_index_scale`` takes the index to 1 k, 10 k
 and 100 k standing queries and times its three operations — probe
 (``failing``, the bitmap the engines consume, and ``matching``, the same
-decoded into a set of ids), add and remove — into
-``BENCH_query_index.json``.
+decoded into a set of ids), add and remove — plus the first probe (which
+builds the cumulative masks) and the probe after one add and one remove
+(which settles the patched masks) into ``BENCH_query_index.json``.
 """
 
 import random
+import statistics
 
 import pytest
 
@@ -83,8 +85,8 @@ def test_e4_query_index_scale():
         add_us = (time.perf_counter() - start) / n * 1e6
         rng = random.Random(8)
         values = [rng.randrange(10_000) for _ in range(200)]
-        # The first probe after a registration change rebuilds the
-        # cumulative masks; timed on its own, it is what admission defers.
+        # The first probe builds the cumulative masks; timed on its own,
+        # it is what admission defers.
         start = time.perf_counter()
         gf.failing(values[0])
         rebuild_ms = (time.perf_counter() - start) * 1e3
@@ -107,10 +109,23 @@ def test_e4_query_index_scale():
         for qid in victims:
             gf.remove_query(qid)
         remove_us = (time.perf_counter() - start) / len(victims) * 1e6
+        # After the first probe, admit and cancel patch the masks: one
+        # add and one remove_query, then the probe that settles them, timed.
+        churn = random.Random(10)
+        live = sorted(set(range(n)) - set(victims))
+        after_change = []
+        for qid in range(n, n + 20):
+            gf.add(Comparison("price", churn.choice([">", "<", ">=", "<="]),
+                              churn.randrange(10_000)), qid)
+            gf.remove_query(live.pop(churn.randrange(len(live))))
+            start = time.perf_counter()
+            gf.failing(churn.randrange(10_000))
+            after_change.append((time.perf_counter() - start) * 1e3)
+        change_ms = statistics.median(after_change)
         failing_us = failing_s / len(values) * 1e6
         rows.append((n, failing_us, matching_us, naive_us,
                      naive_us / failing_us, answers // len(values),
-                     add_us, remove_us, rebuild_ms, cumulative_kb))
+                     add_us, remove_us, rebuild_ms, change_ms, cumulative_kb))
         record_result(
             "query_index", {"queries": n, "probes": len(values),
                             "constant_domain": 10_000},
@@ -121,11 +136,12 @@ def test_e4_query_index_scale():
             answers_per_probe=answers // len(values),
             add_us=round(add_us, 3), remove_query_us=round(remove_us, 3),
             first_probe_rebuild_ms=round(rebuild_ms, 3),
+            first_probe_after_change_ms=round(change_ms, 4),
             cumulative_mask_kb=round(cumulative_kb, 1))
     print_table("E4 at scale: one grouped filter, Q standing queries",
                 ["Q", "failing us", "matching us", "naive us",
                  "naive/failing", "answers", "add us", "remove us",
-                 "rebuild ms", "cum. masks KB"], rows)
+                 "build ms", "after change ms", "cum. masks KB"], rows)
     # The naive bank is linear in Q; the bitmap probe must beat it widely
     # at every size and fall further ahead as Q grows.
     assert all(row[4] > 20 for row in rows)

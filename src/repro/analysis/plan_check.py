@@ -585,9 +585,9 @@ def check_admission(footprint: FrozenSet[str], predicate: Predicate,
             f"admitting this query puts {resident + 1} standing queries "
             f"in one shared class, past the advisory lineage capacity of "
             f"{context.lineage_capacity}; routing stays sublinear in the "
-            f"query count, but every lineage bitmap is that many bits "
-            f"wide and each admission or cancel makes the next probe "
-            f"rebuild the grouped filters' cumulative masks",
+            f"query count, but every lineage bitmap is as wide as the "
+            f"query ids, and so is every mask OR that a grouped-filter "
+            f"probe, admission or cancel pays",
             source=source,
             hint="partition the workload across servers, or raise "
                  "lineage_capacity if the cost is acceptable; further "

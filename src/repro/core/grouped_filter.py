@@ -31,13 +31,18 @@ Index layout per attribute:
 A suffix (prefix) of a range bank is answered from cumulative masks kept
 at a stride of at most sqrt(factors), so a probe ORs at most one stride
 of entries onto one stored mask, and the stored masks take O(F * sqrt(F))
-bits.  They are rebuilt lazily, on the first probe after a registration
-change, so admission itself stays O(log F).
+bits.  The first probe builds them.  After that an admission or cancel
+patches one block's mask (ORs the query's bit in, or clears it) and the
+next probe re-accumulates the cumulative masks from the changed block
+outward: O(blocks) ORs, however many changes came before it.  A full
+rebuild happens again only when the derived stride has drifted more
+than 2x.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from itertools import accumulate, chain
 from math import isqrt
 from operator import or_
 from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence, Set,
@@ -81,10 +86,21 @@ class _RangeBank:
     ``>=`` the thresholds from the position on, for ``<`` and ``<=`` the
     thresholds before it.  ``locate`` is the bisect flavour that puts a
     threshold equal to the value on the right side of that position.
+
+    The entries are cut into blocks, each with its own mask, load
+    (factors) and size (entries); ``_cum`` accumulates the block masks
+    from the failing end.  Once built, the blocks are patched in place
+    by :meth:`add` and :meth:`discard`, which find a block by its first
+    threshold (so no other block moves) and shrink ``_settled`` -- the
+    number of ``_cum`` entries, counted from the end the accumulation
+    starts at, that are still exact.  The next probe re-accumulates only
+    the rest and re-derives the block starts from the sizes.
     """
 
     __slots__ = ("suffix", "locate", "keys", "qids", "factors", "width",
-                 "_starts", "_cum", "mask_ops")
+                 "_stride", "_heads", "_sizes", "_starts", "_masks",
+                 "_loads", "_cum", "_settled", "mask_ops", "settle_ops",
+                 "rebuilds")
 
     def __init__(self, suffix: bool,
                  locate: Callable[[List[Any], Any], int]):
@@ -95,44 +111,174 @@ class _RangeBank:
         self.factors = 0
         #: bits in the widest query bitmap this bank has seen.
         self.width = 0
-        #: block b covers entries ``_starts[b]:_starts[b + 1]``.
-        self._starts: List[int] = []
+        #: the stride the blocks were last cut at.
+        self._stride = 0
+        #: block b's first threshold, entries, queries and factors.
+        self._heads: List[Any] = []
+        self._sizes: List[int] = []
+        self._masks: List[int] = []
+        self._loads: List[int] = []
+        #: block b covers entries ``_starts[b]:_starts[b + 1]``, derived
+        #: from ``_sizes`` by the probe; ``None`` after any change.
+        self._starts: Optional[List[int]] = None
         #: ``_cum[b]`` = every query in blocks b.. (suffix) or ..b-1
-        #: (prefix); ``None`` = stale.
+        #: (prefix); ``None`` until a probe builds the blocks.
         self._cum: Optional[List[int]] = None
-        #: debug counter: big-int ORs spent in probes.
+        self._settled = 0
+        #: debug counters: big-int ORs spent folding entries in probes,
+        #: ORs spent re-accumulating ``_cum``, and full rebuilds.
         self.mask_ops = 0
+        self.settle_ops = 0
+        self.rebuilds = 0
 
     def add(self, value: Any, qid: int) -> bool:
         """Register ``qid`` at threshold ``value``; False if it already
         was.  Queries sharing a constant share the entry."""
         keys = self.keys
         i = bisect_left(keys, value)
-        if i < len(keys) and keys[i] == value:
-            if qid in self.qids[i]:
-                return False
-            self.qids[i].add(qid)
-        else:
+        new = i == len(keys) or keys[i] != value
+        if new:
             keys.insert(i, value)
             self.qids.insert(i, {qid})
+        elif qid in self.qids[i]:
+            return False
+        else:
+            self.qids[i].add(qid)
         self.factors += 1
         self.width = max(self.width, qid + 1)
-        self._cum = None
+        if self._cum is None:
+            return True
+        self._starts = None
+        # A threshold below every block's first joins the first block.
+        b = bisect_right(self._heads, value) - 1
+        if b < 0:
+            b = 0
+            self._heads[0] = value
+        self._sizes[b] += new
+        self._masks[b] |= 1 << qid
+        self._loads[b] += 1
+        self._touch(b)
+        if self._loads[b] > 2 * self._stride:
+            self._split(b)
         return True
 
     def discard(self, value: Any, qid: int) -> None:
-        i = bisect_left(self.keys, value)
-        self.qids[i].discard(qid)
-        if not self.qids[i]:
-            del self.keys[i]
+        """Drop ``qid``'s threshold at ``value``.  The caller drops every
+        threshold ``qid`` holds in this bank before the next probe (as
+        :meth:`GroupedFilter.remove_query` does), so its bit leaves the
+        block's mask outright."""
+        keys = self.keys
+        i = bisect_left(keys, value)
+        entry = self.qids[i]
+        entry.discard(qid)
+        gone = not entry
+        if gone:
+            del keys[i]
             del self.qids[i]
         self.factors -= 1
-        self._cum = None
+        if self._cum is None:
+            return
+        self._starts = None
+        if not keys:
+            self._cum = None        # the next probe starts afresh
+            return
+        heads, sizes, masks, loads = (self._heads, self._sizes,
+                                      self._masks, self._loads)
+        b = bisect_right(heads, value) - 1
+        sizes[b] -= gone
+        loads[b] -= 1
+        self._touch(b)
+        if not sizes[b]:
+            # An emptied block goes; its mask was the only difference
+            # between its two neighbouring cumulative masks.
+            del heads[b], sizes[b], masks[b], loads[b]
+            del self._cum[b if self.suffix else b + 1]
+            return
+        if gone and heads[b] == value:
+            heads[b] = keys[i]
+        masks[b] &= ~(1 << qid)
+        if b + 1 < len(masks) and loads[b] + loads[b + 1] <= self._stride:
+            self._merge(b)
+        elif b and loads[b - 1] + loads[b] <= self._stride:
+            self._merge(b - 1)
 
-    def _rebuild(self) -> List[int]:
+    def _touch(self, b: int) -> None:
+        """Block b's mask changed: every cumulative mask that includes
+        it is stale."""
+        fresh = len(self._masks) - b if self.suffix else b + 1
+        if fresh < self._settled:
+            self._settled = fresh
+
+    def _split(self, b: int) -> None:
+        """Cut block b in two at about half its load; a block of one
+        entry stays whole."""
+        size = self._sizes[b]
+        if size < 2:
+            return
+        lo = bisect_left(self.keys, self._heads[b])
+        qids = self.qids[lo:lo + size]
+        half = self._loads[b] // 2
+        load = 0
+        for cut in range(1, size):
+            load += len(qids[cut - 1])
+            if load >= half:
+                break
+        self._heads.insert(b + 1, self.keys[lo + cut])
+        self._sizes[b:b + 1] = [cut, size - cut]
+        self._masks[b:b + 1] = [mask_of(chain.from_iterable(qids[:cut])),
+                                mask_of(chain.from_iterable(qids[cut:]))]
+        self._loads[b:b + 1] = [load, self._loads[b] - load]
+        self._cum.insert(b + 1, 0)
+        self._touch(b)
+        self._touch(b + 1)
+
+    def _merge(self, b: int) -> None:
+        """Fold block b + 1 into block b."""
+        del self._heads[b + 1], self._cum[b + 1]
+        self._sizes[b] += self._sizes.pop(b + 1)
+        self._masks[b] |= self._masks.pop(b + 1)
+        self._loads[b] += self._loads.pop(b + 1)
+        self._touch(b)
+
+    def _rebuild(self, stride: int) -> None:
         """Cut the entries into blocks of at most ``stride`` factors (an
         entry shared by more queries than that is a block of its own) and
-        accumulate the block masks from the failing end.
+        mark every cumulative mask stale.
+
+        Runs on the first probe, and again only when the derived stride
+        has moved more than 2x from the one the blocks were cut at.
+        Between rebuilds :meth:`add` and :meth:`discard` patch the
+        blocks: one past 2x the stride is split (an oversized entry stays
+        a block of its own), and two neighbours that fit in one stride
+        are merged.
+        """
+        starts = [0]
+        masks: List[int] = []
+        loads: List[int] = []
+        block = load = 0
+        for i, qids in enumerate(self.qids):
+            if load and load + len(qids) > stride:
+                starts.append(i)
+                masks.append(block)
+                loads.append(load)
+                block = load = 0
+            block |= mask_of(qids)
+            load += len(qids)
+        masks.append(block)
+        loads.append(load)
+        starts.append(len(self.qids))
+        self._stride = stride
+        self._heads = [self.keys[i] for i in starts[:-1]]
+        self._sizes = [hi - lo for lo, hi in zip(starts, starts[1:])]
+        self._masks, self._loads = masks, loads
+        self._cum = [0] * len(starts)
+        self._settled = 1
+        self.rebuilds += 1
+
+    def _settle(self) -> None:
+        """Bring ``_cum`` and ``_starts`` up to date: one OR per stale
+        cumulative mask, from the last exact one outward -- or a rebuild,
+        on the first probe or once the stride has drifted.
 
         The stride is sqrt(factors), which bounds both the entries a
         probe folds and the stored masks (O(F * sqrt(F)) bits) -- or
@@ -142,34 +288,28 @@ class _RangeBank:
         takes) buys a shorter fold for memory nobody will miss.
         """
         stride = max(1, min(isqrt(self.factors), self.width // 256))
-        starts = [0]
-        masks: List[int] = []
-        block = load = 0
-        for i, qids in enumerate(self.qids):
-            if load and load + len(qids) > stride:
-                starts.append(i)
-                masks.append(block)
-                block = load = 0
-            block |= mask_of(qids)
-            load += len(qids)
-        masks.append(block)
-        starts.append(len(self.qids))
-        cum = [0] * len(starts)
+        if self._cum is None or stride > 2 * self._stride \
+                or 2 * stride < self._stride:
+            self._rebuild(stride)
+        cum, masks = self._cum, self._masks
+        n = len(masks)
         if self.suffix:
-            for b in range(len(masks) - 1, -1, -1):
+            for b in range(n - self._settled, -1, -1):
                 cum[b] = cum[b + 1] | masks[b]
         else:
-            for b, mask in enumerate(masks):
-                cum[b + 1] = cum[b] | mask
-        self._starts = starts
-        self._cum = cum
-        return cum
+            for b in range(self._settled, n + 1):
+                cum[b] = cum[b - 1] | masks[b - 1]
+        self.settle_ops += n + 1 - self._settled
+        self._settled = n + 1
+        self._starts = list(accumulate(self._sizes, initial=0))
 
     def failing_many(self, values: Sequence[Any]) -> List[int]:
         """For each value, every query with a threshold in this bank
         that the value fails.  Each value costs one bisection; the
         cumulative mask is folded once per *distinct* probe position in
         the batch, however many rows land on it."""
+        if self._starts is None:
+            self._settle()
         keys, locate = self.keys, self.locate
         if len(values) == 1:
             return [self._fold(locate(keys, values[0]))]
@@ -181,10 +321,7 @@ class _RangeBank:
         """The queries on the failing side of probe position ``idx``:
         one stored cumulative mask plus the entries between the position
         and the block boundary."""
-        cum = self._cum
-        if cum is None:
-            cum = self._rebuild()
-        starts = self._starts
+        cum, starts = self._cum, self._starts
         b = bisect_right(starts, idx) - 1
         if self.suffix:
             if starts[b] == idx:
@@ -203,7 +340,7 @@ class _RangeBank:
         return failed
 
     def cumulative_bits(self) -> int:
-        return sum(m.bit_length() for m in self._cum or ())
+        return sum(m.bit_length() for m in (self._cum or []) + self._masks)
 
 
 class GroupedFilter:
@@ -395,7 +532,7 @@ class GroupedFilter:
             bank.mask_ops for bank in self._banks.values())
 
     def cumulative_bits(self) -> int:
-        """Bits held by the cumulative masks as last rebuilt."""
+        """Bits held by the range banks' cumulative and block masks."""
         return sum(bank.cumulative_bits() for bank in self._banks.values())
 
 

@@ -7,12 +7,15 @@ window clause::
     for (t = ST; t < ST + 50; t += 5) {
         WindowIs(ClosingStockPrices, t - 4, t);
     }
+
+The scanner is one compiled alternation: ``findall`` hands back every
+token's groups in one call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
+import re
+from typing import List, NamedTuple
 
 from repro.errors import ParseError
 
@@ -26,9 +29,22 @@ OPERATORS = ["<=", ">=", "==", "!=", "<>", "++", "--", "+=", "-=",
              "<", ">", "=", "+", "-", "*", "/", "(", ")", "{", "}",
              ",", ";", "."]
 
+#: Whitespace, then one token, one group per kind.  A number is digits
+#: with at most one fraction (``.5`` too); its dot is not taken when a
+#: non-digit follows (``c1.price`` is qualified access).  ``other`` is a
+#: character no token starts with; the empty alternative is the end.
+_TOKEN = re.compile(r"""(\s*)(?:
+      (\d+(?:\.(?:\d+|\Z))?|\.\d+)
+    | ([^\W\d]\w*)
+    | (--[^\n]*\n?)
+    | ({})
+    | ('[^']*'|"[^"]*")
+    | (.)
+    | \Z)""".format("|".join(map(re.escape, OPERATORS))),
+    re.VERBOSE | re.DOTALL)
 
-@dataclass(frozen=True)
-class Token:
+
+class Token(NamedTuple):
     kind: str          # 'keyword' | 'ident' | 'number' | 'string' | 'op' | 'eof'
     text: str
     position: int
@@ -40,67 +56,50 @@ class Token:
         return self.kind == "op" and self.text == op
 
 
+#: ``_new(Token, (kind, text, position))`` is ``Token(kind, text,
+#: position)`` without the Python-level ``__new__`` call.
+_new = tuple.__new__
+
+
 def tokenize(text: str) -> List[Token]:
     """Scan the query text into a token list ending with an EOF token."""
     tokens: List[Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "-" and text[i:i + 2] == "--":
-            # SQL comment... but '--' is also the decrement operator.
-            # Inside a for-loop header decrement always follows an
-            # identifier; comments follow whitespace/line starts.  We
-            # disambiguate by what precedes: an identifier means the
-            # operator.
-            if tokens and tokens[-1].kind == "ident":
-                tokens.append(Token("op", "--", i))
-                i += 2
-                continue
-            end = text.find("\n", i)
-            i = n if end == -1 else end + 1
-            continue
-        if ch == "'" or ch == '"':
-            end = text.find(ch, i + 1)
-            if end == -1:
-                raise ParseError("unterminated string literal", i, text)
-            tokens.append(Token("string", text[i + 1:end], i))
-            i = end + 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            seen_dot = False
-            while j < n and (text[j].isdigit() or
-                             (text[j] == "." and not seen_dot)):
-                if text[j] == ".":
-                    # A trailing dot followed by a letter is qualified
-                    # access (42.foo is nonsense, but guard anyway).
-                    if j + 1 < n and not text[j + 1].isdigit():
-                        break
-                    seen_dot = True
-                j += 1
-            tokens.append(Token("number", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = "keyword" if word.lower() in KEYWORDS else "ident"
-            tokens.append(Token(kind, word.lower() if kind == "keyword"
-                                else word, i))
-            i = j
-            continue
-        for op in OPERATORS:
-            if text.startswith(op, i):
-                tokens.append(Token("op", op, i))
-                i += len(op)
-                break
+    append = tokens.append
+    pos = scan = 0
+    while True:
+        for space, number, word, comment, op, string, other in \
+                _TOKEN.findall(text, scan):
+            start = pos + len(space)
+            if word:
+                pos = start + len(word)
+                lowered = word.lower()
+                if lowered in KEYWORDS:
+                    append(_new(Token, ("keyword", lowered, start)))
+                else:
+                    append(_new(Token, ("ident", word, start)))
+            elif op:
+                pos = start + len(op)
+                append(_new(Token, ("op", op, start)))
+            elif number:
+                pos = start + len(number)
+                append(_new(Token, ("number", number, start)))
+            elif comment:
+                # '--' after an identifier is the decrement operator (a
+                # for-loop header): emit it and scan again behind it.
+                if tokens and tokens[-1].kind == "ident":
+                    append(_new(Token, ("op", "--", start)))
+                    pos = scan = start + 2
+                    break
+                pos = start + len(comment)
+            elif string:
+                pos = start + len(string)
+                append(_new(Token, ("string", string[1:-1], start)))
+            elif other == "'" or other == '"':
+                raise ParseError("unterminated string literal", start, text)
+            elif other:
+                raise ParseError(f"unexpected character {other!r}", start,
+                                 text)
         else:
-            raise ParseError(f"unexpected character {ch!r}", i, text)
-    tokens.append(Token("eof", "", n))
+            break
+    append(_new(Token, ("eof", "", len(text))))
     return tokens

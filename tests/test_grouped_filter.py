@@ -1,11 +1,14 @@
 """Tests for grouped filters, including equivalence with the naive
 per-query bank over random predicate workloads."""
 
+import random
+from itertools import accumulate, chain
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.grouped_filter import (GroupedFilter, NaiveFilterBank,
-                                       _RangeBank)
+                                       _RangeBank, mask_of)
 from repro.errors import QueryError
 from repro.query.predicates import Comparison
 
@@ -240,6 +243,100 @@ def test_grouped_filter_equals_naive_bank_under_interleaving(operations):
     assert gf.failing(0) == 0
 
 
+#: up to 300 query ids spread over 1 200 bits, so the derived stride
+#: ``min(isqrt(F), width // 256)`` reaches 4, and 50 constants.  A run
+#: grows the index (adds outnumber removes three to one, so blocks fill
+#: past 2x stride and split) and then shrinks it (the other way round, so
+#: blocks thin out, merge and empty, and the stride drifts back).
+def _patch_steps(kinds):
+    return st.tuples(st.sampled_from(kinds),
+                     st.integers(0, 299).map(lambda k: 4 * k),
+                     st.sampled_from(["==", "!=", "<", "<=", ">", ">="]),
+                     st.integers(0, 49),
+                     st.integers(-1, 50))
+
+
+_GROW, _SHRINK = ["add"] * 3 + ["remove"], ["add"] + ["remove"] * 3
+
+
+def run_patch_steps(steps):
+    """Each step is one add or remove_query and then one probe, on the
+    index and the naive bank alike; the blocks are checked after every
+    change and the cumulative masks after every probe."""
+    gf, bank = GroupedFilter("p"), NaiveFilterBank("p")
+    for kind, qid, op, constant, probe in steps:
+        if kind == "add":
+            gf.add(Comparison("p", op, constant), qid)
+            bank.add(Comparison("p", op, constant), qid)
+        elif gf.registered_queries:
+            # A remove picks a registered query, so that it removes one.
+            live = sorted(gf.registered_queries)
+            qid = live[qid // 4 % len(live)]
+            gf.remove_query(qid)
+            bank.remove_query(qid)
+        assert_cumulative_masks_exact(gf)
+        assert gf.matching(probe) == bank.matching(probe)
+        assert_cumulative_masks_exact(gf)
+    return gf
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_patch_steps(_GROW), min_size=25, max_size=200),
+       st.lists(_patch_steps(_SHRINK), max_size=200))
+def test_patched_index_equals_naive_bank_with_wide_ids(grow, shrink):
+    """Property: with a probe between every two changes -- so blocks are
+    patched, split, merged and emptied, and rebuilt when the stride
+    drifts -- the index answers as the naive bank does and every
+    cumulative mask stays exact."""
+    run_patch_steps(grow + shrink)
+
+
+def test_patch_steps_reach_splits_merges_emptied_blocks_and_drift(
+        monkeypatch):
+    """The step mix above does reach every patch path: a seeded run
+    splits, merges and empties blocks, and rebuilds a bank when its
+    stride drifts, up past 1 and back down."""
+    seen = {"_split": 0, "_merge": 0, "emptied": 0, "strides": []}
+    split, merge, discard, rebuild = (
+        _RangeBank._split, _RangeBank._merge, _RangeBank.discard,
+        _RangeBank._rebuild)
+
+    def spy_split(bank, b):
+        seen["_split"] += 1
+        split(bank, b)
+
+    def spy_merge(bank, b):
+        seen["_merge"] += 1
+        merge(bank, b)
+
+    def spy_discard(bank, value, qid):
+        blocks, merges = len(bank._masks), seen["_merge"]
+        discard(bank, value, qid)
+        if len(bank._masks) < blocks and seen["_merge"] == merges:
+            seen["emptied"] += 1
+
+    def spy_rebuild(bank, stride):
+        seen["strides"].append((id(bank), stride))
+        rebuild(bank, stride)
+
+    for name, spy in [("_split", spy_split), ("_merge", spy_merge),
+                      ("discard", spy_discard), ("_rebuild", spy_rebuild)]:
+        monkeypatch.setattr(_RangeBank, name, spy)
+    rng = random.Random(3)
+    ops = ["==", "!=", "<", "<=", ">", ">="]
+    steps = [(rng.choice(kinds), 4 * rng.randrange(300), rng.choice(ops),
+              rng.randrange(50), rng.randrange(-1, 51))
+             for kinds in [_GROW] * 400 + [_SHRINK] * 400]
+    run_patch_steps(steps)
+    assert seen["_split"] and seen["_merge"] and seen["emptied"], seen
+    strides = {}
+    for bank, stride in seen["strides"]:
+        strides.setdefault(bank, []).append(stride)
+    drifted = [s for s in strides.values() if len(s) > 1]
+    assert any(max(s) > 1 for s in drifted)
+    assert any(s[-1] < max(s) for s in drifted)
+
+
 def test_shared_constant_is_one_entry():
     """Queries registering the same ``(op, constant)`` fold into one
     bank entry; removing one of them leaves the entry to the others."""
@@ -255,18 +352,56 @@ def test_shared_constant_is_one_entry():
     assert bank.keys == [] and bank.factors == 0
 
 
-def test_registration_does_not_rebuild_cumulative_masks():
-    """The cumulative masks are rebuilt by the first probe after a
-    registration change, never by ``add`` or ``remove_query``."""
+def assert_cumulative_masks_exact(gf):
+    """Every built range bank's blocks tile its entries: each block's
+    first threshold, mask and load are its entries' first key, ids and
+    count.  Once a probe has settled the bank, its block starts are
+    current and ``_cum[b]`` is the OR of every entry on the failing side
+    of ``_starts[b]``."""
+    for bank in gf._banks.values():
+        if bank._cum is None:
+            continue
+        keys, qids = bank.keys, bank.qids
+        starts = list(accumulate(bank._sizes, initial=0))
+        assert starts[-1] == len(qids) and all(bank._sizes)
+        assert len(bank._cum) == len(starts) == len(bank._masks) + 1
+        assert bank._heads == [keys[i] for i in starts[:-1]]
+        for b, (lo, hi) in enumerate(zip(starts, starts[1:])):
+            assert bank._masks[b] == mask_of(chain.from_iterable(qids[lo:hi]))
+            assert bank._loads[b] == sum(map(len, qids[lo:hi]))
+        if bank._starts is None:
+            continue                    # stale until the next probe
+        assert bank._starts == starts
+        for b, start in enumerate(starts):
+            side = qids[start:] if bank.suffix else qids[:start]
+            assert bank._cum[b] == mask_of(chain.from_iterable(side))
+
+
+def test_registration_patches_cumulative_masks_in_place():
+    """Only the first probe builds a bank's cumulative masks; after it,
+    ``add`` and ``remove_query`` patch them (``_cum`` stays live) and the
+    next probe leaves every ``_cum[b]`` exact, with no further rebuild."""
     gf = GroupedFilter("p")
     for qid in range(100):
         gf.add(Comparison("p", "<", qid), qid)
     bank = gf._banks["<"]
     assert bank._cum is None
     assert gf.matching(98) == {99}
-    assert bank._cum is not None
-    gf.remove_query(99)
-    assert bank._cum is None
+    assert bank._cum is not None and bank.rebuilds == 1
+    assert_cumulative_masks_exact(gf)
+    changes = [("remove", 99), ("add", 150, 7), ("add", 3, 200),
+               ("remove", 0), ("add", 50, 201), ("remove", 7)]
+    for change in changes:
+        if change[0] == "add":
+            gf.add(Comparison("p", "<", change[1]), change[2])
+        else:
+            gf.remove_query(change[1])
+        assert bank._cum is not None
+        gf.failing(0)
+        assert_cumulative_masks_exact(gf)
+    assert bank.rebuilds == 1
+    assert gf.matching(98) == set()
+    assert gf.matching(2) == set(range(3, 99)) - {7} | {200, 201}
 
 
 # -- one probe for a column of values ----------------------------------------

@@ -268,9 +268,11 @@ def _tcq205(counts, classes=None):
 def test_lineage_capacity_warns_tcq205_when_first_crossed():
     assert not _tcq205([63])
     (diag,) = _tcq205([64])
-    # What still scales with the query count, not a per-tuple walk.
-    assert "bits wide" in diag.message and "rebuild" in diag.message
-    assert "walks" not in diag.message
+    # What still scales with the query count: bitmap width, not a
+    # per-tuple walk, and no longer a rebuild after every admit/cancel.
+    assert "as wide as the query ids" in diag.message
+    assert "mask OR" in diag.message
+    assert "walks" not in diag.message and "rebuild" not in diag.message
     # A class already past the capacity was warned about when it crossed.
     assert not _tcq205([65])
     assert not _tcq205([1000])

@@ -1,9 +1,9 @@
 """The query index at 20 000 standing queries, counted in operations.
 
 No wall clock anywhere, so the test cannot flake: the grouped filters'
-debug counters say how many big-int operations a probe spent and how
-many bits the cumulative masks hold, and spies say which filters a
-cancel touched.
+debug counters say how many big-int operations a probe spent, how many
+bits the cumulative masks hold and how often a bank was rebuilt, and
+spies say which filters a cancel touched.
 """
 
 import random
@@ -74,12 +74,30 @@ def test_probe_cost_mask_memory_and_cancel_locality_at_20k_queries():
                         if f.column == "a")
             assert (qid in survivors) == holds
 
-    # 2. The cumulative masks hold O(F * sqrt F) bits, not O(F^2).
+    # 2. The cumulative and block masks hold O(F * sqrt F) bits, not
+    # O(F^2).
     bits = gf.cumulative_bits()
     assert 0 < bits <= 10 * factors * root
     assert bits * 10 < factors * factors
 
-    # 3. A cancel touches only the cancelled query's own filters, and in
+    # 3. Churn patches the index instead of rebuilding it: over 200
+    # rounds of one admit, one cancel and one probe, a bank is rebuilt
+    # at most twice in all, and a probe re-accumulates at most one
+    # cumulative mask per block.
+    banks = [bank for bank in gf._banks.values() if bank.keys]
+    rebuilds = sum(bank.rebuilds for bank in banks)
+    live = list(queries)
+    for _ in range(200):
+        live.append(engine.add_query(["s"], mixed_predicate(rng)))
+        engine.remove_query(live.pop(rng.randrange(len(live))))
+        settled = [bank.settle_ops for bank in banks]
+        gf.failing(rng.randrange(QUERIES // 4))
+        for bank, before in zip(banks, settled):
+            assert bank.settle_ops - before <= len(bank._masks)
+    assert sum(bank.rebuilds for bank in banks) - rebuilds <= 2
+    assert gf.cumulative_bits() <= 10 * len(gf) * isqrt(len(gf))
+
+    # 4. A cancel touches only the cancelled query's own filters, and in
     # them only its own entries.
     touched = []
     for key, other in engine.filters.items():
@@ -87,7 +105,7 @@ def test_probe_cost_mask_memory_and_cancel_locality_at_20k_queries():
             touched.append(key)
             remove(qid)
         other.remove_query = spy
-    victim = next(q for q in queries if len(q.filter_keys) == 1)
+    victim = next(q for q in live if len(q.filter_keys) == 1)
     (key,) = victim.filter_keys
     bank_sizes = {op: bank.factors
                   for op, bank in engine.filters[key]._banks.items()}
