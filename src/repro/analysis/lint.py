@@ -33,18 +33,19 @@ cross-module class map first, then per-file rules) and emits ``TCQ3xx``
   no ``.materialize()`` calls and no foreign ``._rows`` pokes outside
   the batch implementation itself.  Row materialization costs one
   Python object per cell and forfeits every kernel; the handful of
-  legitimately row-granular sites (SteM storage, dedupe emission,
-  per-element kernel fallback) carry explicit exemptions;
+  legitimately row-granular sites (SteM storage and joins, dedupe
+  emission, the per-tuple fallback) carry explicit allows;
 * ``TCQ601`` process confinement — multiprocessing / ``os.fork`` /
   ``ProcessPoolExecutor`` primitives live only in
   ``repro/flux/procs.py``.  Worker lifecycle (spawn, teardown,
   orphan prevention) is centralised there; a stray ``Process`` in
   another module escapes the atexit sweep and leaks interpreters.
 
-A finding is suppressed by an exemption comment on the offending line
-(or the ``class``/``def`` line for class-level rules)::
+A finding is suppressed by an allow comment naming its code, with a
+reason, on the offending line (or the ``class``/``def`` line for
+class-level rules); see :mod:`repro.analysis.suppress`::
 
-    self.t0 = time.monotonic()   # tcqcheck: allow-clock
+    self.t0 = time.monotonic()   # tcq: allow[TCQ303] benchmark timer
 
 Run as ``python -m repro.analysis --self`` (the tier-1 gate) or point it
 at any path.
@@ -59,22 +60,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 from repro.analysis.report import Diagnostic
 from repro.analysis.suppress import ALLOW_RE
 
-#: Rule tag -> legacy exemption comment suffix (``# tcqcheck:
-#: allow-<tag>``).  The modern form is the code-addressed
-#: ``# tcq: allow[TCQ303] reason`` (see :mod:`repro.analysis.suppress`),
-#: which works for every rule family; the legacy tags stay recognised so
-#: existing annotations keep meaning what they said.
-EXEMPT_TAGS = {
-    "TCQ301": "allow-no-batch",
-    "TCQ302": "allow-metric-name",
-    "TCQ303": "allow-clock",
-    "TCQ304": "allow-not-schedulable",
-    "TCQ305": "allow-unbounded",
-    "TCQ401": "allow-direct-server",
-    "TCQ501": "allow-row-iteration",
-    "TCQ601": "allow-process",
-}
-
 #: TCQ501 scope: path fragments whose files are batch hot paths.  The
 #: batch implementation itself (tuples.py) carries no special-case list
 #: — any row-granular site there is either clean (``self._rows`` is the
@@ -88,16 +73,11 @@ _SHRINK_CALLS = {"pop", "popleft", "clear", "remove", "__delitem__"}
 
 
 def _is_exempt(lines: Sequence[str], lineno: int, code: str) -> bool:
-    """True when the offending line carries either suppression form:
-    the legacy tag (``# tcqcheck: allow-clock``) or the code-addressed
-    ``# tcq: allow[TCQ303] reason``."""
+    """True when the offending line carries ``# tcq: allow[<code>]
+    reason`` (a reason is required)."""
     if not 1 <= lineno <= len(lines):
         return False
-    text = lines[lineno - 1]
-    tag = EXEMPT_TAGS.get(code)
-    if tag and f"tcqcheck: {tag}" in text:
-        return True
-    m = ALLOW_RE.search(text)
+    m = ALLOW_RE.search(lines[lineno - 1])
     if m and (m.group(2) or "").strip():
         codes = {c.strip() for c in m.group(1).split(",")}
         return code in codes
@@ -236,7 +216,7 @@ def _rule_batch_parity(tree: ast.Module, file: str, lines: Sequence[str],
                 f"the per-tuple loop",
                 file=file, line=node.lineno,
                 hint="override handle_batch with equivalent semantics, or "
-                     "mark the class '# tcqcheck: allow-no-batch'"))
+                     "mark the class '# tcq: allow[TCQ301] <reason>'"))
     return diags
 
 
@@ -301,7 +281,7 @@ def _rule_clock_discipline(tree: ast.Module, file: str,
             f"virtual-time testing and telemetry consistency",
             file=file, line=lineno,
             hint="use repro.monitor.clock (or mark the line "
-                 "'# tcqcheck: allow-clock' for benchmark code)"))
+                 "'# tcq: allow[TCQ303] <reason>' for benchmark code)"))
     return diags
 
 
@@ -325,7 +305,7 @@ def _rule_schedulable(tree: ast.Module, file: str, lines: Sequence[str],
             f"will poll it forever",
             file=file, line=node.lineno,
             hint="satisfy the Schedulable protocol (sched/protocol.py), "
-                 "or mark the class '# tcqcheck: allow-not-schedulable'"))
+                 "or mark the class '# tcq: allow[TCQ304] <reason>'"))
     return diags
 
 
@@ -393,7 +373,7 @@ def _rule_bounded_rings(tree: ast.Module, file: str,
                 f"self.{attr} by append with no pop/clear/trim anywhere",
                 file=file, line=lineno,
                 hint="trim the buffer, switch to a ring, or mark the "
-                     "append '# tcqcheck: allow-unbounded'"))
+                     "append '# tcq: allow[TCQ305] <reason>'"))
     return diags
 
 
@@ -433,7 +413,7 @@ def _rule_server_door(tree: ast.Module, file: str,
         diags.append(Diagnostic(
             "TCQ401", message, file=file, line=node.lineno,
             hint=hint + ", or mark the line "
-                        "'# tcqcheck: allow-direct-server'"))
+                        "'# tcq: allow[TCQ401] <reason>'"))
     return diags
 
 
@@ -465,7 +445,7 @@ def _rule_columnar_discipline(tree: ast.Module, file: str,
             file=file, line=lineno,
             hint="use column()/partition()/take() kernels, "
                  "or mark a legitimately row-granular site "
-                 "'# tcqcheck: allow-row-iteration'"))
+                 "'# tcq: allow[TCQ501] <reason>'"))
     return diags
 
 
@@ -517,7 +497,7 @@ def _rule_process_confinement(tree: ast.Module, file: str,
             file=file, line=lineno,
             hint="route process work through repro.flux.procs "
                  "(MultiprocessBackend), or mark the line "
-                 "'# tcqcheck: allow-process'"))
+                 "'# tcq: allow[TCQ601] <reason>'"))
     return diags
 
 

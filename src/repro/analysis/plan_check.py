@@ -423,12 +423,11 @@ def check_join_graph(bindings: Sequence[TypingTuple[str, str]],
 class _WindowSim:
     """Observations from simulating one for-loop under one environment."""
 
-    __slots__ = ("entered", "stuck", "iterations", "widths", "gaps")
+    __slots__ = ("entered", "stuck", "widths", "gaps")
 
     def __init__(self) -> None:
         self.entered = False
         self.stuck = False
-        self.iterations = 0
         #: per-clause-index list of (lo, hi) pairs
         self.widths: Dict[int, List[TypingTuple[int, int]]] = {}
         self.gaps: Set[int] = set()
@@ -436,51 +435,28 @@ class _WindowSim:
 
 def _simulate_loop(clause: ForLoopClause,
                    env: Dict[str, int]) -> Optional[_WindowSim]:
+    """Step the loop ``clause`` lowers to under ``env`` (at most
+    ``_MAX_SIM_ITERATIONS`` instances): stuck when two consecutive
+    instances share their ``t``, a gap where a window's bounds leave
+    some instant between two consecutive ones uncovered."""
+    from repro.query.optimizer import for_loop_spec
     sim = _WindowSim()
+    last_t: Any = None
     try:
-        init_fn = clause.initial.compile()
-        left_fn = clause.condition[0].compile()
-        right_fn = clause.condition[2].compile()
-        op = clause.condition[1]
-        update_op, update_expr = clause.update
-        update_fn = update_expr.compile()
-        window_fns = [(w.left.compile(), w.right.compile())
-                      for w in clause.windows]
-        from repro.query.optimizer import _CONDITIONS
-        cmp_fn = _CONDITIONS[op]
-        var = clause.variable
-
-        def env_at(t: Any) -> Dict[str, int]:
-            e = dict(env)
-            e[var] = t
-            return e
-
-        t = init_fn(dict(env))
-        for _ in range(_MAX_SIM_ITERATIONS):
-            e = env_at(t)
-            if not cmp_fn(left_fn(e), right_fn(e)):
+        for instance in for_loop_spec(clause, env, _MAX_SIM_ITERATIONS):
+            if sim.entered and instance.t == last_t:
+                sim.stuck = True
                 break
             sim.entered = True
-            sim.iterations += 1
-            for i, (lf, rf) in enumerate(window_fns):
-                lo, hi = lf(e), rf(e)
+            last_t = instance.t
+            for i, w in enumerate(clause.windows):
+                lo, hi = instance.bounds[w.stream]
                 history = sim.widths.setdefault(i, [])
                 if history:
                     prev_lo, prev_hi = history[-1]
                     if lo > prev_lo and lo > prev_hi + 1:
                         sim.gaps.add(i)
                 history.append((lo, hi))
-            delta = update_fn(e)
-            if update_op == "+=":
-                nxt = t + delta
-            elif update_op == "-=":
-                nxt = t - delta
-            else:
-                nxt = delta
-            if nxt == t:
-                sim.stuck = True
-                break
-            t = nxt
     except (QueryError, ArithmeticError, TypeError):
         return None                      # dynamic failure; not our call
     return sim

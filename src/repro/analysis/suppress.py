@@ -11,10 +11,8 @@ binds to the physical line it sits on; for multi-line constructs put it
 on the line the diagnostic points at (the ``def``/``class`` line for
 function- and class-level findings).
 
-The legacy per-rule syntax (``# tcqcheck: allow-<tag>``) remains valid
-for the TCQ3xx–6xx linter rules and is handled in ``lint.py``; new code
-should prefer the bracketed form, which works for every code including
-the whole-program TCQ7xx family.
+It is the only syntax: the TCQ3xx–6xx linter rules (``lint.py``) and
+the whole-program TCQ7xx family read the same comment.
 """
 
 from __future__ import annotations

@@ -207,36 +207,44 @@ class CACQEngine:
                   name: str = "") -> ContinuousQuery:
         """Register a continuous query over ``streams`` and fold it into
         the running shared state — no pause, no replanning of other
-        queries (the paper's on-the-fly sharing adaptivity)."""
+        queries (the paper's on-the-fly sharing adaptivity).
+
+        A query the engine cannot take -- an unknown stream or column,
+        or a constant its grouped filter cannot order against the
+        thresholds it holds -- raises :class:`QueryError` before any
+        shared state moves."""
         for s in streams:
             if s not in self.schemas:
                 raise QueryError(f"unknown stream {s!r}; register it first")
         footprint = frozenset(streams)
         query = ContinuousQuery(next(self._next_qid), footprint, predicate,
                                 callback=callback, name=name)
+        by_filter: Dict[TypingTuple[str, str], List[Comparison]] = {}
+        for factor in query.single_factors:
+            stream = self._stream_of_column(factor.column, footprint)
+            attr = factor.column.rsplit(".", 1)[-1]
+            by_filter.setdefault((stream, attr), []).append(
+                Comparison(attr, factor.op, factor.value))
+        for (stream, attr), factors in by_filter.items():
+            (self.filters.get((stream, attr))
+             or GroupedFilter(attr)).refuse_unordered(factors)
+
         self.queries[query.qid] = query
         self.generation += 1
         self._footprint_mask[footprint] |= query.bit
         for s in footprint:
             self._source_mask[s] |= query.bit
-
-        for factor in query.single_factors:
-            stream = self._stream_of_column(factor.column, footprint)
-            attr = factor.column.rsplit(".", 1)[-1]
+        for (stream, attr), factors in by_filter.items():
             gf = self.filters.get((stream, attr))
             if gf is None:
-                gf = GroupedFilter(attr)
-                self.filters[(stream, attr)] = gf
+                gf = self.filters[(stream, attr)] = GroupedFilter(attr)
                 self._stream_filters[stream].append((attr, gf))
-            gf.add(Comparison(attr, factor.op, factor.value), query.qid)
-            if (stream, attr) not in query.filter_keys:
-                query.filter_keys.append((stream, attr))
+            for factor in factors:
+                gf.add(factor, query.qid)
+            query.filter_keys.append((stream, attr))
 
         for factor in query.join_factors:
             pair = frozenset(factor.sources())
-            if len(pair) != 2:
-                raise QueryError(
-                    f"join factor {factor!r} must span exactly two streams")
             self._pair_factors[pair].append((query.bit, factor))
             self._pair_mask[pair] |= query.bit
             if pair not in query.pairs:

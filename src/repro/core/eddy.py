@@ -104,7 +104,7 @@ class EddyOperator:
         """
         survivors: List[Tuple] = []
         outputs: List[Tuple] = []
-        for t in batch.materialize():  # tcqcheck: allow-row-iteration
+        for t in batch.materialize():  # tcq: allow[TCQ501] per-tuple fallback
             result = self.handle(t)
             outputs.extend(result.outputs)
             if result.passed:
@@ -436,7 +436,7 @@ class Eddy(Module):
             return
         if self.dedupe_output:
             # PSoup dedupe is a per-row membership test by contract.
-            for t in batch.materialize():  # tcqcheck: allow-row-iteration
+            for t in batch.materialize():  # tcq: allow[TCQ501] per-row dedupe
                 if self._should_emit(t):
                     tr = t.trace
                     if tr is not None:
@@ -446,8 +446,8 @@ class Eddy(Module):
         # Row-backed batches only: the aliased Tuple objects carry the
         # authoritative dead flags.
         rows = None
-        if batch._rows is not None:  # tcqcheck: allow-row-iteration
-            rows = batch.materialize()  # tcqcheck: allow-row-iteration
+        if batch._rows is not None:  # tcq: allow[TCQ501] aliased rows' dead flags
+            rows = batch.materialize()  # tcq: allow[TCQ501] aliased rows' dead flags
         if rows is not None and any(r.dead for r in rows):
             # Row-backed batches alias tuples that other paths may have
             # killed (SteM-stored rows); the per-tuple path's
@@ -615,7 +615,7 @@ class Eddy(Module):
         for item in results:
             if isinstance(item, TupleBatch) and not self.emit_batches:
                 # Egress contract: non-batch consumers expect tuples.
-                for t in item.materialize():  # tcqcheck: allow-row-iteration
+                for t in item.materialize():  # tcq: allow[TCQ501] tuple egress
                     self.emit(t)
             else:
                 self.emit(item)

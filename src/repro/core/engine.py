@@ -472,6 +472,7 @@ class TelegraphCQServer:
         issued as :class:`~repro.analysis.report.PlanCheckWarning` and
         kept on ``cursor.diagnostics``.  ``allow_unsafe=True`` admits
         the query anyway (diagnostics still reported via the warning).
+        A query refused after that raises with no cursor left open.
         """
         spec = parse(query) if isinstance(query, str) else query
         compiled = compile_query(spec, self.catalog)
@@ -488,12 +489,17 @@ class TelegraphCQServer:
         cursor = self._open_cursor(compiled.kind, client, on_result)
         cursor.compiled = compiled
         cursor.diagnostics = list(report.diagnostics)
-        if compiled.kind == "snapshot":
-            self._run_snapshot(compiled, cursor)
-        elif compiled.kind == "continuous":
-            self._register_continuous(compiled, cursor)
-        else:
-            self._register_windowed(compiled, cursor, env)
+        try:
+            if compiled.kind == "snapshot":
+                self._run_snapshot(compiled, cursor)
+            elif compiled.kind == "continuous":
+                self._register_continuous(compiled, cursor)
+            else:
+                self._register_windowed(compiled, cursor, env)
+        except BaseException:
+            # A refused query leaves no cursor behind.
+            self.cancel(cursor)
+            raise
         return cursor
 
     def _admission_context(self) -> AdmissionContext:

@@ -41,7 +41,7 @@ than 2x.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from itertools import accumulate, chain
 from math import isqrt
 from operator import or_
@@ -87,6 +87,12 @@ class _RangeBank:
     thresholds before it.  ``locate`` is the bisect flavour that puts a
     threshold equal to the value on the right side of that position.
 
+    A ``None``, NaN or a value the thresholds cannot be ordered against
+    fails every factor, as :meth:`Comparison.bind`'s check says: it
+    probes at the end where every threshold fails.  Bisection sends NaN
+    there for ``>`` and ``<`` but to the other end for ``>=`` and
+    ``<=``, whose banks are built with ``nan_guard``.
+
     The entries are cut into blocks, each with its own mask, load
     (factors) and size (entries); ``_cum`` accumulates the block masks
     from the failing end.  Once built, the blocks are patched in place
@@ -97,15 +103,18 @@ class _RangeBank:
     the rest and re-derives the block starts from the sizes.
     """
 
-    __slots__ = ("suffix", "locate", "keys", "qids", "factors", "width",
+    __slots__ = ("suffix", "locate", "nan_guard", "keys", "qids",
+                 "factors", "width",
                  "_stride", "_heads", "_sizes", "_starts", "_masks",
                  "_loads", "_cum", "_settled", "mask_ops", "settle_ops",
                  "rebuilds")
 
     def __init__(self, suffix: bool,
-                 locate: Callable[[List[Any], Any], int]):
+                 locate: Callable[[List[Any], Any], int],
+                 nan_guard: bool = False):
         self.suffix = suffix
         self.locate = locate
+        self.nan_guard = nan_guard
         self.keys: List[Any] = []
         self.qids: List[Set[int]] = []
         self.factors = 0
@@ -310,12 +319,29 @@ class _RangeBank:
         the batch, however many rows land on it."""
         if self._starts is None:
             self._settle()
-        keys, locate = self.keys, self.locate
         if len(values) == 1:
-            return [self._fold(locate(keys, values[0]))]
-        positions = [locate(keys, value) for value in values]
+            return [self._fold(self._position(values[0]))]
+        keys, locate = self.keys, self.locate
+        try:
+            if self.nan_guard:
+                everyone = 0 if self.suffix else len(keys)
+                positions = [locate(keys, value) if value == value
+                             else everyone for value in values]
+            else:
+                positions = [locate(keys, value) for value in values]
+        except TypeError:       # a NULL, or a value of another type
+            positions = list(map(self._position, values))
         folded = {idx: self._fold(idx) for idx in set(positions)}
         return [folded[idx] for idx in positions]
+
+    def _position(self, value: Any) -> int:
+        """Where one value probes (see the class docstring)."""
+        if value == value:
+            try:
+                return self.locate(self.keys, value)
+            except TypeError:
+                pass
+        return 0 if self.suffix else len(self.keys)
 
     def _fold(self, idx: int) -> int:
         """The queries on the failing side of probe position ``idx``:
@@ -356,16 +382,18 @@ class GroupedFilter:
         self.attribute = attribute
         self._eq: Dict[Any, Set[int]] = {}
         self._ne: Dict[Any, Set[int]] = {}
-        #: queries holding at least one ``==`` factor.
+        #: queries holding at least one ``==`` factor, and those holding
+        #: at least one ``!=`` factor.
         self._eq_all = 0
+        self._ne_all = 0
         #: queries holding ``==`` factors on two distinct constants: no
         #: value satisfies both, they fail every probe.
         self._eq_contradictory = 0
         self._banks: Dict[str, _RangeBank] = {
             ">": _RangeBank(True, bisect_left),
-            ">=": _RangeBank(True, bisect_right),
+            ">=": _RangeBank(True, bisect_right, nan_guard=True),
             "<": _RangeBank(False, bisect_right),
-            "<=": _RangeBank(False, bisect_left),
+            "<=": _RangeBank(False, bisect_left, nan_guard=True),
         }
         #: the distinct ``(op, constant)`` factors each query registered
         #: here — what :meth:`remove_query` walks.
@@ -385,7 +413,8 @@ class GroupedFilter:
     # -- registration --------------------------------------------------------
     def add(self, factor: Comparison, query_id: int) -> None:
         """Insert one boolean factor belonging to ``query_id``.  A
-        factor the query already registered is logically idempotent."""
+        factor the query already registered is logically idempotent, and
+        one :meth:`refuse_unordered` refuses is not added."""
         if factor.column != self.attribute:
             raise QueryError(
                 f"factor on {factor.column!r} inserted into grouped filter "
@@ -397,19 +426,43 @@ class GroupedFilter:
             if query_id in ids:
                 return
             ids.add(query_id)
-            if op == "==":
-                bit = 1 << query_id
+            bit = 1 << query_id
+            if op == "!=":
+                self._ne_all |= bit
+            else:
                 if self._eq_all & bit:
                     self._eq_contradictory |= bit
                 self._eq_all |= bit
         elif op in self._banks:
-            if not self._banks[op].add(value, query_id):
-                return
+            try:
+                if not self._banks[op].add(value, query_id):
+                    return
+            except TypeError:   # the bisection failed before adding
+                self.refuse_unordered((factor,))
+                raise
         else:  # pragma: no cover - Comparison already validates ops
             raise QueryError(f"unsupported operator {op!r}")
         self._factors.setdefault(query_id, []).append((op, value))
         self._n_factors += 1
         self.registered_mask |= 1 << query_id
+
+    def refuse_unordered(self, factors: Iterable[Comparison]) -> None:
+        """Raise :class:`QueryError` if a range constant among
+        ``factors`` cannot be ordered against its bank's thresholds, or
+        those before it among ``factors``: a bank bisects its constants.
+        Adds nothing."""
+        known: Dict[str, List[Any]] = {}
+        for f in factors:
+            if f.op in self._banks:
+                keys = known.setdefault(f.op, self._banks[f.op].keys[:1])
+                try:
+                    insort(keys, f.value)
+                except TypeError:
+                    raise QueryError(
+                        f"{f!r}: a {type(f.value).__name__} constant cannot "
+                        f"be ordered against the {type(keys[0]).__name__} "
+                        f"thresholds of the grouped filter on "
+                        f"{self.attribute!r}") from None
 
     def remove_query(self, query_id: int) -> None:
         """Drop every factor registered by ``query_id`` (query removal
@@ -429,6 +482,7 @@ class GroupedFilter:
                 self._banks[op].discard(value, query_id)
         keep = ~(1 << query_id)
         self._eq_all &= keep
+        self._ne_all &= keep
         self._eq_contradictory &= keep
         self._n_factors -= len(factors)
         self.registered_mask &= keep
@@ -475,7 +529,9 @@ class GroupedFilter:
         return self.failing_many((value,))[0]
 
     def _point_failing(self, value: Any) -> int:
-        """The ``==`` / ``!=`` share of a probe."""
+        """The ``==`` / ``!=`` share of a probe; a NULL fails both."""
+        if value is None:
+            return self._eq_all | self._ne_all
         failed = self._eq_contradictory
         if self._eq_all:
             hit = self._eq.get(value)

@@ -82,7 +82,7 @@ class SubEddyOperator(EddyOperator):
         its base ids)."""
         # Scope save/restore needs the aliased Tuple objects: the inner
         # eddy mutates their done bits in place.
-        rows = batch.materialize()  # tcqcheck: allow-row-iteration
+        rows = batch.materialize()  # tcq: allow[TCQ501] inner eddy mutates rows
         outer_done = [t.done for t in rows]
         for t in rows:
             t.done = 0
@@ -96,7 +96,7 @@ class SubEddyOperator(EddyOperator):
             if isinstance(item, TupleBatch):
                 # Identity bookkeeping below compares Tuple objects.
                 flat.extend(
-                    item.materialize())  # tcqcheck: allow-row-iteration
+                    item.materialize())  # tcq: allow[TCQ501] identity bookkeeping
             else:
                 flat.append(item)
         row_ids = {id(t) for t in rows}

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 from collections import defaultdict, deque
-from typing import (Any, Callable, Deque, Dict, Iterable, List, Optional, Sequence, Set,
+from typing import (Any, Callable, Deque, Dict, List, Optional, Sequence, Set,
                     Tuple as TypingTuple)
 
 from repro.core.tuples import Row, Schema, Tuple, TupleBatch
@@ -121,24 +121,11 @@ class SteM:
                     index[key].append(t)
 
     def build_batch(self, batch: TupleBatch) -> None:
-        """Vectorized insert: one validation, one deque extend, and one
-        pass per index column over the batch's value list (instead of a
-        schema lookup per tuple per index)."""
-        if self.source not in batch.sources:
-            raise PlanError(
-                f"{self.name}: build batch spans {set(batch.sources)}, "
-                f"not home source {self.source!r}")
+        """:meth:`build` for each row of the batch, in order."""
         # SteM storage is row-granular by design: stored Tuple objects
         # ARE the lineage (dead flags, max_base dedupe).
-        rows = batch.materialize()  # tcqcheck: allow-row-iteration
-        self._tuples.extend(rows)
-        self.builds += len(rows)
-        for tr in batch.traces:
-            _hop(tr, self._telemetry_id, "build")
-        for col, index in self._indexes.items():
-            for value, t in zip(batch.column(col), rows):
-                if _keyed(value):
-                    index[value].append(t)
+        for t in batch.materialize():  # tcq: allow[TCQ501] SteM stores rows
+            self.build(t)
 
     def evict_before(self, timestamp: Optional[int]) -> int:
         """Window expiry: drop tuples with timestamp < ``timestamp`` —
@@ -225,12 +212,39 @@ class SteM:
         generated by the later-arriving side only (multi-path duplicates
         in >=3-way joins are removed at the eddy output by lineage).
         """
+        return [p.concat(stored) for p, stored in self._joining(
+            (prober,), prober.schema, predicates, dedupe_by_arrival)]
+
+    def probe_batch(self, batch: TupleBatch,
+                    predicates: Sequence[Predicate],
+                    dedupe_by_arrival: bool = True
+                    ) -> "TypingTuple[List[Tuple], List[bool]]":
+        """:meth:`probe` for each row of the batch, in order: the
+        matches, and per prober whether it found any (so callers keep
+        the same selectivity observations as the per-tuple path)."""
+        self.batch_probes += 1
+        # Match composition concatenates prober and stored Tuple
+        # objects row by row.
+        rows = batch.materialize()  # tcq: allow[TCQ501] joins build rows
+        pairs = self._joining(rows, batch.schema, predicates,
+                              dedupe_by_arrival)
+        hit = {id(p) for p, _stored in pairs}
+        return ([p.concat(stored) for p, stored in pairs],
+                [id(t) in hit for t in rows])
+
+    def _joining(self, probers: Sequence[Tuple], schema: Schema,
+                 predicates: Sequence[Predicate], dedupe_by_arrival: bool
+                 ) -> List[TypingTuple[Tuple, Tuple]]:
+        """:meth:`matching` for probers of ``schema`` under join
+        ``predicates``: an equality on an indexed column picks the
+        bucket, and the rest are checked on each candidate pair."""
         rest = list(predicates)
         column, keys = None, ()
-        plan = self._index_probe_plan(rest, prober.schema)
+        plan = self._index_probe_plan(rest, schema)
         if plan is not None:
             i, column, theirs = plan
-            keys = (prober[theirs],)
+            pos = schema.index_of(theirs)
+            keys = [p.values[pos] for p in probers]
             del rest[i]
         accept = None
         if rest:
@@ -240,63 +254,8 @@ class SteM:
                 pair = Row(p.schema.join(stored.schema),
                            p.values + stored.values)
                 return all(pred.matches(pair) for pred in rest)
-        return [prober.concat(stored) for _p, stored in self.matching(
-            (prober,), column, keys, accept, dedupe_by_arrival)]
-
-    def probe_batch(self, batch: TupleBatch,
-                    predicates: Sequence[Predicate],
-                    dedupe_by_arrival: bool = True
-                    ) -> "TypingTuple[List[Tuple], List[bool]]":
-        """Vectorized probe: the whole batch probes in one call.
-
-        The access path is chosen once for the batch; with an index the
-        probe keys are read straight off the batch's column list (one
-        pass, no per-tuple dict or schema lookup).  Returns the
-        concatenated matches plus a per-prober hit vector (so callers
-        can maintain the same selectivity observations as the per-tuple
-        path).  Counter semantics are identical to calling
-        :meth:`probe` once per row.
-        """
-        n = len(batch)
-        self.probes += n
-        self.batch_probes += 1
-        # Match composition concatenates prober and stored Tuple
-        # objects row by row.
-        rows = batch.materialize()  # tcqcheck: allow-row-iteration
-        hits = [False] * n
-        out: List[Tuple] = []
-        plan = self._index_probe_plan(predicates, batch.schema)
-        preds = list(predicates)
-        if plan is not None:
-            _i, column, theirs = plan
-            index_get = self._indexes[column].get
-            buckets: Iterable = (index_get(key, ())
-                                 for key in batch.column(theirs))
-        else:
-            stored_all = self._tuples
-            buckets = (stored_all for _ in range(n))
-        for i, (prober, bucket) in enumerate(zip(rows, buckets)):
-            if not bucket:
-                continue
-            prober_max = prober.max_base
-            for stored in bucket:
-                if stored.dead:
-                    continue
-                if dedupe_by_arrival and stored.max_base >= prober_max:
-                    continue
-                joined = prober.concat(stored)
-                if all(p.matches(joined) for p in preds):
-                    out.append(joined)
-                    hits[i] = True
-        self.matches_out += len(out)
-        self.probe_hits += sum(hits)
-        if batch.traces:
-            site = self._telemetry_id
-            for prober, hit in zip(rows, hits):
-                tr = prober.trace
-                if tr is not None:
-                    _hop(tr, site, "probe:hit" if hit else "probe:0")
-        return out, hits
+        return self.matching(probers, column, keys, accept,
+                             dedupe_by_arrival)
 
     def _index_probe_plan(self, predicates: Sequence[Predicate],
                           prober_schema: Schema

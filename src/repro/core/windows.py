@@ -216,23 +216,6 @@ class ForLoopSpec:
                    windows=[WindowIs(s, lambda t: t - width + 1,
                                      lambda t: t) for s in streams])
 
-    def hop_exceeds_width(self) -> bool:
-        """True when consecutive windows leave gaps — Section 4.1.2 notes
-        such queries never see parts of the stream.  Only meaningful for
-        arithmetic-progression loops; detected by sampling."""
-        it = iter(self)
-        try:
-            first = next(it)
-            second = next(it)
-        except StopIteration:
-            return False
-        for stream in self.streams():
-            lo1, hi1 = first.bounds_for(stream)
-            lo2, _hi2 = second.bounds_for(stream)
-            if lo2 > hi1 + 1:
-                return True
-        return False
-
 
 def check_order(where: str, stamps: Sequence[Optional[int]],
                 last: Optional[int]) -> None:

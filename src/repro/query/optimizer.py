@@ -30,24 +30,60 @@ from repro.core.windows import ForLoopSpec, WindowIs
 from repro.errors import QueryError
 from repro.query.ast import ForLoopClause, QuerySpec
 from repro.query.catalog import Catalog
-from repro.query.predicates import (And, Check, ColumnComparison, Locate, Predicate,
+from repro.query.predicates import (OPS, And, Check, ColumnComparison, Locate, Predicate,
                                     rewrite_columns)
 
 #: ``scan(binding, lo, hi)``: the rows of the binding's object stamped
 #: ``lo..hi``.
 Scan = Callable[[str, int, int], Rows]
 
-#: Comparison functions for loop conditions.
-_CONDITIONS: Dict[str, Callable[[int, int], bool]] = {
-    "==": lambda a, b: a == b,
-    "=": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<>": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
+
+def for_loop_spec(clause: ForLoopClause, env: Dict[str, int],
+                  max_iterations: int = 100_000) -> ForLoopSpec:
+    """The :class:`ForLoopSpec` a for-loop clause lowers to, with ``env``
+    binding its free variables (``ST`` etc.): the one place a loop's
+    initial value, condition, update and window bounds are given their
+    meaning.  A free variable ``env`` leaves unbound is refused here."""
+    base_env = dict(env)
+    var = clause.variable
+    cond_left, cond_op, cond_right = clause.condition
+    update_op, update_expr = clause.update
+    exprs = [clause.initial, cond_left, cond_right, update_expr]
+    for w in clause.windows:
+        exprs += (w.left, w.right)
+    missing = set().union(*(e.variables() for e in exprs)) - {var} \
+        - set(base_env)
+    if missing:
+        raise QueryError(
+            f"window clause has unbound variables {sorted(missing)}; "
+            f"pass them in env (ST is bound by the engine at submit)")
+    left_fn, right_fn = cond_left.compile(), cond_right.compile()
+    cmp_fn = OPS[cond_op]
+    update_fn = update_expr.compile()
+
+    def env_at(t: int) -> Dict[str, int]:
+        e = dict(base_env)
+        e[var] = t
+        return e
+
+    def condition(t: int) -> bool:
+        e = env_at(t)
+        return cmp_fn(left_fn(e), right_fn(e))
+
+    def change(t: int) -> int:
+        delta = update_fn(env_at(t))
+        if update_op == "+=":
+            return t + delta
+        if update_op == "-=":
+            return t - delta
+        return delta            # plain assignment
+
+    windows = [WindowIs(w.stream,
+                        lambda t, _lf=w.left.compile(): _lf(env_at(t)),
+                        lambda t, _rf=w.right.compile(): _rf(env_at(t)))
+               for w in clause.windows]
+    return ForLoopSpec(clause.initial.compile()(base_env), condition, change,
+                       windows, max_iterations=max_iterations)
 
 
 class CompiledQuery:
@@ -176,55 +212,8 @@ class WindowedPlan:
     def build_spec(self, env: Optional[Dict[str, int]] = None,
                    max_iterations: int = 100_000) -> ForLoopSpec:
         """Instantiate the ForLoopSpec with ``env`` binding free
-        variables (``ST`` etc.)."""
-        base_env = dict(env or {})
-        clause = self.clause
-        var = clause.variable
-        init_fn = clause.initial.compile()
-        cond_left, cond_op, cond_right = clause.condition
-        left_fn = cond_left.compile()
-        right_fn = cond_right.compile()
-        cmp_fn = _CONDITIONS[cond_op]
-        update_op, update_expr = clause.update
-        update_fn = update_expr.compile()
-
-        free = (clause.initial.variables()
-                | cond_left.variables() | cond_right.variables()
-                | update_expr.variables()) - {var}
-        missing = free - set(base_env)
-        if missing:
-            raise QueryError(
-                f"window clause has unbound variables {sorted(missing)}; "
-                f"pass them in env (ST is bound by the engine at submit)")
-
-        def env_at(t: int) -> Dict[str, int]:
-            e = dict(base_env)
-            e[var] = t
-            return e
-
-        def condition(t: int) -> bool:
-            e = env_at(t)
-            return cmp_fn(left_fn(e), right_fn(e))
-
-        def change(t: int) -> int:
-            e = env_at(t)
-            delta = update_fn(e)
-            if update_op == "+=":
-                return t + delta
-            if update_op == "-=":
-                return t - delta
-            return delta            # plain assignment
-
-        windows = []
-        for w in self.clause.windows:
-            lf = w.left.compile()
-            rf = w.right.compile()
-            windows.append(WindowIs(
-                w.stream,
-                lambda t, _lf=lf: _lf(env_at(t)),
-                lambda t, _rf=rf: _rf(env_at(t))))
-        return ForLoopSpec(init_fn(base_env), condition, change, windows,
-                           max_iterations=max_iterations)
+        variables (``ST`` etc.): see :func:`for_loop_spec`."""
+        return for_loop_spec(self.clause, env or {}, max_iterations)
 
     # -- per-window evaluation ----------------------------------------------------
     def window(self, bounds: Dict[str, TypingTuple[int, int]],

@@ -10,6 +10,7 @@ operators, and the decomposition.
 from __future__ import annotations
 
 import operator
+from itertools import repeat
 from typing import (Any, Callable, Dict, FrozenSet, List, Optional, Sequence,
                     Set, Tuple as TypingTuple, TYPE_CHECKING)
 
@@ -95,10 +96,46 @@ NEGATED: Dict[str, str] = {
 
 class Predicate:
     """Base class.  Predicates are immutable and hashable so grouped
-    filters and the optimizer can dedupe them."""
+    filters and the optimizer can dedupe them.
+
+    :meth:`bind` is a predicate's one evaluation body.  Every other way
+    to evaluate it -- :meth:`matches`, the kernel :meth:`compile` builds,
+    :meth:`Comparison.evaluate` -- applies the check ``bind`` returns,
+    so a factor means the same thing wherever it is evaluated.
+    """
+
+    #: the schema the kept check was bound for, and that check (see
+    #: :meth:`_check`).
+    _bound: TypingTuple[Any, Check] = (None, _never)
+
+    def bind(self, locate: Locate) -> Check:
+        """This predicate over bare value tuples: every column it reads
+        is resolved through ``locate`` here, once, so the check itself
+        looks nothing up by name.  A column it cannot place reads as
+        missing, and a missing column, a ``None`` (SQL NULL) or a value
+        the comparison cannot order fails a comparison."""
+        raise NotImplementedError
+
+    def _check(self, schema: Any) -> Check:
+        """The check bound for ``schema`` (anything with a ``locate``):
+        bound once and kept beside the predicate, so a steady schema is
+        never bound again."""
+        bound, check = self._bound
+        if bound is not schema:
+            check = self.bind(schema.locate)
+            self._bound = (schema, check)
+        return check
+
+    def __getstate__(self) -> Any:
+        # The kept check is a closure and does not pickle: a copy binds
+        # afresh on first use.
+        return None, {name: getattr(self, name)
+                      for cls in type(self).__mro__
+                      for name in cls.__dict__.get("__slots__", ())}
 
     def matches(self, t: Row) -> bool:
-        raise NotImplementedError
+        """Whether the row satisfies this predicate."""
+        return self._check(t.schema)(t.values)
 
     def columns(self) -> Set[str]:
         """Every column name this predicate reads."""
@@ -115,38 +152,18 @@ class Predicate:
         return themselves."""
         return [self]
 
-    def bind(self, locate: Locate) -> Check:
-        """This predicate over bare value tuples: every column it reads
-        is resolved through ``locate`` here, once, so the check itself
-        looks nothing up by name.  Same verdict as :meth:`matches` on a
-        tuple whose columns sit where ``locate`` says; a column it
-        cannot place reads as missing."""
-        raise NotImplementedError
-
     def compile(self) -> Kernel:
-        """Compile into a batch kernel: ``kernel(batch) -> selection
-        vector`` with semantics identical to calling :meth:`matches` on
-        every row.  The kernel resolves column positions once per batch
-        and scans plain value lists, which is where the vectorized
-        execution path gets its speedup."""
-        inner = self._compile_kernel()
+        """A batch kernel: ``kernel(batch) -> selection vector``, the
+        check bound for the batch's schema applied to each row of its
+        columns (one verdict per row, zero-column batches included)."""
         totals = KERNEL_TOTALS
 
         def kernel(batch: "TupleBatch") -> List[bool]:
             totals.evals += 1
             totals.rows += len(batch)
-            return inner(batch)
-
-        return kernel
-
-    def _compile_kernel(self) -> Kernel:
-        # Fallback for predicate types without a columnar kernel: row
-        # loop over materialized tuples (still one call per batch).
-        matches = self.matches
-
-        def kernel(batch: "TupleBatch") -> List[bool]:
-            return [matches(t)
-                    for t in batch.materialize()]  # tcqcheck: allow-row-iteration
+            columns = batch.columns
+            rows = zip(*columns) if columns else repeat((), len(batch))
+            return list(map(self._check(batch.schema), rows))
 
         return kernel
 
@@ -163,9 +180,6 @@ class Predicate:
 class TruePredicate(Predicate):
     """Always matches; the empty WHERE clause."""
 
-    def matches(self, t: Row) -> bool:
-        return True
-
     def columns(self) -> Set[str]:
         return set()
 
@@ -174,9 +188,6 @@ class TruePredicate(Predicate):
 
     def bind(self, locate: Locate) -> Check:
         return _always
-
-    def _compile_kernel(self) -> Kernel:
-        return lambda batch: [True] * len(batch)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, TruePredicate)
@@ -189,6 +200,18 @@ class TruePredicate(Predicate):
 
 
 ALWAYS_TRUE = TruePredicate()
+
+
+class _OneValue:
+    """The schema of a row holding one bare value: whatever column is
+    asked for sits at position 0 (see :meth:`Comparison.evaluate`)."""
+
+    @staticmethod
+    def locate(column: str) -> int:
+        return 0
+
+
+_ONE_VALUE = _OneValue()
 
 
 class Comparison(Predicate):
@@ -211,25 +234,8 @@ class Comparison(Predicate):
         #: so grouped filters still dedupe identical factors.
         self.span = span
         # Operator function resolved exactly once (from the normalised
-        # symbol); every evaluation path — matches, evaluate, and the
-        # compiled batch kernel — dispatches through this bound callable.
+        # symbol); the check :meth:`bind` builds dispatches through it.
         self._fn = OPS[self.op]
-
-    def matches(self, t: Row) -> bool:
-        actual = t.get(self.column, _MISSING)
-        if actual is _MISSING or actual is None:
-            return False
-        try:
-            return self._fn(actual, self.value)
-        except TypeError:
-            return False
-
-    def evaluate(self, value: Any) -> bool:
-        """Apply the comparison to a raw value (grouped-filter probes)."""
-        try:
-            return self._fn(value, self.value)
-        except TypeError:
-            return False
 
     def bind(self, locate: Locate) -> Check:
         pos = locate(self.column)
@@ -248,30 +254,10 @@ class Comparison(Predicate):
 
         return check
 
-    def _compile_kernel(self) -> Kernel:
-        fn = self._fn
-        value = self.value
-        column = self.column
-
-        def kernel(batch: "TupleBatch") -> List[bool]:
-            schema = batch.schema
-            if not schema.has_column(column):
-                return [False] * len(batch)
-            col = batch.columns[schema.index_of(column)]
-            try:
-                return [v is not None and fn(v, value) for v in col]
-            except TypeError:
-                # Heterogeneous column: fall back to per-element guards
-                # so one incomparable value doesn't fail the whole batch.
-                out: List[bool] = []
-                for v in col:
-                    try:
-                        out.append(v is not None and bool(fn(v, value)))
-                    except TypeError:
-                        out.append(False)
-                return out
-
-        return kernel
+    def evaluate(self, value: Any) -> bool:
+        """The comparison applied to one raw value (the naive filter
+        bank's probe): the bound check over a row of that value alone."""
+        return self._check(_ONE_VALUE)((value,))
 
     def columns(self) -> Set[str]:
         return {self.column}
@@ -291,13 +277,6 @@ class Comparison(Predicate):
 
     def __repr__(self) -> str:
         return f"({self.column} {self.op} {self.value!r})"
-
-
-class _Missing:
-    __slots__ = ()
-
-
-_MISSING = _Missing()
 
 
 class ColumnComparison(Predicate):
@@ -321,16 +300,6 @@ class ColumnComparison(Predicate):
         self.right = right
         self.span = span
         self._fn = OPS[op]
-
-    def matches(self, t: Row) -> bool:
-        lhs = t.get(self.left)
-        rhs = t.get(self.right)
-        if lhs is None or rhs is None:
-            return False
-        try:
-            return self._fn(lhs, rhs)
-        except TypeError:
-            return False
 
     def bind(self, locate: Locate) -> Check:
         lpos, rpos = locate(self.left), locate(self.right)
@@ -357,32 +326,6 @@ class ColumnComparison(Predicate):
         right side whenever the left does not)."""
         return self.left if self.left.startswith(source + ".") \
             else self.right
-
-    def _compile_kernel(self) -> Kernel:
-        fn = self._fn
-        left = self.left
-        right = self.right
-
-        def kernel(batch: "TupleBatch") -> List[bool]:
-            schema = batch.schema
-            if not (schema.has_column(left) and schema.has_column(right)):
-                return [False] * len(batch)
-            lcol = batch.columns[schema.index_of(left)]
-            rcol = batch.columns[schema.index_of(right)]
-            try:
-                return [l is not None and r is not None and fn(l, r)
-                        for l, r in zip(lcol, rcol)]
-            except TypeError:
-                out: List[bool] = []
-                for l, r in zip(lcol, rcol):
-                    try:
-                        out.append(l is not None and r is not None
-                                   and bool(fn(l, r)))
-                    except TypeError:
-                        out.append(False)
-                return out
-
-        return kernel
 
     def columns(self) -> Set[str]:
         return {self.left, self.right}
@@ -416,9 +359,6 @@ class And(Predicate):
                 flat.append(p)
         self.parts = tuple(flat)
 
-    def matches(self, t: Row) -> bool:
-        return all(p.matches(t) for p in self.parts)
-
     def columns(self) -> Set[str]:
         out: Set[str] = set()
         for p in self.parts:
@@ -436,19 +376,6 @@ class And(Predicate):
         if len(checks) == 1:
             return checks[0]
         return lambda values: all(part(values) for part in checks)
-
-    def _compile_kernel(self) -> Kernel:
-        kernels = [p._compile_kernel() for p in self.parts]
-
-        def kernel(batch: "TupleBatch") -> List[bool]:
-            if not kernels:
-                return [True] * len(batch)
-            mask = kernels[0](batch)
-            for k in kernels[1:]:
-                mask = [a and b for a, b in zip(mask, k(batch))]
-            return mask
-
-        return kernel
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, And):
@@ -477,9 +404,6 @@ class Or(Predicate):
                 flat.append(p)
         self.parts = tuple(flat)
 
-    def matches(self, t: Row) -> bool:
-        return any(p.matches(t) for p in self.parts)
-
     def bind(self, locate: Locate) -> Check:
         checks = [p.bind(locate) for p in self.parts]
         return lambda values: any(part(values) for part in checks)
@@ -489,19 +413,6 @@ class Or(Predicate):
         for p in self.parts:
             out |= p.columns()
         return out
-
-    def _compile_kernel(self) -> Kernel:
-        kernels = [p._compile_kernel() for p in self.parts]
-
-        def kernel(batch: "TupleBatch") -> List[bool]:
-            if not kernels:
-                return [False] * len(batch)
-            mask = kernels[0](batch)
-            for k in kernels[1:]:
-                mask = [a or b for a, b in zip(mask, k(batch))]
-            return mask
-
-        return kernel
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Or):
@@ -532,20 +443,9 @@ class Not(Predicate):
             return  # __new__ already returned the normalised form
         self.part = part
 
-    def matches(self, t: Row) -> bool:
-        return not self.part.matches(t)
-
     def bind(self, locate: Locate) -> Check:
         inner = self.part.bind(locate)
         return lambda values: not inner(values)
-
-    def _compile_kernel(self) -> Kernel:
-        inner = self.part._compile_kernel()
-
-        def kernel(batch: "TupleBatch") -> List[bool]:
-            return [not ok for ok in inner(batch)]
-
-        return kernel
 
     def columns(self) -> Set[str]:
         return self.part.columns()

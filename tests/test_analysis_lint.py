@@ -55,7 +55,7 @@ def test_batch_parity_cross_module_hierarchy():
 
 def test_batch_parity_exemption_comment():
     src = EDDY_BASE + textwrap.dedent("""\
-        class MyOp(EddyOperator):   # tcqcheck: allow-no-batch
+        class MyOp(EddyOperator):   # tcq: allow[TCQ301] per-tuple only
             def handle(self, t):
                 return None
     """)
@@ -92,7 +92,8 @@ def test_metric_same_kind_reregistration_ok():
 
 
 def test_metric_exemption():
-    src = 'reg.counter("legacy_total", "h")  # tcqcheck: allow-metric-name\n'
+    src = ('reg.counter("legacy_total", "h")'
+           '  # tcq: allow[TCQ302] external dashboard name\n')
     assert codes(src) == []
 
 
@@ -116,7 +117,7 @@ def test_clock_allowed_in_clock_module():
 
 
 def test_clock_exemption_comment():
-    src = "import time\nt = time.time()  # tcqcheck: allow-clock\n"
+    src = "import time\nt = time.time()  # tcq: allow[TCQ303] wall-clock stamp\n"
     assert codes(src) == []
 
 
@@ -175,7 +176,7 @@ def test_run_once_inherited_protocol_ok():
 
 def test_run_once_exemption():
     src = textwrap.dedent("""\
-        class Half:   # tcqcheck: allow-not-schedulable
+        class Half:   # tcq: allow[TCQ304] driven by hand
             def run_once(self, quantum=None): ...
     """)
     assert codes(src) == []
@@ -228,7 +229,7 @@ def test_bounded_exemption():
             def __init__(self):
                 self.items = []
             def push(self, x):
-                self.items.append(x)  # tcqcheck: allow-unbounded
+                self.items.append(x)  # tcq: allow[TCQ305] trimmed upstream
     """)
     assert codes(src) == []
 
@@ -284,7 +285,7 @@ def test_server_door_allows_tests():
 
 def test_server_door_exemption_comment():
     src = """\
-        srv = TelegraphCQServer()  # tcqcheck: allow-direct-server
+        srv = TelegraphCQServer()  # tcq: allow[TCQ401] engine test
     """
     assert codes(src, file="src/repro/somewhere.py") == []
 
@@ -366,7 +367,7 @@ def test_columnar_discipline_allows_self_rows_and_cold_paths():
 
 def test_columnar_discipline_exemption_comment():
     src = """\
-        rows = batch.materialize()  # tcqcheck: allow-row-iteration
+        rows = batch.materialize()  # tcq: allow[TCQ501] rows stored
     """
     assert codes(src, file="src/repro/core/myop.py") == []
 
@@ -436,7 +437,7 @@ def test_process_confinement_allows_threads_and_subprocess():
 
 def test_process_confinement_exemption_comment():
     src = """\
-        import multiprocessing  # tcqcheck: allow-process
+        import multiprocessing  # tcq: allow[TCQ601] spawns nothing
     """
     assert codes(src, file="src/repro/core/engine2.py") == []
 

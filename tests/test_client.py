@@ -240,6 +240,78 @@ def test_allow_unsafe_bypasses_plan_check(conn):
     assert [d.code for d in cur.diagnostics] == ["TCQ101"]
 
 
+# ---------------------------------------------------------------------------
+# one meaning per factor: NULL, NaN and unorderable values
+# ---------------------------------------------------------------------------
+
+def _values(cursor):
+    return [tuple(r.values) for r in cursor.fetch()]
+
+
+def test_null_in_a_range_filtered_column_fails_the_factor(conn):
+    conn.create_stream("S", "k", "v")
+    cursor = conn.submit("SELECT * FROM S WHERE v > 5")
+    assert conn.push_rows("S", [(0, 9), (1, None), (2, 7)])["pushed"] == 3
+    conn.run()
+    assert _values(cursor) == [(0, 9), (2, 7)]
+
+
+def test_nan_fails_closed_range_factors():
+    with LocalConnection() as conn:
+        conn.create_stream("S", "k", "v")
+        cursors = [conn.submit(f"SELECT * FROM S WHERE v {op} 5")
+                   for op in (">=", "<=", ">", "<", "=", "!=")]
+        conn.push_rows("S", [(0, float("nan")), (1, 5)])
+        conn.run()
+        got = [[k for k, _v in _values(c)] for c in cursors]
+        assert got == [[1], [1], [], [], [1], [0]]
+
+
+def test_null_fails_not_equal_on_continuous_and_windowed_plans(conn):
+    conn.create_stream("S", "k", "v")
+    continuous = conn.submit("SELECT * FROM S WHERE v != 5")
+    windowed = conn.submit("SELECT * FROM S WHERE v != 5 "
+                           "for (t = 1; t <= 4; t++) { WindowIs(S, t, t); }")
+    # The fifth row moves the clock past the last window.
+    conn.push_rows("S", [(0, None), (1, 6), (2, 5), (3, 1), (4, 5)],
+                   timestamp=1)
+    conn.run()
+    assert _values(continuous) == [(1, 6), (3, 1)]
+    assert [tuple(r.values) for _t, rows in windowed.fetch_windows()
+            for r in rows] == [(1, 6), (3, 1)]
+
+
+# ---------------------------------------------------------------------------
+# a refused submit leaves no trace
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("query, message", [
+    ("SELECT * FROM S a, S b WHERE a.k = b.k", "self-join"),
+    ("SELECT * FROM S for (t = X; t <= 3; t++) { WindowIs(S, t, t); }",
+     "unbound variables"),
+    ("SELECT * FROM S WHERE v > 'a'", "str constant cannot be ordered "
+                                      "against the int thresholds"),
+])
+def test_a_refused_submit_leaves_no_trace(conn, query, message):
+    conn.create_stream("S", "k", "v")
+    standing = conn.submit("SELECT * FROM S WHERE v > 5")
+
+    def state():
+        snap = conn.telemetry()
+        return (conn.stats()["continuous_queries"],
+                snap.value("tcq_server_open_cursors"))
+
+    before = state()
+    with pytest.raises(QueryError, match=message):
+        conn.submit(query)
+    assert state() == before == (1, 1)
+    later = conn.submit("SELECT * FROM S WHERE v < 3")
+    conn.push_rows("S", [(0, 9), (1, 1)])
+    conn.run()
+    assert _values(standing) == [(0, 9)]
+    assert _values(later) == [(1, 1)]
+
+
 def test_on_result_is_in_process_only():
     service = TelegraphCQService(admin_port=None)
     service.run_in_thread()

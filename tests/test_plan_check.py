@@ -132,6 +132,17 @@ def test_slide_gap_is_tcq206_warning():
     assert severity_of("TCQ206") == "warning"
 
 
+def test_hop_past_the_window_width_is_tcq206():
+    """A hopping window of width 2 and hop 5 leaves gaps; width 5 and
+    hop 5 tiles the stream."""
+    gappy = ("SELECT * FROM s for (t = 2; t < 20; t += 5) "
+             "{ WindowIs(s, t - 1, t); }")
+    dense = ("SELECT * FROM s for (t = 5; t < 20; t += 5) "
+             "{ WindowIs(s, t - 4, t); }")
+    assert codes_of(gappy) == ["TCQ206"]
+    assert codes_of(dense) == []
+
+
 def test_touching_hop_has_no_gap():
     q = ("SELECT * FROM s for (t = 1; t <= 100; t += 3) "
          "{ WindowIs(s, t, t + 2); }")

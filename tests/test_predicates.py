@@ -295,6 +295,17 @@ class TestBoundChecks:
         assert check((5, "pad", 1)) and not check((1, "pad", 5))
 
 
+def test_a_used_predicate_pickles_and_binds_afresh():
+    """matches() keeps its bound check beside the predicate; the check
+    is a closure, so a pickled copy leaves it behind and binds again."""
+    import pickle
+    pred = And(Comparison("a", ">", 0), ColumnComparison("a", "<", "b"))
+    assert pred.matches(row(a=1, b=2))
+    copy = pickle.loads(pickle.dumps(pred))
+    assert copy == pred
+    assert copy.matches(row(a=1, b=2)) and not copy.matches(row(a=3, b=2))
+
+
 def test_column_of_names_the_source_side():
     factor = ColumnComparison("a.k", "==", "ab.k")
     assert factor.column_of("a") == "a.k"

@@ -54,12 +54,6 @@ class TestForLoopConstructors:
         first = next(iter(spec))
         assert first.bounds_for("c1") == first.bounds_for("c2") == (6, 10)
 
-    def test_hop_exceeds_width_detection(self):
-        gappy = ForLoopSpec.sliding("s", width=2, start=2, stop=20, hop=5)
-        dense = ForLoopSpec.sliding("s", width=5, start=5, stop=20, hop=5)
-        assert gappy.hop_exceeds_width()
-        assert not dense.hop_exceeds_width()
-
     def test_duplicate_windowis_rejected(self):
         with pytest.raises(QueryError, match="duplicate"):
             ForLoopSpec(0, lambda t: t < 1, lambda t: t + 1,
