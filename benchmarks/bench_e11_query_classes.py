@@ -4,14 +4,22 @@
 potential for sharing work ... we create query classes for disjoint
 sets of footprints."
 
+In the paper a class is what one Execution Object (one thread) runs.
+This server runs CACQ synchronously inside the door, with its shared
+state already keyed per stream, so every continuous query lives in the
+server's one CACQ engine and footprint classes place only the windowed
+DUs into EOs.  What a class promised continuous queries is checked on
+that one engine.
+
 Setup: two disjoint stream groups (stocks, sensors) × N queries each.
 Checked:
 
-* grouping — queries land in exactly two Execution Objects / two shared
-  CACQ engines; a bridging join merges them;
 * the sharing payoff — grouped-filter probes per tuple stay flat as N
-  grows within a class (that is *why* classes exist);
-* isolation — pushing only stock data never touches the sensor class.
+  grows (that is *why* queries are grouped);
+* isolation — pushing only stock rows probes no sensor grouped filter
+  and delivers to no sensor cursor;
+* bridging — a join across the groups is an ordinary admission: no
+  query is re-registered, and every standing query keeps delivering.
 """
 
 import pytest
@@ -19,7 +27,6 @@ import pytest
 from repro.analysis.plan_check import DEFAULT_LINEAGE_CAPACITY
 from repro.analysis.report import PlanCheckWarning
 from repro.client import LocalConnection
-from repro.core.tuples import Schema
 from repro.ingress.generators import (CLOSING_STOCK_PRICES,
                                       SENSOR_READINGS,
                                       SensorStreamGenerator,
@@ -28,87 +35,96 @@ from repro.ingress.generators import (CLOSING_STOCK_PRICES,
 from benchmarks.conftest import print_table
 
 
-def submit_class(srv, make_sql, n):
-    """``n`` queries into one footprint class; the admissions past the
-    advisory lineage capacity are admitted with one TCQ205 warning."""
-    first = min(n, DEFAULT_LINEAGE_CAPACITY)
-    cursors = [srv.submit(make_sql(i)) for i in range(first)]
-    if n > first:
-        with pytest.warns(PlanCheckWarning, match="TCQ205"):
-            cursors += [srv.submit(make_sql(i)) for i in range(first, n)]
-    return cursors
+def stock_sql(i):
+    return ("SELECT * FROM ClosingStockPrices "
+            f"WHERE closingPrice > {30 + i % 40}")
 
 
-def build_server(n_per_class):
+def sensor_sql(i):
+    return ("SELECT * FROM SensorReadings "
+            f"WHERE temperature > {15 + i % 20}")
+
+
+def build_server(n_per_group):
+    """``n_per_group`` queries per stream group; the one admission that
+    takes the shared engine past the advisory lineage capacity carries a
+    TCQ205 warning."""
     srv = LocalConnection().server
     srv.create_stream(CLOSING_STOCK_PRICES)
     srv.create_stream(SENSOR_READINGS)
-    stock_cursors = submit_class(
-        srv, lambda i: ("SELECT * FROM ClosingStockPrices "
-                        f"WHERE closingPrice > {30 + i % 40}"),
-        n_per_class)
-    sensor_cursors = submit_class(
-        srv, lambda i: ("SELECT * FROM SensorReadings WHERE temperature > "
-                        f"{15 + i % 20}"),
-        n_per_class)
-    return srv, stock_cursors, sensor_cursors
+    makers = [stock_sql] * n_per_group + [sensor_sql] * n_per_group
+    first = min(len(makers), DEFAULT_LINEAGE_CAPACITY)
+    cursors = [srv.submit(make(i % n_per_group))
+               for i, make in enumerate(makers[:first])]
+    if len(makers) > first:
+        with pytest.warns(PlanCheckWarning, match="TCQ205"):
+            cursors += [srv.submit(make(i % n_per_group)) for i, make
+                        in enumerate(makers[first:], start=first)]
+    return srv, cursors[:n_per_group], cursors[n_per_group:]
 
 
-def push_data(srv, n_days=20):
-    for t in StockStreamGenerator(seed=8).take(n_days):
+def push_stocks(srv, n_days=20, seed=8):
+    for t in StockStreamGenerator(seed=seed).take(n_days):
         srv.push_tuple("ClosingStockPrices", t)
-    for t in SensorStreamGenerator(seed=8).take(n_days):
+
+
+def push_sensors(srv, n_days=20, seed=8):
+    for t in SensorStreamGenerator(seed=seed).take(n_days):
         srv.push_tuple("SensorReadings", t)
 
 
 def probes_per_tuple(srv):
-    total_probes = 0
-    total_tuples = 0
-    for engine in srv._cacq.values():
-        total_probes += engine.filter_probes
-        total_tuples += engine.tuples_in
-    return total_probes / total_tuples if total_tuples else 0.0
+    engine = srv.cacq
+    return engine.filter_probes / engine.tuples_in if engine.tuples_in \
+        else 0.0
 
 
 def test_e11_shape():
     rows = []
     for n in (5, 50, 500):
         srv, _s, _e = build_server(n)
-        push_data(srv)
-        rows.append((n, srv.stats()["cacq_engines"],
-                     len(srv.executor.footprints.peek(
-                         ["ClosingStockPrices", "SensorReadings"])),
-                     probes_per_tuple(srv)))
-    print_table("E11: footprint classes as queries scale",
-                ["queries/class", "shared engines", "classes",
+        push_stocks(srv)
+        push_sensors(srv)
+        rows.append((n, len(srv.cacq.queries), probes_per_tuple(srv)))
+    print_table("E11: query groups as queries scale",
+                ["queries/group", "standing queries",
                  "filter probes per tuple"], rows)
-    # always exactly two disjoint classes, regardless of N
-    assert all(r[1] == 2 and r[2] == 2 for r in rows)
+    assert [r[1] for r in rows] == [10, 100, 1000]
     # sharing: probes per tuple do not grow with query count
-    assert rows[-1][3] <= rows[0][3] * 1.5
+    assert rows[-1][2] <= rows[0][2] * 1.5
 
 
-def test_e11_bridging_join_merges_classes():
-    srv, _s, _e = build_server(10)
-    assert srv.stats()["cacq_engines"] == 2
-    with pytest.warns(PlanCheckWarning, match="TCQ204"):
-        srv.submit("SELECT * FROM ClosingStockPrices, SensorReadings "
-                   "WHERE ClosingStockPrices.timestamp = SensorReadings.ts")
-    assert srv.stats()["cacq_engines"] == 1
-    push_data(srv, n_days=5)        # everything still delivers
-    assert srv.stats()["ingested"] > 0
-
-
-def test_e11_isolation_between_classes():
+def test_e11_isolation_between_groups():
     srv, stock_cursors, sensor_cursors = build_server(10)
-    for t in StockStreamGenerator(seed=9).take(10):
-        srv.push_tuple("ClosingStockPrices", t)
+    sensor_filter = srv.cacq.filters[("SensorReadings", "temperature")]
+    push_stocks(srv, n_days=10, seed=9)
     assert sum(c.delivered for c in stock_cursors) > 0
     assert sum(c.delivered for c in sensor_cursors) == 0
-    # the sensor-class engine never saw a tuple
-    for engine in srv._cacq.values():
-        if "SensorReadings" in engine.schemas:
-            assert engine.tuples_in == 0
+    # no stock row ever met the sensor group's grouped filter
+    assert sensor_filter.probes == sensor_filter.seen == 0
+
+
+def test_e11_bridging_join_needs_no_reregistration():
+    delivered = []
+    for bridged in (False, True):
+        srv, stock_cursors, sensor_cursors = build_server(10)
+        standing = dict(srv.cacq.queries)
+        if bridged:
+            bridge = srv.submit(
+                "SELECT * FROM ClosingStockPrices, SensorReadings "
+                "WHERE ClosingStockPrices.timestamp = SensorReadings.ts")
+            assert bridge.diagnostics == []
+            # every standing query is still the object it was
+            assert all(srv.cacq.queries[qid] is q
+                       for qid, q in standing.items())
+        push_stocks(srv, n_days=5)
+        push_sensors(srv, n_days=5)
+        delivered.append([c.delivered
+                          for c in stock_cursors + sensor_cursors])
+    # the bridge changes no standing query's answer, and both groups
+    # deliver
+    assert delivered[0] == delivered[1]
+    assert sum(delivered[1][:10]) > 0 and sum(delivered[1][10:]) > 0
 
 
 @pytest.mark.benchmark(group="E11")
@@ -117,6 +133,7 @@ def test_e11_routing_timing(benchmark, n):
     def build_and_push():
         # fresh server per round: stream timestamps must stay monotone
         srv, _s, _e = build_server(n)
-        push_data(srv, n_days=5)
+        push_stocks(srv, n_days=5)
+        push_sensors(srv, n_days=5)
 
     benchmark(build_and_push)

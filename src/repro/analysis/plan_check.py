@@ -19,9 +19,8 @@ have run, *before admission*:
   empty at every iteration, non-progressing updates, and slides that
   exceed the range so tuples fall in gaps (``TCQ105``, ``TCQ106``,
   ``TCQ206``);
-* admission-context checks against the running server — footprint-class
-  bridging (engine merges, ``TCQ204``) and lineage/ready-bit crowding
-  (``TCQ205``).
+* an admission-context check against the running server —
+  lineage/ready-bit crowding of the shared engine (``TCQ205``).
 
 Everything returns :class:`~repro.analysis.report.Diagnostic` lists;
 :meth:`repro.core.engine.TelegraphCQServer.submit` rejects on errors
@@ -31,7 +30,7 @@ Everything returns :class:`~repro.analysis.report.Diagnostic` lists;
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (Any, Dict, FrozenSet, Iterable, List, Optional, Sequence,
+from typing import (Any, Dict, Iterable, List, Optional, Sequence,
                     Set, Tuple as TypingTuple)
 
 from repro.analysis.report import Diagnostic, DiagnosticReport, NO_SPAN
@@ -52,15 +51,10 @@ _MAX_SIM_ITERATIONS = 512
 
 @dataclass
 class AdmissionContext:
-    """What the plan verifier knows about the running server.
+    """What the plan verifier knows about the running server: how many
+    continuous queries stand in its shared engine."""
 
-    ``footprint_classes`` holds, per live shared engine, the set of
-    streams it reads; ``class_query_counts`` the number of standing
-    queries in each (parallel lists).
-    """
-
-    footprint_classes: Sequence[FrozenSet[str]] = ()
-    class_query_counts: Sequence[int] = ()
+    standing_queries: int = 0
     lineage_capacity: int = DEFAULT_LINEAGE_CAPACITY
 
 
@@ -531,35 +525,20 @@ def check_windows(spec: QuerySpec, source: str = "") -> List[Diagnostic]:
 
 # -- admission-context checks --------------------------------------------------
 
-def check_admission(footprint: FrozenSet[str], predicate: Predicate,
+def check_admission(kind: str, predicate: Predicate,
                     context: AdmissionContext,
                     source: str = "") -> List[Diagnostic]:
     diags: List[Diagnostic] = []
-    touched = [i for i, cls in enumerate(context.footprint_classes)
-               if cls & footprint]
-    if len(touched) > 1:
-        names = [" | ".join(sorted(context.footprint_classes[i]))
-                 for i in touched]
-        diags.append(Diagnostic(
-            "TCQ204",
-            f"query bridges {len(touched)} previously-independent query "
-            f"classes ({'; '.join(names)}); their shared engines will be "
-            f"merged and every resident query re-registered",
-            source=source,
-            hint="expect a one-time re-registration cost and a wider "
-                 "shared lineage bitmap afterwards"))
-    counts = [context.class_query_counts[i] for i in touched
-              if i < len(context.class_query_counts)]
-    resident = sum(counts)
-    # Warn on the admission that first crosses the capacity -- one more
-    # query in a class already past it (and already warned about) is not
-    # news, and warning on every later submit drowns the one that is.
-    if resident + 1 > context.lineage_capacity \
-            and max(counts, default=0) <= context.lineage_capacity:
+    # Warn on the continuous admission that takes the engine past the
+    # capacity -- one more query in an engine already past it (and
+    # already warned about) is not news, and warning on every later
+    # submit drowns the one that is.  Other kinds do not join it.
+    resident = context.standing_queries
+    if kind == "continuous" and resident == context.lineage_capacity:
         diags.append(Diagnostic(
             "TCQ205",
             f"admitting this query puts {resident + 1} standing queries "
-            f"in one shared class, past the advisory lineage capacity of "
+            f"in the shared engine, past the advisory lineage capacity of "
             f"{context.lineage_capacity}; routing stays sublinear in the "
             f"query count, but every lineage bitmap is as wide as the "
             f"query ids, and so is every mask OR that a grouped-filter "
@@ -567,7 +546,7 @@ def check_admission(footprint: FrozenSet[str], predicate: Predicate,
             source=source,
             hint="partition the workload across servers, or raise "
                  "lineage_capacity if the cost is acceptable; further "
-                 "admissions to this class are not warned about again"))
+                 "admissions are not warned about again"))
     n_factors = len(predicate.conjuncts())
     if n_factors > context.lineage_capacity:
         diags.append(Diagnostic(
@@ -683,7 +662,7 @@ def check_compiled(compiled: Any, catalog: Optional[Catalog] = None,
         diags.extend(check_join_graph(compiled.bindings, compiled.predicate,
                                       spec=spec, source=text))
     if context is not None:
-        diags.extend(check_admission(compiled.footprint, compiled.predicate,
+        diags.extend(check_admission(compiled.kind, compiled.predicate,
                                      context, source=text))
     return DiagnosticReport(diags)
 

@@ -47,10 +47,8 @@ CODES: Dict[str, str] = {
     "TCQ202": "subsumed predicate factor (implied by a tighter factor on "
               "the same column)",
     "TCQ203": "trivial factor (always true; contributes no filtering)",
-    "TCQ204": "query bridges previously-independent footprint classes "
-              "(their shared engines will be merged)",
     "TCQ205": "lineage/ready-bit capacity nearly exhausted (wide query or "
-              "crowded query class)",
+              "crowded shared engine)",
     "TCQ206": "window slide exceeds range: some tuples fall in gaps no "
               "window ever sees",
     "TCQ301": "EddyOperator subclass overrides handle without handle_batch "

@@ -332,7 +332,6 @@ class TelegraphShell:
         stats = self.conn.stats()
         lines = [f"ingested tuples : {stats['ingested']}",
                  f"standing queries: {stats['continuous_queries']}",
-                 f"shared engines  : {stats['cacq_engines']}",
                  f"execution objs  : {stats['executor']['eos']}"]
         for stream, n in stats["streams"].items():
             lines.append(f"stream {stream}: {n} tuples stored")

@@ -374,9 +374,10 @@ class NetworkConnection(Connection):
         """The batch door over the wire: one PUSH frame, admitted whole
         or not at all; returns ``{"pushed": n, "shed": m}`` (the
         service's load shedder may drop under overload)."""
-        return self._request("PUSH", stream=stream,
-                             rows=[list(r) for r in rows],
-                             timestamp=timestamp)
+        reply = self._request("PUSH", stream=stream,
+                              rows=[list(r) for r in rows],
+                              timestamp=timestamp)
+        return {"pushed": reply["pushed"], "shed": reply["shed"]}
 
     def close_stream(self, stream: str) -> None:
         self._request("DDL", action="close_stream", name=stream)

@@ -26,8 +26,9 @@ or a join probes with it; otherwise it is delivered as a
 
 The engine is deliberately independent of the Fjord scheduler so it can
 be benchmarked head-to-head against the per-query and NiagaraCQ-style
-baselines; :class:`CACQModule` packages it as a Fjord module for use
-inside the full TelegraphCQ server.
+baselines; the TelegraphCQ server (:mod:`repro.core.engine`) owns one
+engine for every stream and continuous query, and hands it each admitted
+batch synchronously.
 """
 
 from __future__ import annotations
@@ -321,9 +322,8 @@ class CACQEngine:
         Returns how many rows were consumed.  That is all of them unless
         a result callback admitted or cancelled a query: the change must
         take effect at the next row, so routing stops after the row
-        that caused it and the caller pushes ``rows[consumed:]`` again
-        (to whichever engine reads the stream by then).  Counters move
-        for consumed rows only.
+        that caused it and the caller pushes ``rows[consumed:]`` again.
+        Counters move for consumed rows only.
         """
         if not isinstance(rows, Rows):
             rows = Rows.of(rows)

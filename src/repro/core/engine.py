@@ -7,15 +7,16 @@ shared-memory segments:
 * the **FrontEnd** role — :meth:`TelegraphCQServer.submit`: parse,
   analyse, optimize into an adaptive plan, and place it on the query
   plan queue (QPQueue) for the executor to fold in dynamically;
-* the **Executor** role — :class:`repro.core.executor.Executor` hosting
-  Execution Objects by query footprint class; continuous selection/join
-  queries run in the shared CACQ engine of their class, windowed queries
-  run as incremental Dispatch Units;
+* the **Executor** role — continuous selection/join queries run in the
+  server's one shared CACQ engine, synchronously with the rows that
+  reach it; windowed queries run as incremental Dispatch Units of
+  :class:`repro.core.executor.Executor`, in Execution Objects by query
+  footprint class;
 * the **Wrapper** role — :meth:`push` / :class:`repro.ingress` feed
   streams; every arrival is materialised in the stream's historical
   store (so new queries can see old data) and routed to the live CQs.
 
-Results land in per-client output queues drained through
+Results land in per-cursor buffers drained through
 :class:`Cursor` objects; a :class:`ClientProxy` multiplexes many cursors
 onto one connection, spilling into extra proxies beyond the cursor cap —
 matching the proxy service on the right of Figure 5.
@@ -24,7 +25,6 @@ matching the proxy service on the right of Figure 5.
 from __future__ import annotations
 
 import itertools
-import sys
 import warnings
 from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple as TypingTuple, Union)
 
@@ -35,7 +35,6 @@ from repro.core.executor import DispatchUnit, Executor
 from repro.core.tuples import Row, Rows, Schema, Tuple
 from repro.core.windows import HistoricalStore
 from repro.errors import ExecutionError, PlanCheckError, QueryError
-from repro.fjords.queues import PushQueue
 from repro.ingress.ingress import IngressPoint
 from repro.monitor.telemetry import get_registry
 import repro.monitor.tracing as tracing
@@ -44,9 +43,6 @@ from repro.query.ast import QuerySpec
 from repro.query.catalog import Catalog
 from repro.query.optimizer import CompiledQuery, WindowedPlan, compile_query
 from repro.query.parser import parse
-from repro.query.predicates import Predicate
-
-_NO_LIMIT = sys.maxsize
 
 
 class Cursor:
@@ -80,20 +76,18 @@ class Cursor:
         self.kind = kind
         self.client = client
         self.on_result = on_result
-        self._out: PushQueue = PushQueue(name=f"out[{cursor_id}]")
-        #: a pull continuous cursor's buffer: its CACQ query appends
-        #: results here, and they stay after a cancel or an engine
-        #: merge.  Such a cursor never uses ``_out``.
+        #: the pull buffer :meth:`fetch` drains: a pull continuous
+        #: cursor's CACQ query appends its results here (they stay after
+        #: a cancel), a snapshot cursor's rows and a windowed cursor's
+        #: flattened windows land here too.
         self._results: List[Row] = []
         self._windows: List[TypingTuple[int, List[Row]]] = []
         self.closed = False
-        #: results delivered other than into ``_results``, plus those
-        #: fetched out of it.
+        #: results that left the buffers: handed to ``on_result``,
+        #: fetched, or taken by :meth:`fetch_windows`.
         self._delivered = 0
-        #: set for continuous cursors: the underlying CACQ query and
-        #: the shared engine it is registered in.
+        #: set for continuous cursors: the underlying CACQ query.
         self.continuous_query: Optional[ContinuousQuery] = None
-        self._engine: Optional[CACQEngine] = None
         self.compiled: Optional[CompiledQuery] = None
         #: plan-verifier findings recorded at admission (warnings, or
         #: everything when admitted with allow_unsafe=True).
@@ -106,23 +100,22 @@ class Cursor:
     @property
     def delivered(self) -> int:
         """Results delivered to this cursor, fetched or still buffered."""
-        return self._delivered + len(self._results)
+        return self._delivered + self.pending()
 
     # -- engine side -------------------------------------------------------
     def _deliver(self, row: Row) -> None:
-        self._delivered += 1
         tr = row.trace
         if tr is not None:
             query = f"cursor{self.cursor_id}"
             tr.hop("egress", query)
             tracing.TRACER.finish(tr, query)
         if self.on_result is not None:
+            self._delivered += 1
             self.on_result(row)
         else:
-            self._out.push(row)
+            self._results.append(row)
 
     def _deliver_window(self, t: int, rows: List[Row]) -> None:
-        self._delivered += len(rows)
         if tracing.TRACER.active:
             query = f"cursor{self.cursor_id}"
             for row in rows:
@@ -141,22 +134,20 @@ class Cursor:
         about window boundaries never needs :meth:`fetch_windows`.
         """
         results = self._results
-        # PushQueue.__bool__ is always True: ask its deque.
-        if not results and not self._out._items and not self._windows:
+        if self._windows:
+            windows, self._windows = self._windows, []
+            for _t, rows in windows:
+                results.extend(rows)
+        if not results:
             return []
-        if results:
-            if limit and limit < len(results):
-                rows = results[:limit]
-                del results[:limit]
-            else:
-                rows = results[:]
-                results.clear()
-            self._delivered += len(rows)
-            return rows
-        out = self._out
-        for _t, rows in self.fetch_windows():
-            out.push_many(rows)
-        return out.pop_many(limit or _NO_LIMIT)
+        if limit and limit < len(results):
+            rows = results[:limit]
+            del results[:limit]
+        else:
+            rows = results[:]
+            results.clear()
+        self._delivered += len(rows)
+        return rows
 
     def fetchall(self) -> List[Row]:
         """Every buffered result (``fetch()`` with no limit)."""
@@ -175,11 +166,11 @@ class Cursor:
     def fetch_windows(self) -> List[TypingTuple[int, List[Row]]]:
         """The windowed sequence-of-sets computed so far."""
         out, self._windows = self._windows, []
+        self._delivered += sum(len(rows) for _t, rows in out)
         return out
 
     def pending(self) -> int:
-        return (len(self._results) + len(self._out)
-                + sum(len(r) for _t, r in self._windows))
+        return len(self._results) + sum(len(r) for _t, r in self._windows)
 
     def explain(self, analyze: bool = False) -> Dict[str, Any]:
         """The live plan behind this cursor (see
@@ -193,7 +184,7 @@ class Cursor:
     def close(self) -> None:
         """Stop the query behind this cursor.  Idempotent.
 
-        Continuous cursors are cancelled out of their shared engine;
+        Continuous cursors are cancelled out of the shared engine;
         windowed cursors stop evaluating further windows.  Already
         buffered results remain fetchable.
         """
@@ -331,17 +322,9 @@ class TelegraphCQServer:
         self._shedder: Optional[Any] = None
         self.tables: Dict[str, List[Tuple]] = {}
         self._stream_closed: Dict[str, bool] = {}
-        #: one shared CQ engine per footprint-class root.
-        self._cacq: Dict[str, CACQEngine] = {}
-        #: stream -> the engine with a standing query over it (None:
-        #: nobody reads it); emptied whenever a continuous query is
-        #: admitted or cancelled.
-        self._readers: Dict[str, Optional[CACQEngine]] = {}
-        #: cursor id -> (streams, predicate, cursor) of every standing
-        #: continuous query, so class merges can rebuild a combined
-        #: engine.
-        self._cq_registry: Dict[int, TypingTuple[TypingTuple[str, ...],
-                                                 Predicate, Cursor]] = {}
+        #: the one shared CQ engine: every stream is registered with it
+        #: and every continuous query runs in it.
+        self.cacq = CACQEngine()
         self._proxies: Dict[str, List[ClientProxy]] = {}
         #: open cursors by id; a closed cursor leaves it and its proxy.
         self._cursors: Dict[int, Cursor] = {}
@@ -359,6 +342,7 @@ class TelegraphCQServer:
         stream = schema.name
         self.stores[stream] = HistoricalStore(stream)
         self._stream_closed[stream] = False
+        self.cacq.register_stream(schema)
         self.ingress[stream] = IngressPoint(
             f"server:{stream}", store=self.stores[stream],
             shedder=self._shedder,
@@ -423,21 +407,11 @@ class TelegraphCQServer:
 
     def _route_batch(self, stream: str, batch: Rows) -> None:
         """The ingress point's consumer: hand the admitted batch,
-        itself, to the engine reading the stream (a stream belongs to
-        one footprint class, so to one engine).  A result callback may
-        admit, cancel or merge engines mid-batch; the engine then stops
-        after that row, and the rest goes to whichever engine reads the
-        stream by then."""
-        readers = self._readers
+        itself, to the shared engine.  A result callback may admit or
+        cancel a query mid-batch; the engine then stops after that row,
+        and the rest goes in again under the new query set."""
         while batch:
-            if stream not in readers:
-                readers[stream] = next(
-                    (engine for engine in self._cacq.values()
-                     if engine._source_mask.get(stream)), None)
-            engine = readers[stream]
-            if engine is None:
-                return
-            batch = batch[engine.push_batch(stream, batch):]
+            batch = batch[self.cacq.push_batch(stream, batch):]
 
     def shed_with(self, shedder: Any) -> None:
         """Gate every stream's ingress point, present and future, with
@@ -503,13 +477,9 @@ class TelegraphCQServer:
         return cursor
 
     def _admission_context(self) -> AdmissionContext:
-        """Snapshot of the shared-engine landscape for the plan
-        verifier's cross-query checks (TCQ204/TCQ205)."""
-        classes = [frozenset(engine.schemas) for engine in
-                   self._cacq.values()]
-        counts = [len(engine.queries) for engine in self._cacq.values()]
-        return AdmissionContext(footprint_classes=classes,
-                                class_query_counts=counts)
+        """What the plan verifier's cross-query check (TCQ205) needs of
+        the shared engine."""
+        return AdmissionContext(standing_queries=len(self.cacq.queries))
 
     def _open_cursor(self, kind: str, client: str,
                      on_result: Optional[Callable[[Row], None]]) -> Cursor:
@@ -538,7 +508,9 @@ class TelegraphCQServer:
     # -- continuous path (CACQ) -------------------------------------------------------
     def _register_continuous(self, compiled: CompiledQuery,
                              cursor: Cursor) -> None:
-        streams = tuple(b for b, _o in compiled.bindings)
+        """Register ``cursor``'s query in the shared engine.  A push
+        cursor's results go through its callback; a pull cursor's query
+        appends into the cursor's own list."""
         for binding, obj in compiled.bindings:
             if binding != obj:
                 raise QueryError(
@@ -547,76 +519,16 @@ class TelegraphCQServer:
             if not self.catalog.lookup(obj).is_stream:
                 raise QueryError(
                     "continuous queries must range over streams only")
-        root = self.executor.footprints.class_of(streams)
-        engine = self._engine_for_class(root, streams)
-        self._attach(engine, streams, compiled.predicate, cursor)
-        self._cq_registry[cursor.cursor_id] = (streams, compiled.predicate,
-                                               cursor)
-        self._readers.clear()
-        # Ensure the class has an executor presence so stats show it.
-        self.executor.eo_for(streams)
-
-    def _engine_for_class(self, root: str,
-                          streams: Sequence[str]) -> CACQEngine:
-        """The class's shared engine; merges engines when a new query
-        bridges previously-disjoint classes."""
-        # Engines whose streams now belong to this root (class_of is a
-        # pure lookup here since those streams were unioned before).
-        absorbed = [
-            r for r, eng in list(self._cacq.items())
-            if self.executor.footprints.class_of(list(eng.schemas)) == root]
-        if len(absorbed) > 1:
-            engine = self._rebuild_merged_engine(root, absorbed)
-        elif len(absorbed) == 1:
-            engine = self._cacq.pop(absorbed[0])
-            self._cacq[root] = engine
-        else:
-            engine = CACQEngine()
-            self._cacq[root] = engine
-        for s in streams:
-            if s not in engine.schemas:
-                engine.register_stream(self.catalog.lookup(s).schema)
-        return engine
-
-    def _rebuild_merged_engine(self, root: str,
-                               absorbed: List[str]) -> CACQEngine:
-        merged = CACQEngine()
-        old_engines = [self._cacq.pop(r) for r in absorbed]
-        seen_streams = set()
-        for old in old_engines:
-            old.generation += 1     # retired: a batch in flight stops
-            for name, schema in old.schemas.items():
-                if name not in seen_streams:
-                    merged.register_stream(schema)
-                    seen_streams.add(name)
-        for streams, predicate, cursor in self._cq_registry.values():
-            if any(s in seen_streams for s in streams):
-                for s in streams:
-                    if s not in merged.schemas:
-                        merged.register_stream(
-                            self.catalog.lookup(s).schema)
-                        seen_streams.add(s)
-                self._attach(merged, streams, predicate, cursor)
-        self._cacq[root] = merged
-        return merged
-
-    @staticmethod
-    def _attach(engine: CACQEngine, streams: Sequence[str],
-                predicate: Predicate, cursor: Cursor) -> None:
-        """Register ``cursor``'s query in ``engine``.  A push cursor's
-        results go through its callback; a pull cursor's query appends
-        into the cursor's own list, so a retired engine still finishing
-        the row that merged it delivers to the same place."""
+        streams = [b for b, _o in compiled.bindings]
         name = f"cursor{cursor.cursor_id}"
         if cursor.on_result is not None:
-            cq = engine.add_query(list(streams), predicate,
-                                  callback=cursor._deliver, name=name)
+            cq = self.cacq.add_query(streams, compiled.predicate,
+                                     callback=cursor._deliver, name=name)
         else:
-            cq = engine.add_query(list(streams), predicate, name=name)
+            cq = self.cacq.add_query(streams, compiled.predicate, name=name)
             cq.results = cursor._results
             cq.egress = name
         cursor.continuous_query = cq
-        cursor._engine = engine
 
     def cancel(self, cursor: Cursor) -> None:
         """Stop the query behind a cursor and retire the cursor from its
@@ -627,11 +539,8 @@ class TelegraphCQServer:
         if cursor._windowed_state is not None:
             cursor._windowed_state.done = True
         if cursor.continuous_query is not None:
-            cursor._engine.remove_query(cursor.continuous_query)
-            del self._cq_registry[cursor.cursor_id]
+            self.cacq.remove_query(cursor.continuous_query)
             cursor.continuous_query = None
-            cursor._engine = None
-            self._readers.clear()
         del self._cursors[cursor.cursor_id]
         self._egress_retired += cursor.delivered
         proxy = cursor._proxy
@@ -730,7 +639,7 @@ class TelegraphCQServer:
             + sum(c.delivered for c in self._cursors.values()))
         reg.gauge("tcq_server_continuous_queries",
                   "Standing continuous queries", collected=True).set(
-            sum(len(e.queries) for e in self._cacq.values()))
+            len(self.cacq.queries))
         reg.gauge("tcq_server_proxies", "Client proxies open",
                   collected=True).set(
             sum(len(p) for p in self._proxies.values()))
@@ -765,8 +674,8 @@ class TelegraphCQServer:
                             analyze: bool) -> Dict[str, Any]:
         query = f"cursor{cursor.cursor_id}"
         cq = cursor.continuous_query
-        engine = cursor._engine
-        if cq is None or engine is None:
+        engine = self.cacq
+        if cq is None:
             return {"kind": "continuous", "target": query,
                     "operators": [], "orderings": [],
                     "ordering_source": "",
@@ -874,9 +783,7 @@ class TelegraphCQServer:
         return {
             "ingested": self.tuples_ingested,
             "streams": {s: len(store) for s, store in self.stores.items()},
-            "continuous_queries": sum(
-                len(e.queries) for e in self._cacq.values()),
-            "cacq_engines": len(self._cacq),
+            "continuous_queries": len(self.cacq.queries),
             "executor": self.executor.stats(),
             "proxies": {client: len(proxies)
                         for client, proxies in self._proxies.items()},

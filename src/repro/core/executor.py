@@ -18,10 +18,12 @@ overhead".  The design points reproduced here:
   traditional one-shot plan, (mode 2) a single-eddy dataflow, or
   (mode 3) a shared continuous-query eddy — the three modes the paper
   lists.
-* **Query classes by footprint** — queries over overlapping stream sets
-  land in the same EO (so they can share SteMs and grouped filters);
-  disjoint footprints get separate EOs.  Implemented with a union-find
-  over stream names, maintained online as queries come and go.
+* **Query classes by footprint** — DUs of queries over overlapping
+  stream sets land in the same EO; disjoint footprints get separate
+  EOs.  Implemented with a union-find over stream names, maintained
+  online as queries come and go.  (The server's continuous queries run
+  outside the EO tree, in its one shared CACQ engine, synchronously
+  with their rows; see :mod:`repro.core.engine`.)
 """
 
 from __future__ import annotations

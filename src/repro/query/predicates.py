@@ -443,6 +443,10 @@ class Not(Predicate):
             return  # __new__ already returned the normalised form
         self.part = part
 
+    def __getnewargs__(self) -> TypingTuple[Predicate]:
+        # Unpickling calls __new__ with these: it needs the part.
+        return (self.part,)
+
     def bind(self, locate: Locate) -> Check:
         inner = self.part.bind(locate)
         return lambda values: not inner(values)

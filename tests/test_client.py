@@ -312,6 +312,29 @@ def test_a_refused_submit_leaves_no_trace(conn, query, message):
     assert _values(later) == [(1, 1)]
 
 
+def test_a_bridging_join_keeps_the_standing_joins_state(conn):
+    """Admitting a join that bridges two standing joins' streams must
+    not change their answers: the rows their SteMs hold stay there."""
+    for name in ("S", "T", "U", "V"):
+        conn.create_stream(name, "k", "v")
+    st = conn.submit("SELECT * FROM S, T WHERE S.k = T.k")
+    uv = conn.submit("SELECT * FROM U, V WHERE U.k = V.k")
+    conn.push_rows("S", [(1, 10)])
+    conn.push_rows("U", [(1, 30)])
+    bridge = conn.submit("SELECT * FROM S, U WHERE S.k = U.k")
+    conn.push_rows("T", [(1, 20)])
+    conn.push_rows("V", [(1, 40)])
+    conn.run()
+    assert [(r["S.v"], r["T.v"]) for r in st.fetch()] == [(10, 20)]
+    assert [(r["U.v"], r["V.v"]) for r in uv.fetch()] == [(30, 40)]
+    assert bridge.fetch() == []
+
+
+def test_push_rows_returns_pushed_and_shed_only(conn):
+    conn.create_stream("S", "k", "v")
+    assert conn.push_rows("S", [(0, 1), (1, 2)]) == {"pushed": 2, "shed": 0}
+
+
 def test_on_result_is_in_process_only():
     service = TelegraphCQService(admin_port=None)
     service.run_in_thread()

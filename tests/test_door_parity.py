@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.monitor.tracing as tracing
-from repro.analysis.report import PlanCheckWarning
 from repro.core.engine import TelegraphCQServer
 from repro.core.tuples import Schema
 from repro.monitor.telemetry import MetricRegistry, set_registry
@@ -221,8 +220,7 @@ def mid_batch(batched, react, second_sql=None, late_row=flat):
     out = {"first": state["first"],
            "second": [flat(t) for t in state["second"].fetch()],
            "late": None if state["late"] is None
-           else [late_row(t) for t in state["late"].fetch()],
-           "engines": srv.stats()["cacq_engines"]}
+           else [late_row(t) for t in state["late"].fetch()]}
     srv.close()
     set_registry(previous)
     return out
@@ -240,9 +238,10 @@ def test_cancel_inside_a_batch_takes_effect_at_the_next_tuple():
     assert len(batched["first"]) == 8
 
 
-@pytest.mark.filterwarnings(f"ignore::{PlanCheckWarning.__module__}."
-                            f"{PlanCheckWarning.__name__}")
 def test_engine_merge_inside_a_batch_takes_effect_at_the_next_tuple():
+    """The "merge" is a callback admitting the join that bridges ``a``
+    and ``b``: an ordinary admission, which takes effect at the next
+    tuple, batched or not."""
     def react(srv, state):
         state["late"] = srv.submit(JOIN_SQL)
 
@@ -251,11 +250,10 @@ def test_engine_merge_inside_a_batch_takes_effect_at_the_next_tuple():
                   late_row=lambda t: (t["a.v"], t["b.w"]))
         for flag in (True, False))
     assert batched == single
-    assert batched["engines"] == 1          # a's and b's classes merged
-    assert len(batched["first"]) == 8       # survived the merge mid-batch
+    assert len(batched["first"]) == 8       # survived the bridge mid-batch
     # The join was admitted during a's third row (v = 2): only a's later
-    # rows route through the merged engine and build into its SteM, so
-    # the second round of b rows joins with exactly those.
+    # rows build into its SteM, so the second round of b rows joins with
+    # exactly those.
     assert sorted(batched["late"]) == [(3, 3), (4, 0), (5, 1), (6, 2), (7, 3)]
 
 
@@ -268,7 +266,6 @@ def test_admission_inside_a_batch_takes_effect_at_the_next_tuple():
 
     batched, single = mid_batch(True, react), mid_batch(False, react)
     assert batched == single
-    assert batched["engines"] == 1
     # admitted during a's third row (v = 2): sees v = 3, 4, 5 and no more
     assert [values[1] for values, _ts in batched["late"]] == [3, 4, 5]
     assert len(batched["first"]) == 8

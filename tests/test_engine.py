@@ -107,48 +107,44 @@ class TestContinuousQueries:
         assert len(caught) == 1
         srv.push("trades", "A", 1000.0)
         assert all(len(c.fetch()) == 1 for c in cursors)
-        assert srv.stats()["cacq_engines"] == 1
+        assert len(srv.cacq.queries) == 100
 
-    def test_disjoint_streams_disjoint_engines(self):
+    def test_disjoint_streams_share_the_engine_not_their_rows(self):
         srv = TelegraphCQServer()
         srv.create_stream(TRADES)
         srv.create_stream(Schema.of("sensors", "sid", "temp"))
-        srv.submit("SELECT * FROM trades WHERE price > 0")
-        srv.submit("SELECT * FROM sensors WHERE temp > 0")
-        assert srv.stats()["cacq_engines"] == 2
+        on_trades = srv.submit("SELECT * FROM trades WHERE price > 0")
+        on_sensors = srv.submit("SELECT * FROM sensors WHERE temp > 0")
+        srv.push("trades", "A", 1.0)
+        assert len(on_trades.fetch()) == 1
+        assert on_sensors.fetch() == []
+        assert srv.cacq.filters[("sensors", "temp")].probes == 0
 
-    def test_bridging_join_merges_engines_and_keeps_queries_live(self):
+    def test_bridging_join_needs_no_merge_and_keeps_queries_live(self):
         srv = TelegraphCQServer()
         srv.create_stream(TRADES)
         srv.create_stream(Schema.of("quotes", "sym", "bid"))
         c1 = srv.submit("SELECT * FROM trades WHERE price > 0")
         c2 = srv.submit("SELECT * FROM quotes WHERE bid > 0")
-        assert srv.stats()["cacq_engines"] == 2
-        with pytest.warns(PlanCheckWarning, match="TCQ204"):
-            c3 = srv.submit(
-                "SELECT * FROM trades, quotes "
-                "WHERE trades.sym = quotes.sym")
-        assert srv.stats()["cacq_engines"] == 1
+        c3 = srv.submit(
+            "SELECT * FROM trades, quotes WHERE trades.sym = quotes.sym")
+        assert [d.code for d in c3.diagnostics] == []
         srv.push("trades", "A", 1.0)
         srv.push("quotes", "A", 2.0)
         assert len(c1.fetch()) == 1
         assert len(c2.fetch()) == 1
         assert len(c3.fetch()) == 1
 
-    def test_cancel_after_class_merge(self):
-        """A cursor whose query was rebound into a merged engine must
-        still cancel cleanly: delivery stops for it alone while the
-        other queries in the merged class keep running."""
+    def test_cancel_after_a_bridging_join(self):
+        """Cancelling one query after a bridging join stops delivery for
+        it alone while the other queries keep running."""
         srv = TelegraphCQServer()
         srv.create_stream(TRADES)
         srv.create_stream(Schema.of("quotes", "sym", "bid"))
         c1 = srv.submit("SELECT * FROM trades WHERE price > 0")
         c2 = srv.submit("SELECT * FROM quotes WHERE bid > 0")
-        with pytest.warns(PlanCheckWarning, match="TCQ204"):
-            c3 = srv.submit(
-                "SELECT * FROM trades, quotes "
-                "WHERE trades.sym = quotes.sym")
-        assert srv.stats()["cacq_engines"] == 1
+        c3 = srv.submit(
+            "SELECT * FROM trades, quotes WHERE trades.sym = quotes.sym")
         srv.cancel(c1)
         assert c1.closed and c1.continuous_query is None
         srv.push("trades", "A", 1.0)
@@ -157,9 +153,9 @@ class TestContinuousQueries:
         assert len(c2.fetch()) == 1
         assert len(c3.fetch()) == 1
 
-    def test_resubmit_after_cancel_across_merge(self):
-        """Cancel/resubmit across a class merge: the resubmitted query
-        lands in the surviving merged engine and sees new data."""
+    def test_resubmit_after_cancel_across_a_bridging_join(self):
+        """Cancel/resubmit around a bridging join: the resubmitted query
+        sees new data and the cancelled one does not."""
         srv = TelegraphCQServer()
         srv.create_stream(TRADES)
         srv.create_stream(Schema.of("quotes", "sym", "bid"))
@@ -168,7 +164,6 @@ class TestContinuousQueries:
             "SELECT * FROM trades, quotes WHERE trades.sym = quotes.sym")
         srv.cancel(c1)
         c1b = srv.submit("SELECT * FROM trades WHERE price > 0")
-        assert srv.stats()["cacq_engines"] == 1
         srv.push("trades", "A", 3.0)
         assert c1.fetch() == []
         assert len(c1b.fetch()) == 1

@@ -41,7 +41,7 @@ with connect() as conn:
     conn.explain(w, analyze=True)
 """
 
-#: every ``repro`` module :data:`SESSION` loads: 26 modules and the 10
+#: every ``repro`` module :data:`SESSION` loads: 25 modules and the 9
 #: packages above them.
 SERVING_SET = [
     "repro",
@@ -60,8 +60,6 @@ SERVING_SET = [
     "repro.core.tuples",
     "repro.core.windows",
     "repro.errors",
-    "repro.fjords",
-    "repro.fjords.queues",
     "repro.ingress",
     "repro.ingress.ingress",
     "repro.monitor",

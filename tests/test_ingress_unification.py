@@ -176,7 +176,7 @@ def test_a_malformed_row_rejects_the_whole_batch_before_anything_moves(
     cur = conn.submit("SELECT * FROM s WHERE a > 0")
     conn.push_rows("s", [(1, None), (2, "x")])
     srv = conn.server
-    (engine,) = srv._cacq.values()
+    engine = srv.cacq
     gf = engine.filters[("s", "a")]
 
     def state():

@@ -136,8 +136,8 @@ class TestFullServerMixedWorkload:
             srv.step()
         srv.close_stream("SensorReadings")
         srv.run_until_quiescent()
-        # two disjoint footprint classes -> two executor-visible classes
-        assert srv.stats()["cacq_engines"] == 2
+        # two disjoint footprints, one shared engine
+        assert srv.stats()["continuous_queries"] == 2
         assert len(windowed.fetch_windows()) == 3
         assert hot.fetch()          # anomalies exist at 5% over 80 readings
         assert expensive.pending() == 0 or expensive.fetch()

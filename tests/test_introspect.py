@@ -265,7 +265,7 @@ def test_server_explain_analyze_two_join_cacq():
     assert total == pytest.approx(1.0, abs=1e-9)
     assert len(report["orderings"]) == 3       # one per footprint stream
 
-    engine = next(iter(srv._cacq.values()))
+    engine = srv.cacq
     by_name = {o["name"]: o for o in report["operators"]}
     gf = engine.filters[("a", "v")]
     assert abs(by_name["gf[a.v]"]["selectivity"] -

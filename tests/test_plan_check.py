@@ -252,45 +252,31 @@ def test_warnings_surface_but_admit(server):
     assert len(cursor.fetch()) == 1
 
 
-def test_footprint_bridge_warns_tcq204(server):
-    server.submit("SELECT trades.sym FROM trades WHERE trades.price > 0")
-    server.submit("SELECT news.sym FROM news WHERE news.urgency > 0")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        cursor = server.submit(
-            "SELECT trades.sym FROM trades, news "
-            "WHERE trades.sym = news.sym")
-    assert "TCQ204" in [d.code for d in cursor.diagnostics]
-    assert any("TCQ204" in str(w.message) for w in caught)
-
-
-def _tcq205(counts, classes=None):
+def _tcq205(standing, sql="SELECT * FROM s, r WHERE s.x = r.x"):
     server = TelegraphCQServer()
     server.create_stream(Schema.of("s", "x"))
     server.create_stream(Schema.of("r", "x"))
-    context = AdmissionContext(
-        footprint_classes=classes or [frozenset({"s"})],
-        class_query_counts=counts)
-    report = check_query("SELECT * FROM s, r WHERE s.x = r.x",
-                         server.catalog, context)
+    context = AdmissionContext(standing_queries=standing)
+    report = check_query(sql, server.catalog, context)
     return [d for d in report.diagnostics if d.code == "TCQ205"]
 
 
 def test_lineage_capacity_warns_tcq205_when_first_crossed():
-    assert not _tcq205([63])
-    (diag,) = _tcq205([64])
+    assert not _tcq205(63)
+    (diag,) = _tcq205(64)
     # What still scales with the query count: bitmap width, not a
     # per-tuple walk, and no longer a rebuild after every admit/cancel.
     assert "as wide as the query ids" in diag.message
     assert "mask OR" in diag.message
     assert "walks" not in diag.message and "rebuild" not in diag.message
-    # A class already past the capacity was warned about when it crossed.
-    assert not _tcq205([65])
-    assert not _tcq205([1000])
-    # A bridge that merges two classes below it into one above it crosses.
-    both = [frozenset({"s"}), frozenset({"r"})]
-    assert _tcq205([40, 40], both)
-    assert not _tcq205([40, 70], both)
+    # An engine already past the capacity was warned about when it crossed.
+    assert not _tcq205(65)
+    assert not _tcq205(1000)
+    # A windowed query does not join the shared engine.
+    assert not _tcq205(64, "SELECT COUNT(*) FROM s "
+                           "for (t = 4; t <= 8; t += 4) "
+                           "{ WindowIs(s, t - 3, t); }")
+    assert AdmissionContext().standing_queries == 0
 
 
 def test_lineage_capacity_warning_is_not_a_storm(server):

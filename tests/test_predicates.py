@@ -304,6 +304,17 @@ def test_a_used_predicate_pickles_and_binds_afresh():
     copy = pickle.loads(pickle.dumps(pred))
     assert copy == pred
     assert copy.matches(row(a=1, b=2)) and not copy.matches(row(a=3, b=2))
+    # NOT over anything but a comparison stays a Not, and pickles too.
+    for part in (Or(Comparison("a", ">", 1), Comparison("b", "<", 0)),
+                 And(Comparison("a", ">", 1), Comparison("b", "<", 0)),
+                 ColumnComparison("a", "<", "b")):
+        negated = Not(part)
+        assert negated.matches(row(a=1, b=2)) != part.matches(row(a=1, b=2))
+        copy = pickle.loads(pickle.dumps(negated))
+        assert isinstance(copy, Not) and copy == negated
+        for values in ({"a": 1, "b": 2}, {"a": 3, "b": 2}, {"a": 3, "b": -1}):
+            assert copy.matches(row(**values)) == \
+                negated.matches(row(**values))
 
 
 def test_column_of_names_the_source_side():

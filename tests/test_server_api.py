@@ -34,9 +34,9 @@ class TestServerLifecycle:
     def test_close_cancels_continuous_queries(self):
         server = make_server()
         server.submit("SELECT * FROM trades WHERE price > 1")
-        assert sum(len(e.queries) for e in server._cacq.values()) == 1
+        assert len(server.cacq.queries) == 1
         server.close()
-        assert sum(len(e.queries) for e in server._cacq.values()) == 0
+        assert len(server.cacq.queries) == 0
 
     def test_open_cursors_tracks_closes(self):
         server = make_server()
@@ -116,6 +116,29 @@ class TestUnifiedFetch:
         assert len(first) == 2
         assert [t["v"] for t in first + rest] == [1, 2, 3, 4]
 
+    def test_windowed_and_snapshot_rows_are_counted_once(self):
+        server = TelegraphCQServer()
+        server.create_stream(Schema.of("s", "v"))
+        cur = self.submit_windowed(server)
+        for i in range(1, 6):
+            server.push("s", i, timestamp=i)
+        server.run_until_quiescent()
+        assert (cur.delivered, cur.pending()) == (4, 4)
+        assert len(cur.fetch(limit=3)) == 3
+        assert (cur.delivered, cur.pending()) == (4, 1)
+        server.push("s", 6, timestamp=6)
+        server.run_until_quiescent()
+        assert (cur.delivered, cur.pending()) == (5, 2)
+        assert len(cur.fetch_windows()) == 1
+        assert (cur.delivered, cur.pending()) == (5, 1)
+        assert [t["v"] for t in cur.fetch()] == [4]
+        assert (cur.delivered, cur.pending()) == (5, 0)
+        server.create_table(Schema.of("tbl", "v"), [(1,), (2,)])
+        snap = server.submit("SELECT * FROM tbl")
+        assert (snap.delivered, snap.pending()) == (2, 2)
+        assert len(snap.fetch()) == 2
+        assert (snap.delivered, snap.pending()) == (2, 0)
+
     def test_fetch_windows_still_gives_sequence_of_sets(self):
         server = TelegraphCQServer()
         server.create_stream(Schema.of("s", "v"))
@@ -145,12 +168,13 @@ class TestUnifiedFetch:
         assert [t["price"] for t in first + rest] == [2.0, 3.0, 4.0, 5.0, 6.0]
         assert len(first) == 2 and cur.fetch() == []
         assert (cur.delivered, cur.pending()) == (5, 0)
-        # A pull cursor's rows never pass through its fjord queue: the
-        # trace closes at delivery, egress is the last hop.
-        assert cur._out.stats.enqueued == 0
+        # A pull cursor's rows are delivered once, into its buffer: the
+        # trace closes at delivery, and egress is the last hop and the
+        # only one.
         for t in first + rest:
             kinds = [(h.kind, h.site, h.detail) for h in t.trace.hops]
             assert kinds[-1] == ("egress", f"cursor{cur.cursor_id}", "")
+            assert [k for k, _s, _d in kinds].count("egress") == 1
             assert t.trace.finished_at is not None
 
     def test_queue_attribute_is_gone(self):

@@ -13,6 +13,7 @@ from repro.core.routing import LotteryPolicy
 from repro.core.stem import SteM
 from repro.core.tuples import Schema
 from repro.errors import TelemetryError
+from repro.fjords.queues import PushQueue
 from repro.flux.cluster import Cluster, GroupCountState
 from repro.flux.flux import Flux
 from repro.ingress.generators import DriftingSelectivityGenerator
@@ -168,7 +169,12 @@ class TestSixSubsystemAcceptance:
         stem.probe(other.make(3, timestamp=99),
                    [Comparison("k", "==", 3)])
 
-        # executor + server + fjords: a small standing-query session.
+        # fjords: direct queue traffic.
+        queue = PushQueue(name="probe-queue")
+        queue.push(schema.make(0, timestamp=0))
+        assert queue.pop() is not None
+
+        # executor + server: a small standing-query session.
         server = TelegraphCQServer()
         server.create_stream(Schema.of("trades", "sym", "price"))
         cursor = server.submit("SELECT * FROM trades WHERE price > 10")

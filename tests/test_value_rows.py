@@ -112,7 +112,7 @@ def test_a_cacq_equijoin_builds_its_steM_rows_and_composite_matches():
                 conn.push_rows("b", [(ts % 4, ts)])
 
         ids = tuple_ids_drawn(drive)
-        engine = join._engine
+        engine = conn.server.cacq
         builds = sum(stem.builds for stem in engine.stems.values())
         matches = sum(stem.matches_out for stem in engine.stems.values())
         joined, selected = join.fetch(), local.fetch()
