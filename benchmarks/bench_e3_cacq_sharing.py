@@ -13,6 +13,14 @@ Cost unit: predicate/constant comparisons per input tuple.  Expected
 shape ([MSHR02] Figures 7-9): per-query and NiagaraCQ grow linearly in
 N; CACQ grows ~logarithmically, so the gap widens with N — CACQ
 "matches or significantly exceeds" the static systems.
+
+Shared joins: N join queries over two streams that share ``S.k = T.k``
+and differ in a band filter on ``S.v``, N swept over 10/50/200.  Cost
+units per input tuple: SteM probes (a per-query plan scans its own
+join state once per query) and match tuples built.  Expected shape: the
+per-query plan is linear in N on both; CACQ runs the queries as one join
+class (one probe per arriving row, each match a value row), so both
+stay flat.
 """
 
 import random
@@ -22,9 +30,9 @@ import pytest
 from repro.baselines.niagara import NiagaraEngine
 from repro.baselines.per_query import PerQueryEngine
 from repro.core.cacq import CACQEngine
-from repro.core.tuples import Schema
+from repro.core.tuples import Schema, Tuple
 from repro.ingress.generators import StockStreamGenerator
-from repro.query.predicates import Comparison
+from repro.query.predicates import And, ColumnComparison, Comparison
 
 from benchmarks.conftest import print_table
 
@@ -123,3 +131,74 @@ def test_e3_answers_agree():
                          ids=["per-query", "niagara", "cacq"])
 def test_e3_throughput_at_200_queries(benchmark, engine_cls):
     benchmark(drive, engine_cls, 200)
+
+
+# -- shared joins -----------------------------------------------------------
+
+JOIN_ROWS = 120                  # per stream
+JOIN_SWEEP = [10, 50, 200]
+S_KV = Schema.of("S", "k", "v")
+T_KW = Schema.of("T", "k", "w")
+
+
+def drive_joins(engine_cls, n_queries, seed=7):
+    """N band-filtered queries sharing ``S.k = T.k``, fed alternating S
+    and T rows: returns (SteM probes per tuple, match tuples built per
+    tuple, each query's results as sorted value tuples)."""
+    rng = random.Random(seed)
+    engine = engine_cls()
+    engine.register_stream(S_KV)
+    engine.register_stream(T_KW)
+    queries = []
+    for _ in range(n_queries):
+        lo = rng.randrange(0, 80)
+        queries.append(engine.add_query(["S", "T"], And(
+            ColumnComparison("S.k", "==", "T.k"),
+            Comparison("S.v", ">", lo), Comparison("S.v", "<", lo + 30))))
+    rows = [(rng.randrange(10), rng.randrange(100)) for _ in range(JOIN_ROWS)]
+    built = []
+    init = Tuple.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    Tuple.__init__ = counted
+    try:
+        for k, x in rows:
+            engine.push("S", k=k, v=x)
+            engine.push("T", k=k, w=x)
+    finally:
+        Tuple.__init__ = init
+    pushed = 2 * JOIN_ROWS
+    if isinstance(engine, CACQEngine):
+        probes = sum(stem.probes for stem in engine.stems.values())
+    else:
+        probes = engine.join_scans
+    results = [sorted(sorted(zip(t.schema.column_names(), t.values))
+                      for t in q.results) for q in queries]
+    return probes / pushed, (len(built) - pushed) / pushed, results
+
+
+def test_e3_shared_joins_shape():
+    rows = []
+    curves = {"per-query": [], "cacq": []}
+    for n in JOIN_SWEEP:
+        per = drive_joins(PerQueryEngine, n)
+        cacq = drive_joins(CACQEngine, n)
+        assert cacq[2] == per[2]         # sharing changes no answer
+        curves["per-query"].append(per[:2])
+        curves["cacq"].append(cacq[:2])
+        rows.append((n, f"{per[0]:.1f}", f"{per[1]:.1f}",
+                     f"{cacq[0]:.2f}", f"{cacq[1]:.2f}"))
+    print_table("E3: shared joins, per input tuple "
+                f"({2 * JOIN_ROWS} tuples)",
+                ["queries", "per-query probes", "per-query built",
+                 "cacq probes", "cacq built"], rows)
+    # Linear in N for the per-query plans, flat for CACQ: at most one
+    # SteM probe per tuple (a row no query keeps probes nothing) at
+    # every N, and no match built as a tuple.
+    per, cacq = curves["per-query"], curves["cacq"]
+    assert per[-1][0] == 20 * per[0][0]
+    assert per[-1][1] > 10 * per[0][1]
+    assert all(probes <= 1 and built == 0 for probes, built in cacq)

@@ -37,7 +37,8 @@ from repro.analysis.report import Diagnostic, DiagnosticReport, NO_SPAN
 from repro.errors import ParseError, QueryError
 from repro.query.ast import ForLoopClause, QuerySpec
 from repro.query.catalog import Catalog
-from repro.query.predicates import (ColumnComparison, Comparison, Predicate)
+from repro.query.predicates import (ColumnComparison, Comparison, Predicate,
+                                    join_order)
 
 #: Default ceiling for lineage/ready-bit width warnings.  Query and
 #: operator bitmaps are plain Python integers, so nothing *breaks* past
@@ -371,30 +372,16 @@ def check_join_graph(bindings: Sequence[TypingTuple[str, str]],
                      predicate: Predicate, spec: Optional[QuerySpec] = None,
                      source: str = "") -> List[Diagnostic]:
     """Continuous multi-stream queries need an equijoin path from every
-    stream to the rest of the footprint: CACQ builds one SteM per side
-    of each equijoin factor, and composites are only produced by probes.
-    A disconnected stream has no SteM pair and no probe access path —
-    the query can never emit a multi-source result."""
+    stream to the rest of the footprint: CACQ joins an arriving row in
+    :func:`~repro.query.predicates.join_order` from its stream, one SteM
+    probe per stream that order reaches.  A stream it never reaches has
+    no probe access path — the query can never emit a multi-source
+    result."""
     diags: List[Diagnostic] = []
     names = [b for b, _o in bindings]
     if len(names) < 2:
         return diags
-    adjacency: Dict[str, Set[str]] = {n: set() for n in names}
-    for f in predicate.conjuncts():
-        if not isinstance(f, ColumnComparison) or f.op != "==":
-            continue
-        srcs = [c.rsplit(".", 1)[0] for c in (f.left, f.right) if "." in c]
-        if len(srcs) == 2 and srcs[0] != srcs[1] and \
-                all(s in adjacency for s in srcs):
-            adjacency[srcs[0]].add(srcs[1])
-            adjacency[srcs[1]].add(srcs[0])
-    reached = {names[0]}
-    frontier = [names[0]]
-    while frontier:
-        for nxt in adjacency[frontier.pop()]:
-            if nxt not in reached:
-                reached.add(nxt)
-                frontier.append(nxt)
+    reached = join_order(names[0], predicate.conjuncts())
     spans: Dict[str, TypingTuple[int, int]] = {}
     if spec is not None:
         for s in spec.sources:

@@ -44,6 +44,9 @@ class PerQueryEngine:
         self._next_qid = itertools.count()
         self.tuples_in = 0
         self.predicate_evaluations = 0
+        #: scans of a query's partner join state, one per join query per
+        #: arriving row (CACQ's counterpart is ``SteM.probes``).
+        self.join_scans = 0
 
     def register_stream(self, schema: Schema) -> None:
         if not schema.name:
@@ -97,6 +100,7 @@ class PerQueryEngine:
             raise QueryError(
                 "the per-query baseline supports 1- and 2-stream queries")
         delivered = 0
+        self.join_scans += 1
         for other_tuple in query.join_state[others[0]]:
             joined = t.concat(other_tuple) if t.tid > other_tuple.tid \
                 else other_tuple.concat(t)
@@ -111,4 +115,5 @@ class PerQueryEngine:
             "queries": len(self.queries),
             "tuples_in": self.tuples_in,
             "predicate_evaluations": self.predicate_evaluations,
+            "join_scans": self.join_scans,
         }

@@ -9,7 +9,12 @@ are still interested in it.  The two sharing mechanisms are:
   the single-variable boolean factors of every query, so one probe
   evaluates all of them (:mod:`repro.core.grouped_filter`);
 * **shared SteMs** — one SteM per stream holds each base tuple once; all
-  join queries over a stream pair probe the same state.
+  join queries over those streams probe the same state.  Join queries
+  with one footprint and one set of equijoin factors form a *join
+  class*: an arriving row runs the class's bound join steps once
+  (:func:`~repro.core.stem.join_steps`, in
+  :func:`~repro.query.predicates.join_order` from its stream) for every
+  query of the class, and lineage says which queries each match is for.
 
 Query bitmaps are plain Python integers, so the engine supports an
 unbounded number of simultaneous queries; queries can be added and
@@ -19,10 +24,11 @@ removed while data is flowing (the robustness requirement of Section
 There is one data path, :meth:`CACQEngine.push_batch`: a batch of one
 stream's rows meets each grouped filter once, on the rows' values (the
 batch's lineage is a column of masks, one per row), and the survivors
-then build, deliver and probe one by one in arrival order.  A survivor
-becomes a :class:`~repro.core.tuples.Tuple` only where a SteM stores it
-or a join probes with it; otherwise it is delivered as a
-:class:`~repro.core.tuples.Row`.  A single tuple is a batch of one.
+then build, deliver and run their join classes one by one in arrival
+order.  A survivor becomes a :class:`~repro.core.tuples.Tuple` only
+where a SteM stores it; otherwise it is delivered as a
+:class:`~repro.core.tuples.Row`, and so is every join match.  A single
+tuple is a batch of one.
 
 The engine is deliberately independent of the Fjord scheduler so it can
 be benchmarked head-to-head against the per-query and NiagaraCQ-style
@@ -36,17 +42,19 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from collections import defaultdict
-from typing import (Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Set,
+from functools import reduce
+from operator import itemgetter
+from typing import (Any, Callable, Dict, FrozenSet, List, Optional, Sequence,
                     Tuple as TypingTuple, Union)
 
 import repro.monitor.tracing as tracing
 from repro.core.grouped_filter import GroupedFilter
-from repro.core.stem import SteM
-from repro.core.tuples import Row, Rows, Schema, Tuple
+from repro.core.stem import JoinStep, SteM, join_steps
+from repro.core.tuples import Row, Rows, Schema, Tuple, joined_timestamp
 from repro.errors import QueryError
 from repro.monitor.telemetry import get_registry
 from repro.query.predicates import (ALWAYS_TRUE, ColumnComparison, Comparison,
-                                    Predicate, decompose)
+                                    Predicate, decompose, join_order)
 
 _CACQ_IDS = itertools.count()
 
@@ -94,7 +102,10 @@ class ContinuousQuery:
         #: where the engine registered this query at admission — the
         #: only shared state its removal has to visit.
         self.filter_keys: List[TypingTuple[str, str]] = []
-        self.pairs: List[FrozenSet[str]] = []
+        self.join_class: Optional[JoinClass] = None
+        #: the schema of the rows delivered to it: its stream's, or its
+        #: join class's (set at admission).
+        self.schema: Optional[Schema] = None
 
     @property
     def delivered(self) -> int:
@@ -125,6 +136,39 @@ class ContinuousQuery:
                 f"{'|'.join(sorted(self.footprint))}, {self.predicate!r})")
 
 
+class JoinClass:
+    """The join queries over one footprint with one set of equijoin
+    factors (``key``): their bits, the :attr:`schema` their matches are
+    delivered in (the streams in the first query's FROM order), and
+    ``routes``: per stream whose factors reach every other, its
+    :func:`~repro.core.stem.join_steps` in
+    :func:`~repro.query.predicates.join_order` from it and the picker
+    that puts a match's values in the schema's order (None: they are).
+    """
+
+    __slots__ = ("key", "mask", "schema", "routes")
+
+    def __init__(self, key: Any, schemas: List[Schema],
+                 factors: List[ColumnComparison],
+                 stem_of: Callable[[str, Optional[str]], SteM]):
+        self.key = key
+        self.mask = 0
+        self.schema = reduce(Schema.join, schemas)
+        self.routes: Dict[str, TypingTuple[List[JoinStep],
+                                           Optional[Callable]]] = {}
+        by_name = {schema.name: schema for schema in schemas}
+        for stream in by_name:
+            order = join_order(stream, factors)
+            if set(order) != set(by_name):
+                continue
+            order = [by_name[s] for s in order]
+            joined = reduce(Schema.join, order)
+            self.routes[stream] = (
+                join_steps(order, factors, stem_of),
+                None if joined is self.schema else itemgetter(
+                    *map(joined.index_of, self.schema.column_names())))
+
+
 class CACQEngine:
     """The shared continuous-query processor.
 
@@ -150,15 +194,13 @@ class CACQEngine:
                                                          GroupedFilter]]] = \
             defaultdict(list)
         self.stems: Dict[str, SteM] = {}
-        # Join registry: unordered stream pair -> [(query bit, predicate)],
-        # and the OR of those bits, kept current at admission/removal.
-        self._pair_factors: Dict[FrozenSet[str],
-                                 List[TypingTuple[int, ColumnComparison]]] = \
-            defaultdict(list)
-        self._pair_mask: Dict[FrozenSet[str], int] = defaultdict(int)
-        # Masks: which query bits read each stream / each footprint.
+        # Join classes by (footprint, equijoin column pairs).
+        self.join_classes: Dict[TypingTuple[FrozenSet[str], FrozenSet[Any]],
+                                JoinClass] = {}
+        # Masks: which query bits read each stream, and which read it
+        # alone (its selection-only queries).
         self._source_mask: Dict[str, int] = defaultdict(int)
-        self._footprint_mask: Dict[FrozenSet[str], int] = defaultdict(int)
+        self._home_mask: Dict[str, int] = defaultdict(int)
         #: bumped by every admission and removal; a batch in flight
         #: compares it after each row (see :meth:`push_batch`).
         self.generation = 0
@@ -229,10 +271,18 @@ class CACQEngine:
         for (stream, attr), factors in by_filter.items():
             (self.filters.get((stream, attr))
              or GroupedFilter(attr)).refuse_unordered(factors)
+        for column in {c for f in query.join_factors for c in f.columns()}:
+            self._stream_of_column(column, footprint)   # refuses an unknown one
+        cls = None
+        if len(footprint) > 1:
+            key = (footprint, frozenset(frozenset(f.columns())
+                                        for f in query.join_factors))
+            cls = self.join_classes.get(key) or JoinClass(
+                key, [self.schemas[s] for s in dict.fromkeys(streams)],
+                query.join_factors, self._stem)
 
         self.queries[query.qid] = query
         self.generation += 1
-        self._footprint_mask[footprint] |= query.bit
         for s in footprint:
             self._source_mask[s] |= query.bit
         for (stream, attr), factors in by_filter.items():
@@ -243,18 +293,24 @@ class CACQEngine:
             for factor in factors:
                 gf.add(factor, query.qid)
             query.filter_keys.append((stream, attr))
-
-        for factor in query.join_factors:
-            pair = frozenset(factor.sources())
-            self._pair_factors[pair].append((query.bit, factor))
-            self._pair_mask[pair] |= query.bit
-            if pair not in query.pairs:
-                query.pairs.append(pair)
-            for s in pair:
-                if s not in self.stems:
-                    self.stems[s] = SteM(s)
-                self.stems[s].add_index(factor.column_of(s))
+        if cls is None:
+            query.schema = self.schemas[streams[0]]
+            self._home_mask[streams[0]] |= query.bit
+            return query
+        self.join_classes[cls.key] = cls
+        cls.mask |= query.bit
+        query.join_class = cls
+        query.schema = cls.schema
         return query
+
+    def _stem(self, stream: str, column: Optional[str]) -> SteM:
+        """``stream``'s shared SteM, indexed on ``column`` too."""
+        stem = self.stems.get(stream)
+        if stem is None:
+            stem = self.stems[stream] = SteM(stream)
+        if column is not None:
+            stem.add_index(column)
+        return stem
 
     def remove_query(self, query: ContinuousQuery) -> None:
         """Unregister a query; shared state used only by it is pruned."""
@@ -262,28 +318,26 @@ class CACQEngine:
             raise QueryError(f"query {query.name} is not registered")
         del self.queries[query.qid]
         self.generation += 1
-        self._footprint_mask[query.footprint] &= ~query.bit
         for s in query.footprint:
             self._source_mask[s] &= ~query.bit
         for key in query.filter_keys:
             self.filters[key].remove_query(query.qid)
-        for pair in query.pairs:
-            kept = [(bit, f) for (bit, f) in self._pair_factors[pair]
-                    if bit != query.bit]
-            if kept:
-                self._pair_factors[pair] = kept
-                self._pair_mask[pair] &= ~query.bit
-            else:
-                del self._pair_factors[pair]
-                del self._pair_mask[pair]
+        cls = query.join_class
+        if cls is None:
+            self._home_mask[next(iter(query.footprint))] &= ~query.bit
+        else:
+            cls.mask &= ~query.bit
+            if not cls.mask:
+                del self.join_classes[cls.key]
 
     def _stream_of_column(self, column: str,
                           footprint: FrozenSet[str]) -> str:
         """Resolve which stream a factor's column belongs to."""
         if "." in column:
             stream = column.rsplit(".", 1)[0]
-            if stream not in self.schemas:
-                raise QueryError(f"column {column!r} names unknown stream")
+            if stream not in self.schemas or \
+                    not self.schemas[stream].has_column(column):
+                raise QueryError(f"unknown column {column!r}")
             return stream
         owners = [s for s in footprint
                   if self.schemas[s].has_column(column)]
@@ -372,18 +426,18 @@ class CACQEngine:
                            if t.trace is not None}.union(live))
         # 2. per surviving row, in arrival order: on a stream with a home
         # SteM the row becomes a tuple, builds into it so later arrivals
-        # find it, is delivered to selection-only queries and probes the
-        # partner SteMs; composite matches are routed on (deliver, probe
-        # further partners) before the next row.  Elsewhere the row is
-        # delivered as a value Row.
+        # find it, is delivered to selection-only queries and runs each
+        # join class it is alive for.  Elsewhere the row is delivered as
+        # a value Row.
         schema, stamps = rows.schema, rows.stamps
         stem = self.stems.get(stream)
-        joins = self._pair_factors      # live: a callback may add one
+        # A class admitted mid-batch has no bit in this row's lineage.
+        joins = [cls for cls in self.join_classes.values()
+                 if stream in cls.routes] if stem is not None else ()
         deliver = self._deliver
-        footprints = self._footprint_mask     # live: mutated in place
         # A callback that changes the masks moves the generation, and
         # the batch stops after that row: the home mask holds till then.
-        home = footprints.get(frozenset((stream,)), 0)
+        home = self._home_mask.get(stream, 0)
         consumed = n
         try:
             for i in work:
@@ -391,7 +445,7 @@ class CACQEngine:
                 t = built.get(i) if built else None
                 if t is None and stem is None:
                     # No SteM stores the row and no join probes with it
-                    # (a stream with no home SteM is in no join pair):
+                    # (a stream with no home SteM is in no join class):
                     # it is a result and nothing more.
                     if mask & home:
                         deliver(Row(schema, values[i], stamps[i]),
@@ -411,13 +465,9 @@ class CACQEngine:
                         stem.build(t)
                     if mask & home:
                         deliver(t, mask & home)
-                    if joins:
-                        worklist = self._probe_partners(t)
-                        while worklist:
-                            match = worklist.pop()
-                            deliver(match, match.queries
-                                    & footprints.get(match.sources, 0))
-                            worklist.extend(self._probe_partners(match))
+                    for cls in joins:
+                        if mask & cls.mask:
+                            self._join(t, cls, *cls.routes[stream])
                 if self.generation != generation:
                     consumed = i + 1
                     break
@@ -440,57 +490,43 @@ class CACQEngine:
                 trace.hop("filter", f"gf[{stream}.{attr}]",
                           "pass" if _holds(passed, i) else "drop")
 
-    def _probe_partners(self, t: Tuple) -> List[Tuple]:
-        out: List[Tuple] = []
-        for pair, factors in self._pair_factors.items():
-            partners = pair - t.sources
-            if len(partners) != 1:
-                continue
-            (partner,) = partners
-            stem = self.stems.get(partner)
-            if stem is None:
-                continue
-            pair_mask = self._pair_mask[pair]
-            if not (t.queries & pair_mask):
-                continue
-            matches = self._shared_probe(stem, t, factors, pair_mask)
-            self.stem_probes += 1
-            out.extend(matches)
-        return out
-
-    def _shared_probe(self, stem: SteM, prober: Tuple,
-                      factors: Sequence[TypingTuple[int, ColumnComparison]],
-                      pair_mask: int) -> List[Tuple]:
-        """Probe a shared SteM on behalf of every join query at once.
-
-        Candidates come from the union of per-predicate index lookups;
-        a match is the joined tuple :meth:`SteM.probe` built (one per
-        candidate pair: a pair a later factor finds again is dropped by
-        its ``base_ids``), and its query bitmap keeps only the queries
-        whose join factor holds.
-        """
-        seen: Set[FrozenSet[int]] = set()
-        matches: List[Tuple] = []
-        for bit, factor in factors:
-            if not (prober.queries & bit):
-                continue
-            for joined in stem.probe(prober, [factor]):
-                if joined.base_ids in seen:
-                    continue
-                seen.add(joined.base_ids)
-                alive = joined.queries
-                # Re-check every pair factor on the materialised match:
-                # queries joining on a different column must not survive.
-                for other_bit, other_factor in factors:
-                    if alive & other_bit and not other_factor.matches(joined):
-                        alive &= ~other_bit
-                # Queries not joining this pair at all cannot use a
-                # composite tuple that spans it.
-                alive &= pair_mask
+    def _join(self, t: Tuple, cls: JoinClass, steps: List[JoinStep],
+              pick: Optional[Callable]) -> None:
+        """Run ``t`` through one join class: one probe per step against
+        the shared SteMs, for every query of the class at once.  A pair
+        lives for the queries both sides and the class are alive for;
+        only a prober of a further step is joined into a tuple, and a
+        full match is delivered as a :class:`Row` of the class's schema
+        (a :class:`Tuple` when a side is sampled, so it carries the
+        trace)."""
+        mask = cls.mask
+        probers = [t]
+        for step in steps[:-1]:
+            self.stem_probes += len(probers)
+            further = []
+            for left, stored in step.join(probers, dedupe_by_arrival=True):
+                alive = left.queries & stored.queries & mask
                 if alive:
+                    joined = left.concat(stored)
                     joined.queries = alive
-                    matches.append(joined)
-        return matches
+                    further.append(joined)
+            if not further:
+                return
+            probers = further
+        self.stem_probes += len(probers)
+        schema, deliver = cls.schema, self._deliver
+        for left, stored in steps[-1].join(probers, dedupe_by_arrival=True):
+            alive = left.queries & stored.queries & mask
+            if not alive:
+                continue
+            values = left.values + stored.values
+            if pick is not None:
+                values = pick(values)
+            match = Row(schema, values, joined_timestamp(left, stored))
+            if left.trace is not None or stored.trace is not None:
+                match = Tuple(schema, values, match.timestamp, 0, alive)
+                match.trace = left.trace or stored.trace
+            deliver(match, alive)
 
     def _deliver(self, row: Row, eligible: int) -> None:
         """Hand ``row`` to each query in ``eligible`` (its lineage masked

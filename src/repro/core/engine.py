@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import warnings
+from functools import reduce
 from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple as TypingTuple, Union)
 
 from repro.analysis.plan_check import AdmissionContext, check_compiled
@@ -41,7 +42,8 @@ import repro.monitor.tracing as tracing
 from repro.sched.protocol import StepResult
 from repro.query.ast import QuerySpec
 from repro.query.catalog import Catalog
-from repro.query.optimizer import CompiledQuery, WindowedPlan, compile_query
+from repro.query.optimizer import (CompiledQuery, Projection, WindowedPlan,
+                                   compile_query)
 from repro.query.parser import parse
 
 
@@ -510,7 +512,11 @@ class TelegraphCQServer:
                              cursor: Cursor) -> None:
         """Register ``cursor``'s query in the shared engine.  A push
         cursor's results go through its callback; a pull cursor's query
-        appends into the cursor's own list."""
+        appends into the cursor's own list.  A query whose SELECT list
+        differs from the rows the engine delivers to it (its stream's,
+        or its join class's) projects each result on the way to the
+        cursor; its SELECT list is bound before the engine admits it, so
+        a column no stream has is refused with nothing registered."""
         for binding, obj in compiled.bindings:
             if binding != obj:
                 raise QueryError(
@@ -520,12 +526,34 @@ class TelegraphCQServer:
                 raise QueryError(
                     "continuous queries must range over streams only")
         streams = [b for b, _o in compiled.bindings]
+        joined = reduce(Schema.join, [self.catalog.lookup(s).schema
+                                      for s in streams])
+        project = Projection(
+            compiled.spec.select_items, streams, joined,
+            lambda column: self.catalog.resolve_column(column,
+                                                       compiled.bindings))
+        pick = project.picker(joined)
         name = f"cursor{cursor.cursor_id}"
-        if cursor.on_result is not None:
-            cq = self.cacq.add_query(streams, compiled.predicate,
-                                     callback=cursor._deliver, name=name)
-        else:
-            cq = self.cacq.add_query(streams, compiled.predicate, name=name)
+        cq = self.cacq.add_query(
+            streams, compiled.predicate, name=name,
+            callback=None if cursor.on_result is None else cursor._deliver)
+        if project.schema is not cq.schema:
+            # Its SELECT list is not the rows the engine delivers: every
+            # result goes through the callback path, projected (a
+            # sampled row's output carries its trace).
+            if cq.schema is not joined:
+                pick = project.picker(cq.schema)
+            schema, deliver = project.schema, cursor._deliver
+
+            def projected(row: Row) -> None:
+                if row.trace is None:
+                    deliver(Row(schema, pick(row.values), row.timestamp))
+                    return
+                out = Tuple(schema, pick(row.values), row.timestamp)
+                out.trace = row.trace
+                deliver(out)
+            cq.callback = projected
+        elif cursor.on_result is None:
             cq.results = cursor._results
             cq.egress = name
         cursor.continuous_query = cq
@@ -656,12 +684,12 @@ class TelegraphCQServer:
         """Reconstruct the de-facto plan behind a cursor.
 
         Continuous cursors report the shared CACQ route: the engine's
-        hardwired order (grouped filters, home SteM build, partner
-        probes) carries one ordering per ingress stream weighted by that
-        stream's share of arrivals, with per-operator selectivities from
-        the shared structures' own observations.  ``analyze`` adds
-        ingress→egress latency percentiles from the sampled tuple
-        traces.  Render the dict with
+        hardwired order (grouped filters, home SteM build, the join
+        class's steps) carries one ordering per ingress stream weighted
+        by that stream's share of arrivals, with per-operator
+        selectivities from the shared structures' own observations.
+        ``analyze`` adds ingress→egress latency percentiles from the
+        sampled tuple traces.  Render the dict with
         :func:`repro.monitor.introspect.render_explain`.
         """
         c = cursor if isinstance(cursor, Cursor) \
@@ -695,21 +723,14 @@ class TelegraphCQServer:
                 "selectivity": gf.observed_selectivity(),
                 "cost": float(gf.probe_cost_estimate()),
             })
-        partners: Dict[str, List[str]] = {s: [] for s in footprint}
-        probed: List[str] = []
-        for pair, factors in engine._pair_factors.items():
-            if not any(bit & cq.bit for bit, _f in factors):
-                continue
-            for s in pair:
-                for partner in sorted(pair - {s}):
-                    if partner not in partners[s]:
-                        partners[s].append(partner)
-                    if partner not in probed:
-                        probed.append(partner)
-        for s in sorted(probed):
-            stem = engine.stems.get(s)
-            if stem is None:
-                continue
+        # Per stream, the SteMs its rows probe: the query's join class's
+        # steps, in order.
+        cls = cq.join_class
+        partners = {s: [step.stem.source for step in steps]
+                    for s, (steps, _pick) in
+                    (cls.routes.items() if cls is not None else ())}
+        for s in sorted({p for order in partners.values() for p in order}):
+            stem = engine.stems[s]
             operators.append({
                 "name": f"stem[{s}]", "kind": "SteM",
                 "visits": stem.probes, "passed": stem.probe_hits,
@@ -724,7 +745,7 @@ class TelegraphCQServer:
             order = list(filter_names[s])
             if s in engine.stems:
                 order.append(f"build[{s}]")
-            order.extend(f"probe[stem[{p}]]" for p in sorted(partners[s]))
+            order.extend(f"probe[stem[{p}]]" for p in partners.get(s, ()))
             share = ingress[s] / total if total else 1.0 / len(footprint)
             orderings.append({"order": order, "frequency": share,
                               "count": ingress[s]})
@@ -734,7 +755,7 @@ class TelegraphCQServer:
             "target": query,
             "telemetry_id": engine._telemetry_id,
             "policy": "CACQ shared route (hardwired: grouped filters -> "
-                      "home build -> deliver -> partner probes)",
+                      "home build -> deliver -> join-class steps)",
             "streams": {s: ingress[s] for s in sorted(footprint)},
             "queries_sharing": len(engine.queries),
             "operators": operators,

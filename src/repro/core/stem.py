@@ -11,6 +11,10 @@ spanning the same set of base sources) and supports:
   rows, each joined to the prober);
 * ``evict_before(ts)`` — window expiry.
 
+:func:`join_steps` binds a join over several SteMs to positions, one
+:class:`JoinStep` per binding after the first: the join body of both
+windowed plans and CACQ's join classes.
+
 SteMs can be augmented with hash indexes on join columns; a probe uses an
 index when some equality predicate binds the indexed column, else falls
 back to a scan.  ``None`` and NaN equal nothing, so they are never
@@ -34,7 +38,7 @@ from typing import (Any, Callable, Deque, Dict, List, Optional, Sequence, Set,
 from repro.core.tuples import Row, Schema, Tuple, TupleBatch
 from repro.errors import PlanError
 from repro.monitor.telemetry import get_registry
-from repro.query.predicates import ColumnComparison, Predicate
+from repro.query.predicates import And, Check, ColumnComparison, Predicate
 
 _STEM_IDS = itertools.count()
 
@@ -315,6 +319,70 @@ class SteM:
 
     def __repr__(self) -> str:
         return f"SteM({self.source}, n={len(self._tuples)})"
+
+
+class JoinStep:
+    """One binding of a join after the first, bound to positions: its
+    SteM, the column that SteM is indexed on (the binding's side of the
+    step's first equijoin factor; None: scan), where the factor's other
+    side sits in a prober's values, and ``accept``: every other factor
+    the step can evaluate, checked on the pair's values."""
+
+    __slots__ = ("stem", "column", "key", "accept")
+
+    def __init__(self, stem: SteM, column: Optional[str], key: int,
+                 check: Optional[Check]):
+        self.stem = stem
+        self.column = column
+        self.key = key
+        self.accept = None if check is None else \
+            (lambda prober, stored: check(prober.values + stored.values))
+
+    def join(self, probers: List[Tuple], dedupe_by_arrival: bool = False
+             ) -> List[TypingTuple[Tuple, Tuple]]:
+        """The ``(prober, stored)`` pairs the step keeps: one probe of
+        its SteM per prober (see :meth:`SteM.matching`)."""
+        key = self.key
+        keys = [p.values[key] for p in probers] if self.column else ()
+        return self.stem.matching(probers, self.column, keys, self.accept,
+                                  dedupe_by_arrival)
+
+
+def join_steps(schemas: Sequence[Schema], factors: Sequence[Predicate],
+               stem_of: Callable[[str, Optional[str]], SteM]
+               ) -> List[JoinStep]:
+    """The join of ``schemas`` (one per binding, each named for it) in
+    that order, lowered to one :class:`JoinStep` per binding after the
+    first; a prober of a step holds the values of every binding before
+    it, in order.
+
+    Each factor over two or more bindings runs at the step where its
+    last binding joins.  The step's first equijoin factor picks the
+    bucket of the binding's SteM, ``stem_of(binding, column)`` (column
+    None: a scan), and the rest are one check bound over the pair's
+    values."""
+    where = {schema.name: i for i, schema in enumerate(schemas)}
+    at_step: List[List[Predicate]] = [[] for _ in schemas]
+    for factor in factors:
+        sources = factor.sources()
+        if len(sources) > 1:
+            at_step[max(map(where.__getitem__, sources))].append(factor)
+    steps: List[JoinStep] = []
+    joined = schemas[0]
+    for schema, rest in zip(schemas[1:], at_step[1:]):
+        prior, joined = joined, joined.join(schema)
+        index = next((f for f in rest if isinstance(f, ColumnComparison)
+                      and f.is_equijoin()), None)
+        column, key = None, 0
+        if index is not None:
+            rest = [f for f in rest if f is not index]
+            column = index.column_of(schema.name)
+            key = prior.index_of(index.left if column == index.right
+                                 else index.right)
+        steps.append(JoinStep(stem_of(schema.name, column), column, key,
+                              And(*rest).bind(joined.locate) if rest
+                              else None))
+    return steps
 
 
 class CacheSteM(SteM):

@@ -24,14 +24,13 @@ from operator import itemgetter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple as TypingTuple
 
 from repro.core.aggregates import make_aggregate
-from repro.core.stem import SteM
+from repro.core.stem import JoinStep, SteM, join_steps
 from repro.core.tuples import Column, Row, Rows, Schema, Tuple, joined_timestamp
 from repro.core.windows import ForLoopSpec, WindowIs
 from repro.errors import QueryError
 from repro.query.ast import ForLoopClause, QuerySpec
 from repro.query.catalog import Catalog
-from repro.query.predicates import (OPS, And, Check, ColumnComparison, Locate, Predicate,
-                                    rewrite_columns)
+from repro.query.predicates import OPS, And, Check, Predicate, rewrite_columns
 
 #: ``scan(binding, lo, hi)``: the rows of the binding's object stamped
 #: ``lo..hi``.
@@ -106,36 +105,54 @@ class CompiledQuery:
         return f"CompiledQuery({self.kind}, over={self.footprint})"
 
 
-class _JoinStep:
-    """One non-leading FROM binding of a windowed plan, bound to
-    positions: its SteM, the column that SteM is indexed on (the
-    binding's side of the step's first equijoin factor; None: scan),
-    where the factor's other side sits in a prober's values, and
-    ``accept``: every other factor the step can evaluate, checked on
-    the pair's values."""
-
-    __slots__ = ("stem", "column", "key", "accept")
-
-    def __init__(self, stem: SteM, column: Optional[str], key: int,
-                 check: Optional[Check]):
-        self.stem = stem
-        self.column = column
-        self.key = key
-        self.accept = None if check is None else \
-            (lambda prober, stored: check(prober.values + stored.values))
-
-    def join(self, probers: List[Tuple]) -> List[TypingTuple[Tuple, Tuple]]:
-        key = self.key
-        keys = [p.values[key] for p in probers] if self.column else ()
-        return self.stem.matching(probers, self.column, keys, self.accept)
-
-
 def _picker(positions: Sequence[int]) -> Callable[[Sequence[Any]], TypingTuple]:
     """values -> the tuple of the values at ``positions``."""
     if len(positions) == 1:
         (pos,) = positions
         return lambda values: (values[pos],)
     return itemgetter(*positions) if positions else (lambda values: ())
+
+
+class Projection:
+    """A SELECT list over the rows of one FROM list: the column each
+    output column reads (a name the rows' schema locates) and the
+    :attr:`schema` of the rows it makes -- for ``SELECT *``, ``joined``
+    itself (the bindings ``names`` joined in FROM order).  ``b.*`` reads
+    every column of binding ``b``; rows of another column order are
+    reordered."""
+
+    __slots__ = ("columns", "schema")
+
+    def __init__(self, items: Sequence[Any], names: Sequence[str],
+                 joined: Schema, qualify: Callable[[str], str]):
+        if len(items) == 1 and items[0].is_star and not items[0].alias:
+            self.columns, self.schema = joined.column_names(), joined
+            return
+        columns: List[TypingTuple[str, str]] = []   # (out name, column)
+        for item in items:
+            if item.is_star:
+                # "*", or "c2.*": every column of that binding.
+                prefix = item.alias + "."
+                columns.extend(
+                    (col, col) for col in joined.column_names()
+                    if not item.alias or len(names) == 1
+                    or col.startswith(prefix))
+            else:
+                columns.append((item.output_name(), qualify(item.column)))
+        self.columns = [column for _name, column in columns]
+        self.schema = Schema([Column(name) for name, _column in columns],
+                             sources=names)
+
+    def picker(self, schema: Schema) -> Callable[[Sequence[Any]], TypingTuple]:
+        """The values of a ``schema`` row -> the output values; a column
+        ``schema`` lacks is a :class:`QueryError`."""
+        positions = []
+        for column in self.columns:
+            pos = schema.locate(column)
+            if pos is None:
+                raise QueryError(f"unknown column {column!r}")
+            positions.append(pos)
+        return _picker(positions)
 
 
 class WindowedPlan:
@@ -196,7 +213,7 @@ class WindowedPlan:
         # Bound at the first window (see _bind).
         self._schemas: Dict[str, Schema] = {}
         self._filters: Dict[str, Optional[Check]] = {}
-        self._steps: List[_JoinStep] = []
+        self._steps: List[JoinStep] = []
         #: ``SELECT *``: the joined schema its output rows carry.
         self._star: Optional[Schema] = None
         self._project: Optional[TypingTuple[Callable, Schema]] = None
@@ -266,60 +283,33 @@ class WindowedPlan:
         if self._stems:
             return
         names = self._names
-        where = {b: i for i, b in enumerate(names)}
         schemas = [self.catalog.lookup(obj).schema if b == obj
                    else self.catalog.alias_schema(obj, b)
                    for b, obj in self.compiled.bindings]
-        offsets = [sum(len(s) for s in schemas[:i])
-                   for i in range(len(schemas))]
         self._schemas = dict(zip(names, schemas))
-
-        def locator(base: int) -> Locate:
-            def locate(column: str) -> Optional[int]:
-                binding, _dot, name = column.partition(".")
-                i = where.get(binding)
-                pos = schemas[i].locate(name) if i is not None else None
-                return None if pos is None else offsets[i] + pos - base
-            return locate
+        joined = reduce(Schema.join, schemas)
 
         def located(column: str) -> int:
-            pos = locator(0)(column)
+            pos = joined.locate(column)
             if pos is None:
                 raise QueryError(f"unknown column {column!r}")
             return pos
 
-        # Each factor runs where its last binding joins: alone on that
-        # binding's rows when it reads one binding, else at that join
-        # step, where the step's first equijoin factor picks the bucket.
-        stems: Dict[str, SteM] = {}
-        steps: List[_JoinStep] = []
-        local: List[List[Predicate]] = [[] for _ in names]
-        at_step: List[List[Predicate]] = [[] for _ in names]
-        for factor in self.compiled.predicate.conjuncts():
-            last = max((where[s] for s in factor.sources()), default=0)
-            (at_step if len(factor.sources()) > 1 else local)[last].append(
-                factor)
-        for i, b in enumerate(names):
-            self._filters[b] = And(*local[i]).bind(locator(offsets[i])) \
-                if local[i] else None
-            if not i:
-                stems[b] = SteM(b)
-                continue
-            factors = at_step[i]
-            index = next((f for f in factors if isinstance(
-                f, ColumnComparison) and f.is_equijoin()), None)
-            column, key = None, 0
-            if index is not None:
-                factors = [f for f in factors if f is not index]
-                column = index.column_of(b)
-                key = located(index.left if column == index.right
-                              else index.right)
-            stems[b] = SteM(b, index_columns=[column] if column else ())
-            steps.append(_JoinStep(
-                stems[b], column, key,
-                And(*factors).bind(locator(0)) if factors else None))
+        # A factor over one binding filters that binding's rows; the
+        # rest run at the join steps (see join_steps).
+        factors = self.compiled.predicate.conjuncts()
+        local: Dict[str, List[Predicate]] = {b: [] for b in names}
+        for factor in factors:
+            sources = factor.sources()
+            if len(sources) < 2:
+                local[min(sources, default=names[0])].append(factor)
+        for b, schema in zip(names, schemas):
+            self._filters[b] = And(*local[b]).bind(schema.locate) \
+                if local[b] else None
+        stems = {names[0]: SteM(names[0])}
+        steps = join_steps(schemas, factors, lambda b, column: stems.setdefault(
+            b, SteM(b, index_columns=[column] if column else ())))
 
-        joined = reduce(Schema.join, schemas)
         aggs = [item for item in self.select_items if item.aggregate]
         if aggs:
             plain = [item for item in self.select_items
@@ -336,26 +326,14 @@ class WindowedPlan:
                   else located(self._qualify(item.column)))
                  for item in aggs],
                 out)
-        elif len(self.select_items) == 1 and self.select_items[0].is_star \
-                and not self.select_items[0].alias:
-            self._star = out = joined
         else:
-            columns: List[TypingTuple[str, int]] = []   # (out name, position)
-            for item in self.select_items:
-                if item.is_star:
-                    # "*", or "c2.*": every column of that binding.
-                    prefix = item.alias + "."
-                    columns.extend(
-                        (col, pos) for pos, col in
-                        enumerate(joined.column_names())
-                        if not item.alias or len(names) == 1
-                        or col.startswith(prefix))
-                else:
-                    columns.append((item.output_name(),
-                                    located(self._qualify(item.column))))
-            out = Schema([Column(name) for name, _pos in columns],
-                         sources=names)
-            self._project = (_picker([pos for _name, pos in columns]), out)
+            projection = Projection(self.select_items, names, joined,
+                                    self._qualify)
+            out = projection.schema
+            if out is joined:
+                self._star = out
+            else:
+                self._project = (projection.picker(joined), out)
         if self.order_by is not None:
             column, descending = self.order_by
             pos = out.locate(column)
@@ -460,9 +438,10 @@ def compile_query(spec: QuerySpec, catalog: Catalog) -> CompiledQuery:
         compiled.window_plan = WindowedPlan(compiled, spec.for_loop, catalog)
         return compiled
     if any_stream:
-        if spec.is_aggregate:
+        if spec.is_aggregate or spec.distinct or spec.order_by is not None:
             raise QueryError(
-                "aggregates over unbounded streams need a for-loop window "
-                "(Section 4.1: blocking operators run over windows)")
+                "aggregates, DISTINCT and ORDER BY over unbounded streams "
+                "need a for-loop window (Section 4.1: blocking operators "
+                "run over windows)")
         return CompiledQuery(spec, "continuous", bindings, predicate)
     return CompiledQuery(spec, "snapshot", bindings, predicate)

@@ -509,6 +509,24 @@ def decompose(predicate: Predicate) -> "DecomposedPredicate":
     return DecomposedPredicate(singles, joins, residual)
 
 
+def join_order(start: str, factors: Sequence[Predicate]) -> List[str]:
+    """The sources reachable from ``start`` over the equijoin factors
+    among ``factors``, breadth first: ``start``, the partners its
+    factors name, then theirs, each in factor order.  A join from an
+    arriving ``start`` row runs in this order; a source it leaves out
+    has no equijoin path to ``start``."""
+    pairs = [f.sources() for f in factors
+             if isinstance(f, ColumnComparison) and f.is_equijoin()]
+    order = [start]
+    for source in order:        # grows as partners are reached
+        for pair in pairs:
+            if source in pair:
+                (partner,) = pair - {source}
+                if partner not in order:
+                    order.append(partner)
+    return order
+
+
 class DecomposedPredicate:
     """The result of :func:`decompose`."""
 

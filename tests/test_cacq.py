@@ -128,9 +128,9 @@ class TestDynamicQueries:
         q = engine.add_query(
             ["trades", "quotes"],
             ColumnComparison("trades.sym", "==", "quotes.sym"))
-        assert engine._pair_factors
+        assert engine.join_classes
         engine.remove_query(q)
-        assert not engine._pair_factors
+        assert not engine.join_classes
 
 
 class TestJoins:
@@ -367,10 +367,11 @@ def test_cacq_equals_per_query_baseline_under_churn(operations):
     for cq, pq in admitted:
         assert values_of(cq.results) == values_of(pq.results)
     assert set(cacq.queries) == {admitted[k][0].qid for k in live}
-    for pair, mask in cacq._pair_mask.items():
-        assert mask == sum(bit for bit, _f in cacq._pair_factors[pair])
+    for cls in cacq.join_classes.values():
+        assert cls.mask == sum(q.bit for q in cacq.queries.values()
+                               if q.join_class is cls)
     for k in sorted(live):
         cacq.remove_query(admitted[k][0])
-    assert not cacq._pair_factors and not cacq._pair_mask
+    assert not cacq.join_classes
     assert all(gf.registered_mask == 0 and len(gf) == 0
                for gf in cacq.filters.values())

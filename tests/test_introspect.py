@@ -277,12 +277,13 @@ def test_server_explain_analyze_two_join_cacq():
         assert abs(by_name[f"stem[{s}]"]["selectivity"] -
                    stem.observed_hit_rate()) < 1e-6
 
-    # Stream a's route: filter, then build, then probe its join
-    # partner (the join graph is the chain a-b-c, so a probes only b
-    # while b probes both neighbours).
+    # Stream a's route: filter, then build, then the join steps in
+    # breadth-first order over the chain a-b-c: a's rows probe b, and
+    # the pairs probe c.
     route_a = next(o["order"] for o in report["orderings"]
                    if "gf[a.v]" in o["order"])
-    assert route_a == ["gf[a.v]", "build[a]", "probe[stem[b]]"]
+    assert route_a == ["gf[a.v]", "build[a]", "probe[stem[b]]",
+                       "probe[stem[c]]"]
     route_b = next(o["order"] for o in report["orderings"]
                    if "build[b]" in o["order"])
     assert route_b == ["build[b]", "probe[stem[a]]", "probe[stem[c]]"]

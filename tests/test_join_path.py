@@ -257,7 +257,7 @@ def test_cacq_equijoin_builds_each_match_once(monkeypatch,
         monkeypatch.undo()
         matches = len(cursor.fetch())
     assert matches == 100
-    assert built == 40 + matches        # the base rows, and each match
+    assert built == 40      # the base rows; each match is a value Row
 
 
 # -- door level ------------------------------------------------------------------

@@ -23,6 +23,15 @@ from repro.monitor.telemetry import (MetricRegistry, TelemetrySnapshot,
 from repro.query.predicates import Comparison
 
 
+@pytest.fixture
+def private_registry():
+    """A registry of the test's own: series of objects other tests left
+    for the collector to reap cannot move between two snapshots."""
+    previous = set_registry(MetricRegistry())
+    yield
+    set_registry(previous)
+
+
 # ---------------------------------------------------------------------------
 # registry semantics
 # ---------------------------------------------------------------------------
@@ -251,7 +260,8 @@ class TestSnapshotStability:
             assert ingress == round_no + 1 > last_ingress
             last_steps, last_ingress = steps, ingress
 
-    def test_identical_state_gives_identical_snapshots(self):
+    def test_identical_state_gives_identical_snapshots(self,
+                                                       private_registry):
         from repro.core.engine import TelegraphCQServer
 
         server = TelegraphCQServer()
