@@ -5,11 +5,10 @@ potential for sharing work ... we create query classes for disjoint
 sets of footprints."
 
 In the paper a class is what one Execution Object (one thread) runs.
-This server runs CACQ synchronously inside the door, with its shared
-state already keyed per stream, so every continuous query lives in the
-server's one CACQ engine and footprint classes place only the windowed
-DUs into EOs.  What a class promised continuous queries is checked on
-that one engine.
+This server has no threads and runs CACQ synchronously inside the door,
+with its shared state already keyed per stream, so every continuous
+query lives in the server's one CACQ engine and there are no classes.
+What a class promised continuous queries is checked on that one engine.
 
 Setup: two disjoint stream groups (stocks, sensors) × N queries each.
 Checked:

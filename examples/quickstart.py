@@ -52,8 +52,8 @@ def main() -> None:
               f"{rows[0]['avg_price']:.2f}")
 
     stats = conn.stats()
-    print("\nserver stats:", stats["executor"]["eos"],
-          "execution object(s),",
+    print("\nserver stats:", stats["executor"]["dus"],
+          "live windowed plan(s),",
           stats["continuous_queries"], "standing quer(ies)")
 
 

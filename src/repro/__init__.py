@@ -7,7 +7,8 @@ The package implements the full TelegraphCQ stack in pure Python:
   API and the cooperative dataflow scheduler;
 * **adaptive core** (:mod:`repro.core`) — eddies, routing policies,
   SteMs, grouped filters, the CACQ shared-CQ engine, PSoup, window
-  semantics, the EO/DU executor, and the server facade;
+  semantics, and the server facade (whose scheduler runs the windowed
+  plans);
 * **query language** (:mod:`repro.query`) — the SQL subset with the
   paper's for-loop ``WindowIs`` clause, catalog, and optimizer;
 * **ingress** (:mod:`repro.ingress`) — pull/push source wrappers,

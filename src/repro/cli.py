@@ -332,7 +332,7 @@ class TelegraphShell:
         stats = self.conn.stats()
         lines = [f"ingested tuples : {stats['ingested']}",
                  f"standing queries: {stats['continuous_queries']}",
-                 f"execution objs  : {stats['executor']['eos']}"]
+                 f"windowed plans  : {stats['executor']['dus']}"]
         for stream, n in stats["streams"].items():
             lines.append(f"stream {stream}: {n} tuples stored")
         snapshot = self.conn.telemetry()

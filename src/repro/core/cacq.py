@@ -45,7 +45,7 @@ from collections import defaultdict
 from functools import reduce
 from operator import itemgetter
 from typing import (Any, Callable, Dict, FrozenSet, List, Optional, Sequence,
-                    Tuple as TypingTuple, Union)
+                    Set, Tuple as TypingTuple, Union)
 
 import repro.monitor.tracing as tracing
 from repro.core.grouped_filter import GroupedFilter
@@ -197,10 +197,13 @@ class CACQEngine:
         # Join classes by (footprint, equijoin column pairs).
         self.join_classes: Dict[TypingTuple[FrozenSet[str], FrozenSet[Any]],
                                 JoinClass] = {}
-        # Masks: which query bits read each stream, and which read it
-        # alone (its selection-only queries).
+        # Masks: which query bits read each stream, which read it alone
+        # (its selection-only queries), and which join it (the bits of
+        # the join classes whose footprint holds it: a row its SteM
+        # keeps has one of them).
         self._source_mask: Dict[str, int] = defaultdict(int)
         self._home_mask: Dict[str, int] = defaultdict(int)
+        self._keep_mask: Dict[str, int] = defaultdict(int)
         #: bumped by every admission and removal; a batch in flight
         #: compares it after each row (see :meth:`push_batch`).
         self.generation = 0
@@ -299,6 +302,8 @@ class CACQEngine:
             return query
         self.join_classes[cls.key] = cls
         cls.mask |= query.bit
+        for s in footprint:
+            self._keep_mask[s] |= query.bit
         query.join_class = cls
         query.schema = cls.schema
         return query
@@ -326,9 +331,28 @@ class CACQEngine:
         if cls is None:
             self._home_mask[next(iter(query.footprint))] &= ~query.bit
         else:
+            for s in query.footprint:
+                self._keep_mask[s] &= ~query.bit
             cls.mask &= ~query.bit
             if not cls.mask:
                 del self.join_classes[cls.key]
+                self._prune_stems()
+
+    def _prune_stems(self) -> None:
+        """Drop the SteMs no live join class's footprint holds, and the
+        indexes no live class's steps probe."""
+        used: Dict[str, Set[Optional[str]]] = {}
+        for cls in self.join_classes.values():
+            for stream in cls.key[0]:
+                used.setdefault(stream, set())
+            for steps, _pick in cls.routes.values():
+                for step in steps:
+                    used[step.stem.source].add(step.column)
+        for stream in list(self.stems):
+            if stream in used:
+                self.stems[stream].keep_indexes(used[stream])
+            else:
+                del self.stems[stream]
 
     def _stream_of_column(self, column: str,
                           footprint: FrozenSet[str]) -> str:
@@ -368,10 +392,10 @@ class CACQEngine:
         arrival order, through the super-query; results go to each
         query's callback / results list.
 
-        The filters read the rows' values; a row some query still wants
-        becomes a :class:`Tuple` at its turn if the stream has a SteM to
-        build it into, and is delivered as a :class:`Row` otherwise (a
-        row that already is a tuple is used itself).
+        The filters read the rows' values; a row some join class still
+        wants becomes a :class:`Tuple` at its turn and is built into the
+        stream's SteM, and any other row is delivered as a :class:`Row`
+        (a row that already is a tuple is used itself).
 
         Returns how many rows were consumed.  That is all of them unless
         a result callback admitted or cancelled a query: the change must
@@ -424,16 +448,17 @@ class CACQEngine:
             # comes, dropped ones included.
             work = sorted({i for i, t in built.items()
                            if t.trace is not None}.union(live))
-        # 2. per surviving row, in arrival order: on a stream with a home
-        # SteM the row becomes a tuple, builds into it so later arrivals
-        # find it, is delivered to selection-only queries and runs each
-        # join class it is alive for.  Elsewhere the row is delivered as
-        # a value Row.
+        # 2. per surviving row, in arrival order: a row alive for a join
+        # class becomes a tuple, builds into the stream's home SteM so
+        # later arrivals find it, is delivered to selection-only queries
+        # and runs each join class it is alive for.  Any other row is
+        # delivered as a value Row.
         schema, stamps = rows.schema, rows.stamps
         stem = self.stems.get(stream)
         # A class admitted mid-batch has no bit in this row's lineage.
         joins = [cls for cls in self.join_classes.values()
                  if stream in cls.routes] if stem is not None else ()
+        keep = self._keep_mask.get(stream, 0) if stem is not None else 0
         deliver = self._deliver
         # A callback that changes the masks moves the generation, and
         # the batch stops after that row: the home mask holds till then.
@@ -443,15 +468,14 @@ class CACQEngine:
             for i in work:
                 mask = masks[i]
                 t = built.get(i) if built else None
-                if t is None and stem is None:
-                    # No SteM stores the row and no join probes with it
-                    # (a stream with no home SteM is in no join class):
+                if t is None and not mask & keep:
+                    # No SteM stores the row and no join probes with it:
                     # it is a result and nothing more.
                     if mask & home:
                         deliver(Row(schema, values[i], stamps[i]),
                                 mask & home)
                 else:
-                    if t is None:   # a live row, built at its turn
+                    if t is None:   # a kept row, built at its turn
                         t = Tuple(schema, values[i], stamps[i], 0, mask)
                     else:
                         if t.trace is not None:
@@ -459,9 +483,9 @@ class CACQEngine:
                         if not mask:
                             continue
                         t.queries = mask
-                        if stem is not None:
+                        if mask & keep:
                             t.stamp_arrival()
-                    if stem is not None:
+                    if mask & keep:
                         stem.build(t)
                     if mask & home:
                         deliver(t, mask & home)

@@ -5,13 +5,13 @@ three cooperating components over in-memory queues standing in for the
 shared-memory segments:
 
 * the **FrontEnd** role — :meth:`TelegraphCQServer.submit`: parse,
-  analyse, optimize into an adaptive plan, and place it on the query
-  plan queue (QPQueue) for the executor to fold in dynamically;
+  analyse, optimize into an adaptive plan, and fold it into the running
+  executor (a windowed plan first runs at the next step);
 * the **Executor** role — continuous selection/join queries run in the
   server's one shared CACQ engine, synchronously with the rows that
-  reach it; windowed queries run as incremental Dispatch Units of
-  :class:`repro.core.executor.Executor`, in Execution Objects by query
-  footprint class;
+  reach it; each windowed query's plan is one unit of the server's
+  round-robin :class:`repro.sched.scheduler.Scheduler`, which
+  :meth:`TelegraphCQServer.step` runs one pass of;
 * the **Wrapper** role — :meth:`push` / :class:`repro.ingress` feed
   streams; every arrival is materialised in the stream's historical
   store (so new queries can see old data) and routed to the live CQs.
@@ -32,7 +32,6 @@ from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple as Typi
 from repro.analysis.plan_check import AdmissionContext, check_compiled
 from repro.analysis.report import Diagnostic, PlanCheckWarning
 from repro.core.cacq import CACQEngine, ContinuousQuery
-from repro.core.executor import DispatchUnit, Executor
 from repro.core.tuples import Row, Rows, Schema, Tuple
 from repro.core.windows import HistoricalStore
 from repro.errors import ExecutionError, PlanCheckError, QueryError
@@ -40,6 +39,7 @@ from repro.ingress.ingress import IngressPoint
 from repro.monitor.telemetry import get_registry
 import repro.monitor.tracing as tracing
 from repro.sched.protocol import StepResult
+from repro.sched.scheduler import Scheduler, drive
 from repro.query.ast import QuerySpec
 from repro.query.catalog import Catalog
 from repro.query.optimizer import (CompiledQuery, Projection, WindowedPlan,
@@ -228,12 +228,10 @@ class ClientProxy:
 
 
 class _WindowedQueryState:
-    """Incremental execution state for one windowed query DU.
-
-    Satisfies the :class:`repro.sched.protocol.Schedulable` protocol
-    (``run_once`` / ``finished``) so the executor can host it directly
-    inside a scheduler-controlled EO.
-    """
+    """Incremental execution state for one windowed query: a
+    :class:`repro.sched.protocol.Schedulable` unit (``run_once`` /
+    ``finished``) of the server's scheduler, which drops it once it
+    finishes (cancelled, or its for-loop ran out)."""
 
     def __init__(self, plan: WindowedPlan, spec_iter, cursor: Cursor,
                  server: "TelegraphCQServer"):
@@ -249,12 +247,15 @@ class _WindowedQueryState:
         self.pending: Optional[TypingTuple[int, Dict[str, TypingTuple[int, int]]]] = None
         self.done = False
         self.windows_evaluated = 0
+        #: quanta this unit has run (``tcq_executor_du_quanta_total``).
+        self.quanta = 0
 
     @property
     def finished(self) -> bool:
         return self.done
 
     def run_once(self, quantum: Optional[int] = None) -> "StepResult":
+        self.quanta += 1
         worked = self.step(16 if quantum is None else quantum)
         if self.done:
             return StepResult(worked, finished=True)
@@ -315,7 +316,12 @@ class TelegraphCQServer:
 
     def __init__(self, max_cursors_per_proxy: int = 16):
         self.catalog = Catalog()
-        self.executor = Executor()
+        #: the executor: one unit per live windowed plan, every unit one
+        #: quantum per :meth:`step`.
+        self.scheduler = Scheduler(name="executor")
+        self.steps = 0
+        #: quanta run by windowed plans that have since finished.
+        self._retired_quanta = 0
         self.stores: Dict[str, HistoricalStore] = {}
         #: per-stream :class:`~repro.ingress.ingress.IngressPoint`: the
         #: one door rows enter a stream through (shed, store, count,
@@ -590,10 +596,9 @@ class TelegraphCQServer:
         spec = plan.build_spec(bound_env)
         state = _WindowedQueryState(plan, iter(spec), cursor, self)
         cursor._windowed_state = state
-        du = DispatchUnit(
-            state.name, DispatchUnit.MODE_SINGLE_EDDY,
-            step=state.run_once, is_finished=lambda: state.done)
-        self.executor.enqueue_plan(compiled.footprint, du)
+        # Windows are evaluated only inside step: the plan first runs at
+        # the next one.
+        self.scheduler.add(state)
 
     def _window_rows(self, obj: str, lo: int, hi: int) -> Rows:
         """``obj``'s rows stamped ``lo..hi``."""
@@ -609,13 +614,22 @@ class TelegraphCQServer:
 
     # -- driving the executor -------------------------------------------------------
     def step(self, batch: int = 16) -> StepResult:
-        """One scheduling round; returns the executor's
-        :class:`~repro.sched.protocol.StepResult` (truthy iff progress
-        was made, exactly like the historical bool)."""
-        return self.executor.step(batch)
+        """One scheduling round: every live windowed plan evaluates up
+        to ``batch`` ready windows.  A plan that finished in it leaves
+        the scheduler, releasing its plan and SteMs.  Truthy iff some
+        plan made progress; never finished, since plans fold in at any
+        time."""
+        self.steps += 1
+        sched = self.scheduler
+        worked = sched.pass_once(batch).worked
+        for state in sched.units:
+            if state.finished:
+                sched.remove(state.name)
+                self._retired_quanta += state.quanta
+        return StepResult.BUSY if worked else StepResult.IDLE
 
     def run_until_quiescent(self, max_steps: int = 100_000) -> int:
-        return self.executor.run_until_quiescent(max_steps)
+        return drive(self.step, max_steps)
 
     # -- lifecycle ---------------------------------------------------------------
     def open_cursors(self) -> List[Cursor]:
@@ -671,6 +685,19 @@ class TelegraphCQServer:
         reg.gauge("tcq_server_proxies", "Client proxies open",
                   collected=True).set(
             sum(len(p) for p in self._proxies.values()))
+        reg.counter("tcq_executor_steps_total",
+                    "Scheduling rounds over the windowed plans",
+                    collected=True).set_total(self.steps)
+        reg.gauge("tcq_executor_dus", "Live windowed plans",
+                  collected=True).set(len(self.scheduler))
+        quanta = reg.counter("tcq_executor_du_quanta_total",
+                             "Quanta run per windowed plan (finished "
+                             "plans fold into du=retired)", ("du",),
+                             collected=True)
+        for state in self.scheduler.units:
+            quanta.labels(state.name).set_total(state.quanta)
+        if self._retired_quanta:
+            quanta.labels("retired").set_total(self._retired_quanta)
 
     # -- introspection -----------------------------------------------------------
     def find_cursor(self, cursor_id: int) -> Cursor:
@@ -805,7 +832,8 @@ class TelegraphCQServer:
             "ingested": self.tuples_ingested,
             "streams": {s: len(store) for s, store in self.stores.items()},
             "continuous_queries": len(self.cacq.queries),
-            "executor": self.executor.stats(),
+            "executor": {"steps": self.steps,
+                         "dus": len(self.scheduler)},
             "proxies": {client: len(proxies)
                         for client, proxies in self._proxies.items()},
         }

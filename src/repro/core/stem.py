@@ -98,6 +98,12 @@ class SteM:
         self._indexes[column] = index
         self._keyed_schema = None
 
+    def keep_indexes(self, columns: Set[Optional[str]]) -> None:
+        """Drop every hash index on a column not in ``columns``."""
+        for column in [c for c in self._indexes if c not in columns]:
+            del self._indexes[column]
+            self._keyed_schema = None
+
     def _keys_of(self, schema: Schema) -> List[TypingTuple[int, Dict[Any, List[Tuple]]]]:
         if schema is not self._keyed_schema:
             self._key_positions = [(schema.index_of(col), index)

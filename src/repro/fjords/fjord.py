@@ -7,10 +7,10 @@ A Fjord owns the wiring (``connect``) and delegates the run loop
 bit-compatible with the historical hand-rolled loop.
 
 A Fjord is itself a :class:`~repro.sched.protocol.Schedulable`
-(``run_once`` / ``finished``), which is how
-the multi-query executor in :mod:`repro.core.executor` hosts many Fjords
-as Dispatch Units inside scheduler-controlled EOs — the single-plan
-analogue of the TelegraphCQ Execution Object.
+(``run_once`` / ``finished``), so any
+:class:`~repro.sched.scheduler.Scheduler` can host whole Fjords beside
+other units — the single-plan analogue of the TelegraphCQ Execution
+Object.
 """
 
 from __future__ import annotations

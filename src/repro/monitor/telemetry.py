@@ -13,7 +13,7 @@ Three metric kinds, each a *family* of labeled series:
   (``tcq_eddy_tuples_routed_total``);
 * :class:`Gauge` — point-in-time levels (``tcq_fjords_queue_depth``);
 * :class:`Histogram` — bucketed distributions
-  (``tcq_executor_du_busy_ratio``).
+  (``tcq_trace_e2e_latency_seconds``).
 
 Two publication styles, chosen per call site by cost:
 

@@ -87,7 +87,8 @@ FLIPPED: Dict[str, str] = {
     "<": ">", "<=": ">=", ">": "<", ">=": "<=",
 }
 
-#: Logical negation of each operator (used by NOT push-down).
+#: Logical negation of each operator (used by NOT push-down: see
+#: :meth:`Predicate.negate`).
 NEGATED: Dict[str, str] = {
     "==": "!=", "=": "!=", "!=": "==", "<>": "==",
     "<": ">=", "<=": ">", ">": "<=", ">=": "<",
@@ -174,7 +175,14 @@ class Predicate:
         return Or(self, other)
 
     def __invert__(self) -> "Predicate":
-        return Not(self)
+        return self.negate()
+
+    def negate(self) -> "Predicate":
+        """NOT this predicate, in negation-normal form: De Morgan over
+        AND/OR down to the comparisons, each of which flips its
+        operator.  No negation node exists, so every factor keeps "a
+        NULL, NaN or unorderable value fails it" under a NOT too."""
+        raise NotImplementedError
 
 
 class TruePredicate(Predicate):
@@ -188,6 +196,9 @@ class TruePredicate(Predicate):
 
     def bind(self, locate: Locate) -> Check:
         return _always
+
+    def negate(self) -> Predicate:
+        return Or()     # the empty disjunction: never holds
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, TruePredicate)
@@ -330,6 +341,10 @@ class ColumnComparison(Predicate):
     def columns(self) -> Set[str]:
         return {self.left, self.right}
 
+    def negate(self) -> "ColumnComparison":
+        return ColumnComparison(self.left, NEGATED[self.op], self.right,
+                                span=self.span)
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ColumnComparison):
             return NotImplemented
@@ -377,6 +392,9 @@ class And(Predicate):
             return checks[0]
         return lambda values: all(part(values) for part in checks)
 
+    def negate(self) -> Predicate:
+        return Or(*(p.negate() for p in self.parts))
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, And):
             return NotImplemented
@@ -408,6 +426,9 @@ class Or(Predicate):
         checks = [p.bind(locate) for p in self.parts]
         return lambda values: any(part(values) for part in checks)
 
+    def negate(self) -> Predicate:
+        return And(*(p.negate() for p in self.parts))
+
     def columns(self) -> Set[str]:
         out: Set[str] = set()
         for p in self.parts:
@@ -426,44 +447,10 @@ class Or(Predicate):
         return "(" + " OR ".join(map(repr, self.parts)) + ")"
 
 
-class Not(Predicate):
-    """Negation; ``Not(Comparison)`` normalises to the flipped operator."""
-
-    __slots__ = ("part",)
-
-    def __new__(cls, part: Predicate):
-        if isinstance(part, Comparison):
-            return part.negate()
-        if isinstance(part, Not):
-            return part.part
-        return super().__new__(cls)
-
-    def __init__(self, part: Predicate):
-        if isinstance(part, (Comparison,)):
-            return  # __new__ already returned the normalised form
-        self.part = part
-
-    def __getnewargs__(self) -> TypingTuple[Predicate]:
-        # Unpickling calls __new__ with these: it needs the part.
-        return (self.part,)
-
-    def bind(self, locate: Locate) -> Check:
-        inner = self.part.bind(locate)
-        return lambda values: not inner(values)
-
-    def columns(self) -> Set[str]:
-        return self.part.columns()
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Not):
-            return NotImplemented
-        return self.part == other.part
-
-    def __hash__(self) -> int:
-        return hash(("Not", self.part))
-
-    def __repr__(self) -> str:
-        return f"NOT {self.part!r}"
+def Not(part: Predicate) -> Predicate:
+    """NOT ``part``: its :meth:`~Predicate.negate`, so a parsed NOT is
+    pushed down to the comparisons as it is built."""
+    return part.negate()
 
 
 def rewrite_columns(predicate: Predicate, resolve) -> Predicate:
@@ -481,8 +468,6 @@ def rewrite_columns(predicate: Predicate, resolve) -> Predicate:
         return And(*(rewrite_columns(p, resolve) for p in predicate.parts))
     if isinstance(predicate, Or):
         return Or(*(rewrite_columns(p, resolve) for p in predicate.parts))
-    if isinstance(predicate, Not):
-        return Not(rewrite_columns(predicate.part, resolve))
     if isinstance(predicate, TruePredicate):
         return predicate
     raise QueryError(f"cannot rewrite predicate of type {type(predicate)}")

@@ -1,8 +1,8 @@
 """The Schedulable protocol: the one contract every run loop speaks.
 
 TelegraphCQ's executor story (Section 4.2.2) is about hosting many
-heterogeneous units of work — Fjord modules, whole dataflows, Dispatch
-Units, windowed-query states — under schedulers that provide
+heterogeneous units of work — Fjord modules, whole dataflows,
+windowed-query states — under schedulers that provide
 "adaptivity at minimal overhead".  Before this module existed the repo
 had four hand-rolled loops with two progress vocabularies (a
 :class:`StepResult` here, a bare ``bool`` there).  Everything now agrees
@@ -15,8 +15,7 @@ on one tiny surface:
 * ``name`` — stable identity for telemetry.
 
 The protocol is structural: :class:`~repro.fjords.module.Module`,
-:class:`~repro.fjords.fjord.Fjord`,
-:class:`~repro.core.executor.DispatchUnit`, Juggle, and the server's
+:class:`~repro.fjords.fjord.Fjord`, Juggle, and the server's
 windowed-query states all satisfy it without inheriting from anything
 in this package.
 """

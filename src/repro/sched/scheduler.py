@@ -1,8 +1,8 @@
 """The unified scheduler core (Section 4.2.2's executor, generalised).
 
-One :class:`Scheduler` replaces the four hand-rolled run loops the repo
-used to carry (``Fjord.step``/``run``, ``ExecutionObject``/``Executor``
-passes, ``TelegraphCQServer.step``, Flux drain ticks).  It hosts any
+One :class:`Scheduler` replaces the hand-rolled run loops the repo
+used to carry (``Fjord.step``/``run``, ``TelegraphCQServer.step``, Flux
+drain ticks).  It hosts any
 number of :class:`~repro.sched.protocol.Schedulable` units and runs them
 round-robin: every live unit gets one quantum per pass, in registration
 order.  Every pass returns a :class:`~repro.sched.protocol.StepResult`,
@@ -148,7 +148,7 @@ def drive(step: Any, max_passes: int = 1_000_000) -> int:
     returns passes taken, counting the final idle pass.
 
     The loop for components that keep their own step function (the
-    executor, the server facade, legacy benchmarks).
+    server facade, legacy benchmarks).
     """
     taken = 0
     while taken < max_passes:

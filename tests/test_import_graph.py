@@ -41,7 +41,7 @@ with connect() as conn:
     conn.explain(w, analyze=True)
 """
 
-#: every ``repro`` module :data:`SESSION` loads: 25 modules and the 9
+#: every ``repro`` module :data:`SESSION` loads: 24 modules and the 9
 #: packages above them.
 SERVING_SET = [
     "repro",
@@ -54,7 +54,6 @@ SERVING_SET = [
     "repro.core.aggregates",
     "repro.core.cacq",
     "repro.core.engine",
-    "repro.core.executor",
     "repro.core.grouped_filter",
     "repro.core.stem",
     "repro.core.tuples",

@@ -200,6 +200,44 @@ def test_a_join_on_an_unknown_column_is_refused_before_state_moves():
     assert [row.values for row in selection.results] == [(1,)]
 
 
+def _a_and_b(conn):
+    conn.create_stream("a", "k", "v")
+    conn.create_stream("b", "k", "w")
+    return conn.server.cacq
+
+
+def test_a_steM_stores_only_rows_some_join_class_keeps():
+    """A selection over the stream of a filtered join: every row it
+    passes is delivered, but only the 9 the join keeps are stored."""
+    with connect() as conn:
+        engine = _a_and_b(conn)
+        join = conn.submit("SELECT * FROM a, b "
+                           "WHERE a.k = b.k AND a.v > 90")
+        selection = conn.submit("SELECT * FROM a WHERE v > 0")
+        conn.push_rows("a", [(v % 7, v) for v in range(100)])
+        assert len(selection.fetch()) == 99
+        assert len(engine.stems["a"]) == 9
+        conn.push_rows("b", [(k, 0) for k in range(7)])
+        assert len(join.fetch()) == 9
+
+
+def test_steMs_and_indexes_live_only_while_a_join_class_reads_them():
+    with connect() as conn:
+        engine = _a_and_b(conn)
+        on_k = conn.submit("SELECT * FROM a, b WHERE a.k = b.k")
+        on_v = conn.submit("SELECT * FROM a, b WHERE a.v = b.w")
+        assert set(engine.stems["a"]._indexes) == {"a.k", "a.v"}
+        conn.cancel(on_v)
+        assert set(engine.stems["a"]._indexes) == {"a.k"}
+        assert set(engine.stems["b"]._indexes) == {"b.k"}
+        conn.push_rows("a", [(1, 1)])
+        conn.cancel(on_k)
+        assert engine.stems == {}
+        selection = conn.submit("SELECT * FROM a WHERE v > 0")
+        conn.push_rows("a", [(1, 2)])
+        assert engine.stems == {} and len(selection.fetch()) == 1
+
+
 # -- property: the shared engine against nested loops ------------------------
 
 STREAMS = ("S", "T", "U", "V")

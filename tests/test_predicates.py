@@ -6,8 +6,9 @@ from hypothesis import given, strategies as st
 from repro.core.tuples import Schema
 from repro.errors import QueryError
 from repro.query.predicates import (ALWAYS_TRUE, And, ColumnComparison,
-                                    Comparison, Not, Or, TruePredicate,
-                                    decompose, rewrite_columns)
+                                    Comparison, Not, OPS, Or,
+                                    TruePredicate, decompose,
+                                    rewrite_columns)
 
 S = Schema.of("S", "a", "b", "name")
 
@@ -108,7 +109,16 @@ class TestCombinators:
 
     def test_double_negation(self):
         inner = Comparison("a", ">", 1) | Comparison("b", ">", 1)
-        assert Not(Not(inner)) is inner
+        assert Not(Not(inner)) == inner
+
+    def test_not_pushes_down_to_the_comparisons(self):
+        p = Not(And(Comparison("a", ">", 1),
+                    Or(ColumnComparison("a", "==", "b"),
+                       Comparison("b", "<", 0))))
+        assert p == Or(Comparison("a", "<=", 1),
+                       And(ColumnComparison("a", "!=", "b"),
+                           Comparison("b", ">=", 0)))
+        assert Not(ALWAYS_TRUE) == Or() and Not(Or()) == And()
 
     def test_true_predicate(self):
         assert ALWAYS_TRUE.matches(row())
@@ -304,14 +314,14 @@ def test_a_used_predicate_pickles_and_binds_afresh():
     copy = pickle.loads(pickle.dumps(pred))
     assert copy == pred
     assert copy.matches(row(a=1, b=2)) and not copy.matches(row(a=3, b=2))
-    # NOT over anything but a comparison stays a Not, and pickles too.
+    # A NOT over anything is pushed down to comparisons, and pickles.
     for part in (Or(Comparison("a", ">", 1), Comparison("b", "<", 0)),
                  And(Comparison("a", ">", 1), Comparison("b", "<", 0)),
                  ColumnComparison("a", "<", "b")):
         negated = Not(part)
         assert negated.matches(row(a=1, b=2)) != part.matches(row(a=1, b=2))
         copy = pickle.loads(pickle.dumps(negated))
-        assert isinstance(copy, Not) and copy == negated
+        assert type(copy) is type(negated) and copy == negated
         for values in ({"a": 1, "b": 2}, {"a": 3, "b": 2}, {"a": 3, "b": -1}):
             assert copy.matches(row(**values)) == \
                 negated.matches(row(**values))
@@ -321,3 +331,94 @@ def test_column_of_names_the_source_side():
     factor = ColumnComparison("a.k", "==", "ab.k")
     assert factor.column_of("a") == "a.k"
     assert factor.column_of("ab") == "ab.k"
+
+
+# -- NOT is pushed down: one answer on NULL, NaN and mixed types ---------
+
+_NAN = float("nan")
+_VALUES = (None, _NAN, -1, 0, 1, 2.5, "a")
+_ORDERING = {"<", "<=", ">", ">="}
+
+
+def _kleene(tree, values):
+    """SQL's three-valued reading of an expression tree: True, False or
+    None (UNKNOWN).  A comparison is UNKNOWN on NULL, on values it
+    cannot order, and on a NaN it orders; a row passes iff the tree is
+    True."""
+    kind = tree[0]
+    if kind == "not":
+        inner = _kleene(tree[1], values)
+        return None if inner is None else not inner
+    if kind in ("and", "or"):
+        parts = [_kleene(t, values) for t in tree[1:]]
+        decided = False if kind == "and" else True
+        if decided in parts:
+            return decided
+        return None if None in parts else not decided
+    _, left, op, right = tree
+    lhs = values[left]
+    rhs = values[right] if kind == "cols" else right
+    if lhs is None or rhs is None:
+        return None
+    if op in _ORDERING and (lhs != lhs or rhs != rhs):     # a NaN
+        return None
+    try:
+        return OPS[op](lhs, rhs)
+    except TypeError:
+        return None
+
+
+def _build(tree):
+    """The tree through the factories the parser calls."""
+    kind = tree[0]
+    if kind == "not":
+        return Not(_build(tree[1]))
+    if kind == "and":
+        return And(*map(_build, tree[1:]))
+    if kind == "or":
+        return Or(*map(_build, tree[1:]))
+    if kind == "cols":
+        return ColumnComparison(tree[1], tree[2], tree[3])
+    return Comparison(tree[1], tree[2], tree[3])
+
+
+_OPS = st.sampled_from(["==", "!=", "<", "<=", ">", ">="])
+_COLS = st.sampled_from(["a", "b"])
+_LEAVES = st.one_of(
+    st.tuples(st.just("cmp"), _COLS, _OPS, st.sampled_from([0, 1, 2.5])),
+    st.tuples(st.just("cols"), st.just("a"), _OPS, st.just("b")))
+_TREES = st.recursive(
+    _LEAVES,
+    lambda sub: st.one_of(
+        st.tuples(st.just("not"), sub),
+        st.tuples(st.just("and"), sub, sub),
+        st.tuples(st.just("or"), sub, sub)),
+    max_leaves=6)
+
+
+@given(_TREES)
+def test_a_predicate_passes_a_row_iff_its_three_valued_reading_is_true(tree):
+    """Building pushes every NOT down to the comparisons, so no
+    negation node survives and "NULL, NaN or an unorderable value fails
+    the factor" holds under any NOT: the built predicate passes exactly
+    the rows SQL's three-valued logic reads as TRUE."""
+    pred = _build(tree)
+    assert "NOT" not in repr(pred)
+    for a in _VALUES:
+        for b in _VALUES:
+            assert pred.matches(row(a=a, b=b)) == \
+                (_kleene(tree, {"a": a, "b": b}) is True), (a, b)
+
+
+def test_not_of_a_disjunction_equals_the_conjunction_of_nots():
+    """Through the door: the two spellings deliver the same one row."""
+    from repro.client import connect
+    rows = [(None, 1), (_NAN, 1), (1, None), ("a", 5), (1, 5), (9, 1)]
+    delivered = []
+    for where in ("NOT (v > 5 OR w < 3)", "NOT (v > 5) AND NOT (w < 3)"):
+        with connect() as conn:
+            conn.create_stream("s", "v", "w")
+            cursor = conn.submit(f"SELECT * FROM s WHERE {where}")
+            conn.push_rows("s", rows)
+            delivered.append([r.values for r in cursor.fetch()])
+    assert delivered == [[(1, 5)], [(1, 5)]]
