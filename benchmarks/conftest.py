@@ -25,6 +25,17 @@ import pytest
 #: ``BENCH_<name>.json`` so the perf trajectory is tracked across PRs.
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
+#: False under pytest-benchmark's ``--benchmark-disable`` (and no
+#: ``--benchmark-enable``): a run that only checks shapes records
+#: nothing, so it leaves the tracked ``BENCH_*.json`` files as they are.
+_recording = True
+
+
+def pytest_configure(config: pytest.Config) -> None:
+    global _recording
+    _recording = not config.getoption("benchmark_disable", False) \
+        or bool(config.getoption("benchmark_enable", False))
+
 
 def record_result(name: str, params: dict, throughput: float,
                   wall_clock_s: float, **extra) -> str:
@@ -34,9 +45,12 @@ def record_result(name: str, params: dict, throughput: float,
     Each entry records the benchmark name, its parameters, throughput
     (tuples/s unless the benchmark says otherwise), and wall clock; the
     file accumulates a list so successive PRs' runs diff cleanly.
-    Returns the path written.
+    Returns the path written; under ``--benchmark-disable`` nothing is
+    written.
     """
     path = os.path.join(_REPO_ROOT, f"BENCH_{name}.json")
+    if not _recording:
+        return path
     entry = {
         "name": name,
         "params": params,

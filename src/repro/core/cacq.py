@@ -12,8 +12,7 @@ are still interested in it.  The two sharing mechanisms are:
   join queries over those streams probe the same state.  Join queries
   with one footprint and one set of equijoin factors form a *join
   class*: an arriving row runs the class's bound join steps once
-  (:func:`~repro.core.stem.join_steps`, in
-  :func:`~repro.query.predicates.join_order` from its stream) for every
+  (:func:`~repro.core.stem.join_route` from its stream) for every
   query of the class, and lineage says which queries each match is for.
 
 Query bitmaps are plain Python integers, so the engine supports an
@@ -49,7 +48,7 @@ from typing import (Any, Callable, Dict, FrozenSet, List, Optional, Sequence,
 
 import repro.monitor.tracing as tracing
 from repro.core.grouped_filter import GroupedFilter
-from repro.core.stem import JoinStep, SteM, join_steps
+from repro.core.stem import JoinStep, SteM, join_route
 from repro.core.tuples import Row, Rows, Schema, Tuple, joined_timestamp
 from repro.errors import QueryError
 from repro.monitor.telemetry import get_registry
@@ -141,8 +140,7 @@ class JoinClass:
     factors (``key``): their bits, the :attr:`schema` their matches are
     delivered in (the streams in the first query's FROM order), and
     ``routes``: per stream whose factors reach every other, its
-    :func:`~repro.core.stem.join_steps` in
-    :func:`~repro.query.predicates.join_order` from it and the picker
+    :func:`~repro.core.stem.join_route` and the picker
     that puts a match's values in the schema's order (None: they are).
     """
 
@@ -156,15 +154,13 @@ class JoinClass:
         self.schema = reduce(Schema.join, schemas)
         self.routes: Dict[str, TypingTuple[List[JoinStep],
                                            Optional[Callable]]] = {}
-        by_name = {schema.name: schema for schema in schemas}
-        for stream in by_name:
-            order = join_order(stream, factors)
-            if set(order) != set(by_name):
+        for schema in schemas:
+            stream = schema.name
+            if len(join_order(stream, factors)) < len(schemas):
                 continue
-            order = [by_name[s] for s in order]
-            joined = reduce(Schema.join, order)
+            steps, joined = join_route(stream, schemas, factors, stem_of)
             self.routes[stream] = (
-                join_steps(order, factors, stem_of),
+                steps,
                 None if joined is self.schema else itemgetter(
                     *map(joined.index_of, self.schema.column_names())))
 

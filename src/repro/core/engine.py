@@ -247,6 +247,8 @@ class _WindowedQueryState:
         self.pending: Optional[TypingTuple[int, Dict[str, TypingTuple[int, int]]]] = None
         self.done = False
         self.windows_evaluated = 0
+        #: result rows handed to the cursor, summed over the windows.
+        self.rows_delivered = 0
         #: quanta this unit has run (``tcq_executor_du_quanta_total``).
         self.quanta = 0
 
@@ -286,6 +288,7 @@ class _WindowedQueryState:
             rows = self.plan.window(bounds, self._scan)
             self.cursor._deliver_window(t, rows)
             self.windows_evaluated += 1
+            self.rows_delivered += len(rows)
             self.pending = None
             worked = True
         return worked
@@ -802,15 +805,27 @@ class TelegraphCQServer:
             notes.append("bindings: " + ", ".join(
                 f"{b}={o}" for b, o in compiled.bindings))
             notes.append(f"predicate: {compiled.predicate!r}")
-        state = cursor._windowed_state
-        if state is not None:
-            notes.append(f"windows evaluated: {state.windows_evaluated}"
-                         f" (done={state.done})")
         report: Dict[str, Any] = {
             "kind": cursor.kind, "target": query,
             "operators": [], "orderings": [], "ordering_source": "",
             "notes": notes,
         }
+        state = cursor._windowed_state
+        if state is not None:
+            notes.append(f"windows evaluated: {state.windows_evaluated}"
+                         f" (done={state.done})")
+            # The state the plan holds: its SteMs' rows and its kept
+            # results, each result made once however many windows it
+            # is delivered in.
+            held = dict(state.plan.state(),
+                        results_delivered=state.rows_delivered)
+            report["state"] = held
+            notes.append(
+                "state held: " + "".join(
+                    f"stem[{b}] {n} rows, " for b, n in held["rows"].items())
+                + f"{held['results_kept']} results kept; results built "
+                f"{held['results_built']}, delivered "
+                f"{held['results_delivered']}")
         if analyze:
             report["latency"] = self._trace_latency(query)
         return report

@@ -12,7 +12,8 @@ spanning the same set of base sources) and supports:
 * ``evict_before(ts)`` — window expiry.
 
 :func:`join_steps` binds a join over several SteMs to positions, one
-:class:`JoinStep` per binding after the first: the join body of both
+:class:`JoinStep` per binding after the first, and :func:`join_route`
+orders it from the binding a row arrives on: the join body of both
 windowed plans and CACQ's join classes.
 
 SteMs can be augmented with hash indexes on join columns; a probe uses an
@@ -25,20 +26,23 @@ Duplicate answers in a symmetric join are suppressed with the classic
 arrival-order rule: a match is generated only by the *later* arriving of
 the two tuples (we use the global tuple id as arrival order), so the
 pair is produced exactly once no matter how the eddy interleaves builds
-and probes.
+and probes.  A windowed plan needs no such check: its rows probe as
+they are built, so the SteMs they meet hold only earlier rows.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import defaultdict, deque
+from functools import reduce
 from typing import (Any, Callable, Deque, Dict, List, Optional, Sequence, Set,
                     Tuple as TypingTuple)
 
 from repro.core.tuples import Row, Schema, Tuple, TupleBatch
 from repro.errors import PlanError
 from repro.monitor.telemetry import get_registry
-from repro.query.predicates import And, Check, ColumnComparison, Predicate
+from repro.query.predicates import (And, Check, ColumnComparison, Predicate,
+                                    join_order)
 
 _STEM_IDS = itertools.count()
 
@@ -68,11 +72,13 @@ class SteM:
         self.source = source
         self.name = name or f"stem[{source}]"
         self._tuples: Deque[Tuple] = deque()
-        self._indexes: Dict[str, Dict[Any, List[Tuple]]] = {
-            col: defaultdict(list) for col in index_columns}
+        #: column -> key -> bucket.  A bucket is in build order, like
+        #: ``_tuples``, so the row expiry evicts is always its head.
+        self._indexes: Dict[str, Dict[Any, Deque[Tuple]]] = {
+            col: defaultdict(deque) for col in index_columns}
         #: (position, index) per index for rows of ``_keyed_schema``:
         #: key columns are found by name once per schema, not per row.
-        self._key_positions: List[TypingTuple[int, Dict[Any, List[Tuple]]]] = []
+        self._key_positions: List[TypingTuple[int, Dict[Any, Deque[Tuple]]]] = []
         self._keyed_schema: Optional[Schema] = None
         self.builds = 0
         self.probes = 0
@@ -90,7 +96,7 @@ class SteM:
         """Create a hash index on ``column``, indexing existing content."""
         if column in self._indexes:
             return
-        index: Dict[Any, List[Tuple]] = defaultdict(list)
+        index: Dict[Any, Deque[Tuple]] = defaultdict(deque)
         for t in self._tuples:
             key = t[column]
             if _keyed(key):
@@ -104,7 +110,7 @@ class SteM:
             del self._indexes[column]
             self._keyed_schema = None
 
-    def _keys_of(self, schema: Schema) -> List[TypingTuple[int, Dict[Any, List[Tuple]]]]:
+    def _keys_of(self, schema: Schema) -> List[TypingTuple[int, Dict[Any, Deque[Tuple]]]]:
         if schema is not self._keyed_schema:
             self._key_positions = [(schema.index_of(col), index)
                                    for col, index in self._indexes.items()]
@@ -125,9 +131,11 @@ class SteM:
             _hop(tr, self._telemetry_id, "build")
         if self._indexes:
             values = t.values
-            for pos, index in self._keys_of(t.schema):
+            keys = self._key_positions if t.schema is self._keyed_schema \
+                else self._keys_of(t.schema)
+            for pos, index in keys:
                 key = values[pos]
-                if _keyed(key):
+                if key is not None and key == key:      # _keyed
                     index[key].append(t)
 
     def build_batch(self, batch: TupleBatch) -> None:
@@ -145,24 +153,42 @@ class SteM:
         pops from the head.  Returns the eviction count.
         """
         tuples = self._tuples
-        evicted = 0
-        while tuples:
-            head = tuples[0]
-            if timestamp is not None and (head.timestamp is None
-                                          or head.timestamp >= timestamp):
-                break
-            tuples.popleft()
-            evicted += 1
-            if self._indexes:
-                values = head.values
-                for pos, index in self._keys_of(head.schema):
-                    bucket = index.get(values[pos])
-                    if bucket:
-                        bucket.remove(head)
-                        if not bucket:
-                            del index[values[pos]]
+        if timestamp is None:
+            evicted = len(tuples)
+        else:
+            evicted = 0
+            for t in tuples:
+                if t.timestamp is None or t.timestamp >= timestamp:
+                    break
+                evicted += 1
+        self._pop_oldest(evicted)
         self.evictions += evicted
         return evicted
+
+    def _pop_oldest(self, n: int) -> None:
+        """Remove the ``n`` oldest stored rows.  Each is the head of
+        ``_tuples`` and of its bucket in every index, since both are in
+        build order."""
+        tuples = self._tuples
+        if n == len(tuples):
+            tuples.clear()
+            for index in self._indexes.values():
+                index.clear()
+            return
+        if not self._indexes:
+            for _ in range(n):
+                tuples.popleft()
+            return
+        for _ in range(n):
+            head = tuples.popleft()
+            values = head.values
+            for pos, index in self._keys_of(head.schema):
+                key = values[pos]
+                if key is not None and key == key:      # _keyed
+                    bucket = index[key]
+                    bucket.popleft()
+                    if not bucket:
+                        del index[key]
 
     # -- probing ----------------------------------------------------------
     def matching(self, probers: Sequence[Tuple], column: Optional[str] = None,
@@ -391,6 +417,22 @@ def join_steps(schemas: Sequence[Schema], factors: Sequence[Predicate],
     return steps
 
 
+def join_route(start: str, schemas: Sequence[Schema],
+               factors: Sequence[Predicate],
+               stem_of: Callable[[str, Optional[str]], SteM]
+               ) -> TypingTuple[List[JoinStep], Schema]:
+    """The join a row arriving on ``start`` runs: the bindings in
+    :func:`~repro.query.predicates.join_order` from ``start``, then any
+    it leaves out (no equijoin path: scanned) in ``schemas``' order,
+    lowered by :func:`join_steps`; and the schema of its matches, those
+    bindings joined in that order."""
+    by_name = {schema.name: schema for schema in schemas}
+    order = join_order(start, factors)
+    order += [name for name in by_name if name not in order]
+    route = [by_name[name] for name in order]
+    return join_steps(route, factors, stem_of), reduce(Schema.join, route)
+
+
 class CacheSteM(SteM):
     """A SteM used as a cache of expensive lookups (Section 2.2's index
     join: "a SteM on T should also be built, as a cache of previous
@@ -411,11 +453,7 @@ class CacheSteM(SteM):
 
     def build(self, t: Tuple) -> None:
         if self.capacity and len(self._tuples) >= self.capacity:
-            victim = self._tuples.popleft()
-            for pos, index in self._keys_of(victim.schema):
-                bucket = index.get(victim.values[pos])
-                if bucket:
-                    bucket.remove(victim)
+            self._pop_oldest(1)
         super().build(t)
 
     def lookup(self, column: str, value: Any) -> List[Tuple]:

@@ -19,12 +19,15 @@ runtime never guesses; self-join aliases get their own logical sources.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import deque
 from functools import reduce
-from operator import itemgetter
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple as TypingTuple
+from operator import attrgetter, itemgetter
+from typing import (Any, Callable, Deque, Dict, List, Optional, Sequence,
+                    Tuple as TypingTuple)
 
 from repro.core.aggregates import make_aggregate
-from repro.core.stem import JoinStep, SteM, join_steps
+from repro.core.stem import JoinStep, SteM, join_route
 from repro.core.tuples import Column, Row, Rows, Schema, Tuple, joined_timestamp
 from repro.core.windows import ForLoopSpec, WindowIs
 from repro.errors import QueryError
@@ -165,6 +168,18 @@ class WindowedPlan:
     slides them to the window's bounds.  ``evaluate(window_data)`` runs
     the same body over one window's tuples per binding, from empty.
 
+    The plan keeps its results from one window to the next, as PSoup
+    materialises them (Section 3.2, [CF02]).  A row built into a
+    binding's SteM runs that binding's route
+    (:func:`~repro.core.stem.join_route`) once and meets only the rows
+    built before it, so each match is found once, by its newest row, and
+    made into its result object once.  A result is keyed by its rows'
+    arrival numbers in FROM order (a row's number is the count of rows
+    its SteM built before it).  Each window drops the results holding a
+    row some SteM evicted, merges the new ones in by key -- nested-loop
+    order -- and runs DISTINCT, ORDER BY and aggregates over that list,
+    so every window that holds a match hands back the same object.
+
     Every column the body reads is bound to a position when the first
     window fires; a plan without a ``clause`` has no WindowIs, so every
     binding is a static table (a snapshot query).
@@ -210,13 +225,24 @@ class WindowedPlan:
         #: (lo, hi) they were last slid to.
         self._stems: Dict[str, SteM] = {}
         self._last: Dict[str, TypingTuple[int, int]] = {}
+        #: binding -> id of each row its SteM holds -> the row's arrival
+        #: number; and those ids in build order, which eviction follows.
+        self._arrival: Dict[str, Dict[int, int]] = {}
+        self._arrived: Dict[str, Deque[int]] = {}
+        #: the kept results as (key, result object) in key order, and
+        #: per binding (FROM order) the arrival number below which its
+        #: rows were evicted when they were last dropped.
+        self._results: List[TypingTuple[TypingTuple[int, ...], Any]] = []
+        self._floors: List[int] = []
+        #: result objects made so far: one per match.
+        self.results_built = 0
         # Bound at the first window (see _bind).
         self._schemas: Dict[str, Schema] = {}
         self._filters: Dict[str, Optional[Check]] = {}
-        self._steps: List[JoinStep] = []
-        #: ``SELECT *``: the joined schema its output rows carry.
-        self._star: Optional[Schema] = None
-        self._project: Optional[TypingTuple[Callable, Schema]] = None
+        #: binding -> its route's join steps, what puts a key in FROM
+        #: order and what makes a match's result object.
+        self._routes: Dict[str, TypingTuple[List[JoinStep], Callable,
+                                            Callable]] = {}
         self._aggregates: Optional[TypingTuple[Optional[Callable],
                                                List, Schema]] = None
         self._order: Optional[TypingTuple[int, bool]] = None
@@ -241,45 +267,112 @@ class WindowedPlan:
         A binding moving forward forgets the rows stamped before ``lo``
         and reads only ``(last hi, hi]`` through ``scan``.  On its first
         window, or when either bound moves backward, it starts empty and
-        reads ``[lo, hi]``: the same slide, from nothing.
+        reads ``[lo, hi]``: the same slide, from nothing.  Every binding
+        evicts before any builds, so no new row meets a row this window
+        drops.
         """
         self._bind()
+        reads = []
         for binding, (lo, hi) in bounds.items():
             last = self._last.get(binding)
             fresh = last is None or lo < last[0] or hi < last[1]
-            self._slide(binding, None if fresh else lo,
-                        scan(binding, lo if fresh else max(lo, last[1] + 1),
-                             hi))
+            self._evict(binding, None if fresh else lo)
+            reads.append((binding, lo if fresh else max(lo, last[1] + 1), hi))
             self._last[binding] = (lo, hi)
-        return self._output()
+        self._drop_evicted()
+        new: List[TypingTuple[TypingTuple[int, ...], Any]] = []
+        for binding, lo, hi in reads:
+            self._build(binding, scan(binding, lo, hi), new)
+        return self._output(new)
 
     def evaluate(self, window_data: Dict[str, Sequence[Tuple]]) -> List[Row]:
         """filters -> join -> aggregate/distinct/sort -> project over one
         window's tuples per binding, fed to the standing state from
-        empty: a pure function of ``window_data``."""
+        empty (every row is new): a pure function of ``window_data``."""
         self._bind()
         self._last.clear()
         for binding in self._names:
-            self._slide(binding, None, Rows.of(window_data.get(binding, ())))
-        return self._output()
+            self._evict(binding, None)
+        self._drop_evicted()
+        new: List[TypingTuple[TypingTuple[int, ...], Any]] = []
+        for binding in self._names:
+            self._build(binding, Rows.of(window_data.get(binding, ())), new)
+        return self._output(new)
 
-    def _slide(self, binding: str, keep_from: Optional[int],
-               rows: Rows) -> None:
+    def _evict(self, binding: str, keep_from: Optional[int]) -> None:
         """Forget ``binding``'s rows stamped before ``keep_from`` (all of
-        them when None); filter ``rows`` on their values and build the
-        survivors in, as tuples of the binding's own schema."""
+        them when None), arrival numbers included."""
+        evicted = self._stems[binding].evict_before(keep_from)
+        arrival, arrived = self._arrival[binding], self._arrived[binding]
+        if evicted == len(arrived):
+            arrival.clear()
+            arrived.clear()
+            return
+        for _ in range(evicted):
+            del arrival[arrived.popleft()]
+
+    def _drop_evicted(self) -> None:
+        """Drop the kept results holding an evicted row.  A SteM evicts
+        its oldest rows, so a binding's rows numbered below its SteM's
+        eviction count are gone; keys sort by the first binding's
+        number, so its evicted rows' results are a prefix."""
+        floors = [self._stems[b].evictions for b in self._names]
+        results, last = self._results, self._floors
+        if floors[0] != last[0]:
+            del results[:bisect_left(results, ((floors[0],),))]
+        for i in range(1, len(floors)):
+            if floors[i] != last[i]:
+                floor = floors[i]
+                results = [r for r in results if r[0][i] >= floor]
+        self._results, self._floors = results, floors
+
+    def _build(self, binding: str, rows: Rows,
+               new: List[TypingTuple[TypingTuple[int, ...], Any]]) -> None:
+        """Build ``rows`` that pass ``binding``'s filter into its SteM, as
+        tuples of the binding's own schema, and run the binding's route
+        with them: they meet the rows built before them, and each match
+        is added to ``new`` as (key, result object)."""
         stem = self._stems[binding]
-        stem.evict_before(keep_from)
-        build = stem.build
-        for t in rows.tuples(self._schemas[binding], self._filters[binding]):
-            build(t)
+        built = rows.tuples(self._schemas[binding], self._filters[binding])
+        if not built:
+            return
+        first = stem.builds
+        for t in built:
+            stem.build(t)
+        ids = list(map(id, built))
+        numbered = range(first, stem.builds)
+        self._arrival[binding].update(zip(ids, numbered))
+        self._arrived[binding].extend(ids)
+        steps, key_of, make = self._routes[binding]
+        if not steps:
+            new += zip(zip(numbered), map(make, built))
+            return
+        # A prober's key so far, by id: its rows' arrival numbers in
+        # route order.
+        probers = built
+        partial = dict(zip(ids, zip(numbered)))
+        for step in steps[:-1]:
+            numbers = self._arrival[step.stem.source]
+            further: List[Tuple] = []
+            keys: Dict[int, TypingTuple[int, ...]] = {}
+            for left, stored in step.join(probers):
+                joined = left.concat(stored)
+                further.append(joined)
+                keys[id(joined)] = partial[id(left)] + (numbers[id(stored)],)
+            if not further:
+                return
+            probers, partial = further, keys
+        numbers = self._arrival[steps[-1].stem.source]
+        new += [(key_of(partial[id(left)] + (numbers[id(stored)],)),
+                 make(left, stored))
+                for left, stored in steps[-1].join(probers)]
 
     def _bind(self) -> None:
-        """Bind the body to positions, once: local filters, join steps
-        (with their SteMs), projection, group keys, aggregate arguments
-        and the ORDER BY key.  A row of binding ``b`` is the values of
-        ``b``'s schema; a joined row is those of every binding so far,
-        in FROM order."""
+        """Bind the body to positions, once: local filters, each
+        binding's route (with the SteMs), the result makers, group keys,
+        aggregate arguments and the ORDER BY key.  A row of binding
+        ``b`` is the values of ``b``'s schema; a route's match joins the
+        bindings in the route's order."""
         if self._stems:
             return
         names = self._names
@@ -296,7 +389,7 @@ class WindowedPlan:
             return pos
 
         # A factor over one binding filters that binding's rows; the
-        # rest run at the join steps (see join_steps).
+        # rest run at the join steps (see join_route).
         factors = self.compiled.predicate.conjuncts()
         local: Dict[str, List[Predicate]] = {b: [] for b in names}
         for factor in factors:
@@ -306,11 +399,9 @@ class WindowedPlan:
         for b, schema in zip(names, schemas):
             self._filters[b] = And(*local[b]).bind(schema.locate) \
                 if local[b] else None
-        stems = {names[0]: SteM(names[0])}
-        steps = join_steps(schemas, factors, lambda b, column: stems.setdefault(
-            b, SteM(b, index_columns=[column] if column else ())))
 
         aggs = [item for item in self.select_items if item.aggregate]
+        projection: Optional[Projection] = None
         if aggs:
             plain = [item for item in self.select_items
                      if not item.aggregate and not item.is_star]
@@ -331,9 +422,7 @@ class WindowedPlan:
                                     self._qualify)
             out = projection.schema
             if out is joined:
-                self._star = out
-            else:
-                self._project = (projection.picker(joined), out)
+                projection = None           # SELECT *: the joined rows
         if self.order_by is not None:
             column, descending = self.order_by
             pos = out.locate(column)
@@ -342,43 +431,75 @@ class WindowedPlan:
             if pos is None:
                 raise QueryError(f"ORDER BY {column!r} is not in the output")
             self._order = (pos, descending)
-        self._steps, self._stems = steps, stems     # bound
 
-    def _output(self) -> List[Row]:
-        """The body over the standing rows.  The leading binding's rows
-        probe each step's SteM in FROM order; only a pair that passes is
-        read: joined into a tuple for a further step, else made one
-        output :class:`Row` straight from the pair's values (whole for
-        ``SELECT *``, projected or aggregated otherwise).  A
-        single-binding ``SELECT *`` delivers the stored tuples."""
-        rows = self._stems[self._names[0]].contents()
-        pairs: Optional[List[TypingTuple[Tuple, Tuple]]] = None
-        for n, step in enumerate(self._steps, 1):
-            pairs = step.join(rows)
-            if n < len(self._steps):
-                rows = [left.concat(stored) for left, stored in pairs]
-        out: List[Row]
-        if self._star is not None:
-            # A pair with a sampled side is joined, so the result carries
-            # the trace its delivery closes.
-            schema = self._star
-            out = rows if pairs is None else \
-                [Row(schema, left.values + stored.values,
-                     joined_timestamp(left, stored))
-                 if left.trace is None and stored.trace is None
-                 else left.concat(stored)
-                 for left, stored in pairs]
-        elif self._aggregates is not None:
-            out = self._aggregate(
-                [t.values for t in rows] if pairs is None else
-                [left.values + stored.values for left, stored in pairs])
-        else:
-            pick, schema = self._project
-            out = [Row(schema, pick(t.values), t.timestamp)
-                   for t in rows] if pairs is None else \
-                [Row(schema, pick(left.values + stored.values),
-                     joined_timestamp(left, stored))
-                 for left, stored in pairs]
+        stems = {b: SteM(b) for b in names}
+
+        def stem_of(binding: str, column: Optional[str]) -> SteM:
+            if column is not None:
+                stems[binding].add_index(column)
+            return stems[binding]
+
+        for b in names:
+            steps, route = join_route(b, schemas, factors, stem_of)
+            order = [b] + [step.stem.source for step in steps]
+            self._routes[b] = (
+                steps,
+                tuple if order == names else itemgetter(*map(order.index,
+                                                              names)),
+                self._maker(bool(steps), route, joined, projection))
+            self._arrival[b], self._arrived[b] = {}, deque()
+        self._floors = [0] * len(names)
+        self._stems = stems                 # bound
+
+    def _maker(self, joins: bool, route: Schema, joined: Schema,
+               projection: Optional["Projection"]) -> Callable:
+        """How a route whose matches are ``route`` rows makes a match's
+        result object: a projected :class:`Row`, the values in FROM
+        order (``joined``) for aggregates, or for ``SELECT *`` a Row of
+        ``joined`` -- a :class:`Tuple` carrying the trace its delivery
+        closes when a side is sampled.  Without ``joins`` a match is one
+        stored row, and a ``SELECT *`` result is that row itself."""
+        if projection is not None:
+            pick, schema = projection.picker(route), projection.schema
+            if not joins:
+                return lambda t: Row(schema, pick(t.values), t.timestamp)
+            return lambda left, stored: Row(
+                schema, pick(left.values + stored.values),
+                joined_timestamp(left, stored))
+        if not joins:
+            return _values if self._aggregates is not None else _itself
+        reorder = tuple if route is joined else itemgetter(
+            *map(route.index_of, joined.column_names()))
+        if self._aggregates is not None:
+            return lambda left, stored: reorder(left.values + stored.values)
+
+        def star(left: Tuple, stored: Tuple) -> Row:
+            values = reorder(left.values + stored.values)
+            timestamp = joined_timestamp(left, stored)
+            trace = left.trace if left.trace is not None else stored.trace
+            if trace is None:
+                return Row(joined, values, timestamp)
+            match = Tuple(joined, values, timestamp)
+            match.trace = trace
+            return match
+        return star
+
+    def _output(self, new: List[TypingTuple[TypingTuple[int, ...], Any]]
+                ) -> List[Row]:
+        """This window's answer: the kept results with ``new`` merged in
+        by key, then aggregated, made distinct and sorted as the query
+        asks."""
+        results = self._results
+        if new:
+            self.results_built += len(new)
+            new.sort(key=_key)
+            later = not results or results[-1][0] < new[0][0]
+            results += new
+            if not later:
+                results.sort(key=_key)
+        out: List[Any] = list(map(_result, results))
+        if self._aggregates is not None:
+            out = self._aggregate(out)
         if self.distinct:
             seen = set()
             unique = []
@@ -391,6 +512,13 @@ class WindowedPlan:
             pos, descending = self._order
             out = sorted(out, key=lambda t: t.values[pos], reverse=descending)
         return out
+
+    def state(self) -> Dict[str, Any]:
+        """What the plan holds: rows per binding SteM, results kept,
+        and result objects made so far."""
+        return {"rows": {b: len(stem) for b, stem in self._stems.items()},
+                "results_kept": len(self._results),
+                "results_built": self.results_built}
 
     def _aggregate(self, rows: List[Sequence[Any]]) -> List[Row]:
         """One output row per group (first-seen order) of ``rows``'
@@ -412,6 +540,15 @@ class WindowedPlan:
                 results.append(agg.result())
             out.append(Row(schema, key + tuple(results), None))
         return out
+
+
+#: a kept result's sort key and object; a lone binding's result for a row.
+_key, _result = itemgetter(0), itemgetter(1)
+_values = attrgetter("values")
+
+
+def _itself(t: Tuple) -> Tuple:
+    return t
 
 
 def compile_query(spec: QuerySpec, catalog: Catalog) -> CompiledQuery:

@@ -274,12 +274,16 @@ def test_windowed_join_shows_as_stem_probes_one_series_per_binding(
         cursor = run_windowed_join(conn, last)
         snap = conn.telemetry()
         assert len(cursor.fetch_windows()) == last - 3
-    probes = stem_series(snap, "tcq_stem_probes_total")
-    # Each binding keeps its standing rows in one SteM, and a's rows
-    # probe b's: one series per binding, for 3 windows as for 27.
-    assert [s.labels["stem"].split("#")[0] for s in probes] == \
-        ["stem[a]", "stem[b]"]
-    assert probes[0].value == 0 and probes[1].value > 0
+    probes, builds = (
+        {s.labels["stem"].split("#")[0]: s.value
+         for s in stem_series(snap, family)}
+        for family in ("tcq_stem_probes_total", "tcq_stem_builds_total"))
+    # Each binding keeps its standing rows in one SteM: one series per
+    # binding, for 3 windows as for 27.  A row built into one SteM
+    # probes the other once, when it arrives, whatever windows it sits in.
+    assert list(probes) == ["stem[a]", "stem[b]"]
+    assert probes["stem[a]"] == builds["stem[b]"] > 0
+    assert probes["stem[b]"] == builds["stem[a]"] > 0
     for family in ("tcq_stem_builds_total", "tcq_stem_size",
                    "tcq_stem_evictions_total"):
         assert len(stem_series(snap, family)) == 2

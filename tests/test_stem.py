@@ -174,6 +174,32 @@ class TestEviction:
         assert stem.evictions == 3
         assert stem.probe(T.make(1, 0), [JOIN]) == []
 
+    def test_evicting_equal_valued_rows_leaves_the_right_objects(self):
+        """Rows equal in every value (and stamp) are distinct objects:
+        eviction pops each bucket's oldest, so every index keeps the
+        very rows the SteM keeps, in build order."""
+        stem = SteM("S", index_columns=["S.k", "S.x"])
+        rows = [S.make(1, 7, timestamp=ts) for ts in (1, 1, 1, 2, 2)]
+        for r in rows:
+            stem.build(r)
+        assert stem.evict_before(2) == 3
+        for column, key in (("S.k", 1), ("S.x", 7)):
+            bucket = stem._indexes[column][key]
+            assert len(bucket) == 2
+            assert all(a is b for a, b in zip(bucket, rows[3:]))
+        assert all(a is b for a, b in zip(stem.contents(), rows[3:]))
+        stem.evict_before(None)
+        assert stem._indexes == {"S.k": {}, "S.x": {}}
+
+    def test_cache_eviction_pops_each_bucket_head(self):
+        cache = CacheSteM("S", capacity=2, index_columns=["S.k"])
+        rows = [S.make(1, 7) for _ in range(5)]
+        for r in rows:
+            cache.build(r)
+        bucket = cache._indexes["S.k"][1]
+        assert len(bucket) == 2
+        assert all(a is b for a, b in zip(bucket, rows[3:]))
+
     def test_contents_snapshot(self):
         stem = SteM("S")
         s = S.make(1, 2)

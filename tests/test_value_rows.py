@@ -7,7 +7,8 @@ value tuples, and every cursor hands back a value
 probes with it, a sampled row or a pre-built row needs one.  These
 guards count what is built (through the tuple id counter, no clocks)
 and check that a row which does exist as a tuple is one object
-everywhere it goes.
+everywhere it goes.  A windowed join builds each match's result once,
+and every window that holds the match hands back that one object.
 """
 
 import gc
@@ -95,6 +96,51 @@ def test_a_windowed_join_builds_only_the_rows_its_steMs_store(select):
     assert outputs[40] > 4 * outputs[8] > 0
     # The ids follow the rows stored, not the rows delivered.
     assert built[40] < 2 * outputs[40]
+
+
+def windows_of_equijoin(select, last):
+    with connect() as conn:
+        conn.create_stream("a", "k", "v")
+        conn.create_stream("b", "k", "w")
+        cursor = conn.submit(WINDOWED_EQUIJOIN.format(select=select,
+                                                      last=last))
+        feed_windowed_equijoin(conn, last)
+        return cursor.fetch_windows()
+
+
+@pytest.mark.parametrize("select", ["a.v, b.w", "*"])
+def test_a_windowed_join_match_is_one_object_in_every_window(select):
+    """Width 4, hop 1: a match sits in up to four windows, and every
+    window that holds it hands back the same result object."""
+    held = {}
+    for _t, rows in windows_of_equijoin(select, 20):
+        for row in rows:
+            held.setdefault(row.values, []).append(row)
+    assert max(len(rows) for rows in held.values()) == 4
+    for rows in held.values():
+        assert all(row is rows[0] for row in rows)
+
+
+@pytest.mark.parametrize("select", ["a.v, b.w", "*"])
+def test_a_windowed_join_builds_one_result_per_match(monkeypatch, select):
+    """Result objects built = distinct matches, for 5 windows as for
+    37, however many windows hold each match.  (``a.v`` and ``b.w`` are
+    distinct per row, so a match's values name it.)"""
+    init = tuples.Row.__init__
+    for last in (8, 40):
+        made = []
+
+        def counted(self, *args, _made=made):
+            _made.append(1)
+            init(self, *args)
+
+        monkeypatch.setattr(tuples.Row, "__init__", counted)
+        windows = windows_of_equijoin(select, last)
+        monkeypatch.undo()
+        rows = [row for _t, window in windows for row in window]
+        assert len(windows) == last - 3
+        assert len(made) == len({row.values for row in rows}) \
+            == len({id(row) for row in rows}) < len(rows)
 
 
 def test_a_cacq_equijoin_builds_its_steM_rows_and_composite_matches():

@@ -8,8 +8,9 @@ bound when its first window fires.
   gains rows) equals a nested-loop oracle per window, on result
   sequences, column names and timestamps;
 * count guards through the door (no clocks) — each stored row is
-  scanned and built once, rows leave the SteMs, and no column is
-  resolved by name after the first window;
+  scanned and built once, rows leave the SteMs, EXPLAIN reports the
+  state the plan holds, and no column is resolved by name after the
+  first window;
 * NULL and NaN keys join nothing, on the continuous and the windowed
   path alike.
 """
@@ -275,6 +276,30 @@ def test_sliding_windows_scan_and_build_each_row_once(private_registry):
     assert evictions["stem[a]"] == last - 4 and evictions["stem[b]"] > 0
     assert stem_values(snap, "tcq_stem_size") == {"stem[a]": 4,
                                                   "stem[b]": 4}
+
+
+def test_explain_reports_the_state_a_windowed_plan_holds(private_registry):
+    """EXPLAIN on a windowed cursor: rows per binding SteM, the results
+    the plan keeps (the last window's), and results built against
+    results delivered: each match is built once, delivered in every
+    window that holds it."""
+    last = 30
+    with connect() as conn:
+        conn.create_stream("a", "k", "v")
+        conn.create_stream("b", "k", "w")
+        cursor = conn.submit(SLIDING.format(last=last))
+        push_until(conn, 1, last + 1)
+        conn.run()
+        windows = cursor.fetch_windows()
+        report = conn.explain(cursor)
+    state = report["state"]
+    delivered = sum(len(rows) for _t, rows in windows)
+    assert state["rows"] == {"a": 4, "b": 4}
+    assert state["results_kept"] == len(windows[-1][1]) > 0
+    assert state["results_delivered"] == delivered
+    assert 0 < state["results_built"] < delivered
+    assert any(note.startswith("state held: stem[a] 4 rows")
+               for note in report["notes"])
 
 
 def test_no_column_is_resolved_after_the_first_window(monkeypatch,
